@@ -96,7 +96,8 @@ class BenchStats:
 
     avg_iter / max_iter are the final stopping rank of the successful runs;
     the gap columns subtract the attaining rank from it. Memory is the
-    allocator-level peak per solve, only measured for sequential runs.
+    allocator-level peak of a second, traced solve of each instance, so the
+    timed solve runs untraced; it is only measured for sequential runs.
     """
 
     count_c: int
@@ -151,20 +152,21 @@ def random_instance(spec: BenchSpec, index: int) -> ProblemInstance:
     return ProblemInstance(A=A, b=b, Qmat=Q, qvec=q, Xin=xin, N=spec.N)
 
 
+def _peak_mib(inst: ProblemInstance) -> float:
+    """Allocator-level peak of one more solve of inst, traced apart from the timed one."""
+    tracemalloc.start()
+    try:
+        solve(inst)
+        return tracemalloc.get_traced_memory()[1] / (1024.0 * 1024.0)
+    finally:
+        tracemalloc.stop()
+
+
 def _solve_one(spec: BenchSpec, index: int, measure_memory: bool) -> InstanceRecord:
     inst = random_instance(spec, index)
-    mem_mib = None
     start = time.perf_counter()
     try:
-        if measure_memory:
-            tracemalloc.start()
-            try:
-                report = solve(inst)
-                mem_mib = tracemalloc.get_traced_memory()[1] / (1024.0 * 1024.0)
-            finally:
-                tracemalloc.stop()
-        else:
-            report = solve(inst)
+        report = solve(inst)
     except (ReachmaxError, ValueError, np.linalg.LinAlgError) as exc:
         return InstanceRecord(
             index=index,
@@ -178,6 +180,7 @@ def _solve_one(spec: BenchSpec, index: int, measure_memory: bool) -> InstanceRec
             time_s=time.perf_counter() - start,
         )
     elapsed = time.perf_counter() - start
+    mem_mib = _peak_mib(inst) if measure_memory else None
     k_init = report.K_trace[0][1] if report.K_trace else None
     k_final = report.K_trace[-1][1] if report.K_trace else None
     return InstanceRecord(

@@ -41,8 +41,8 @@ class SpectralData:
     envelope: float
 
 
-def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, Xwork: Polytope) -> SpectralData:
-    """Assemble the envelope data for the given objective and working set."""
+def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, Xwork: Polytope | np.ndarray) -> SpectralData:
+    """Assemble the envelope data for the given objective and working set (or its vertex array)."""
     Q = np.asarray(Qmat, dtype=float)
     q = np.asarray(qvec, dtype=float)
     Ustar = dec.U.conj().T

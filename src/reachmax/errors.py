@@ -33,10 +33,6 @@ class EmptyVertexList(ReachmaxError):
     """A nonempty vertex list was expected."""
 
 
-class Infeasible(ReachmaxError):
-    """The constraint set is empty."""
-
-
 class NotConcave(ReachmaxError):
     """A strictly concave objective was expected."""
 

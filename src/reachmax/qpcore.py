@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyVertexList, Infeasible, NotConcave
+from .errors import EmptyVertexList, NotConcave
 from .geometry import Box, Polytope, VRep
 from .linalg import matrix_power_step
 
@@ -157,8 +157,6 @@ def maximize_concave_qp(
     if not isinstance(P, Box):
         raise TypeError(f"unsupported polytope type {type(P).__name__}")
     lower, upper = P.lower, P.upper
-    if np.any(lower > upper):
-        raise Infeasible("empty box")
 
     obj = f.effective
     # pin coordinates with a collapsed range and solve in the free coordinates

@@ -155,7 +155,13 @@ class _NuEvaluator:
     inputs give bit-identical value sequences.
     """
 
-    def __init__(self, red: ReducedInstance, klass: ObjectiveClass, qp_gap_tol: float = 1e-10):
+    def __init__(
+        self,
+        red: ReducedInstance,
+        klass: ObjectiveClass,
+        qp_gap_tol: float = 1e-10,
+        verts: np.ndarray | None = None,
+    ):
         if klass not in (ObjectiveClass.CONVEX_PSD, ObjectiveClass.STRICTLY_CONCAVE_ND):
             raise UnsupportedObjective(f"cannot evaluate objective class {klass.value}")
         self._red = red
@@ -165,7 +171,7 @@ class _NuEvaluator:
         d = base.dim
         self._stepped = SteppedObjective(base, red.A, 0, np.eye(d))
         if klass is ObjectiveClass.CONVEX_PSD:
-            self._verts = vertices(red.Xwork)
+            self._verts = vertices(red.Xwork) if verts is None else verts
         else:
             if not isinstance(red.Xwork, Box):
                 raise UnsupportedObjective("a strictly concave objective needs a box initial set")
@@ -232,8 +238,11 @@ def solve(
     if concave and isinstance(red.Xwork, VRep):
         raise UnsupportedObjective("a strictly concave objective needs a box initial set")
 
-    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, red.Xwork)
-    ev = _NuEvaluator(red, klass, qp_gap_tol)
+    # one vertex set per solve: it fixes M in the envelope and, for a convex
+    # objective, it is the whole input of every per-rank maximization
+    verts = vertices(red.Xwork)
+    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
+    ev = _NuEvaluator(red, klass, qp_gap_tol, verts)
 
     nu_k, y_k = ev.value(0)
     iterations = 1

@@ -5,6 +5,7 @@ import pytest
 
 from reachmax import (
     Box,
+    geometry,
     ObjectiveClass,
     ProblemInstance,
     SolveStatus,
@@ -16,6 +17,7 @@ from reachmax import (
     reduce_affine,
     solve,
 )
+from reachmax import solver as solver_module
 from reachmax.seqlab import FiniteC0Sequence
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
 from reachmax.errors import (
@@ -181,6 +183,41 @@ class TestSolveValidation:
                 A=0.5 * np.eye(2), b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2),
                 Xin=Box([0.0, 0.0], [0.0, 0.0]),
             )
+
+
+class TestSingleEnumeration:
+    """The working vertex set is enumerated once per solve, for the envelope and the ranks alike."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        original = geometry.vertices
+
+        def vertices(P, *args, **kwargs):
+            counted.append(P)
+            return original(P, *args, **kwargs)
+
+        for mod in (geometry, solver_module):
+            monkeypatch.setattr(mod, "vertices", vertices)
+        return counted
+
+    def test_convex_vertex_list(self, calls):
+        pts = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.5, 0.5 + 1e-13]]
+        inst = ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0], Xin=VRep(pts))
+        assert solve(inst).status is SolveStatus.K_DIAG
+        assert len(calls) == 1
+
+    def test_convex_box(self, calls):
+        rep = solve(osc_instance(np.eye(2)))
+        assert rep.K_trace == [(0, 111)]
+        assert len(calls) == 1
+
+    def test_concave_box(self, calls):
+        inst = ProblemInstance(
+            A=0.5 * np.eye(2), b=np.zeros(2), Qmat=-np.eye(2), qvec=[1.0, 0.5], Xin=osc_box()
+        )
+        assert solve(inst).status is not SolveStatus.FAILED
+        assert len(calls) == 1
 
 
 class TestDegenerateScreens:
