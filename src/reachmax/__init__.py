@@ -1,87 +1,17 @@
 """Exact quadratic maximization over the reachable values of convergent affine systems."""
 
-from .bounds import SpectralData, build_spectral_data, corollary_one_holds, k_diag
-from .geometry import Box, Polytope, VRep, mu, translate, vertices
-from .linalg import (
-    SpectralDecomposition,
-    eig_decompose,
-    gram_inverse,
-    hermitian_lambda_max,
-    matrix_power_step,
-    spectral_radius_check,
-)
-from .qpcore import (
-    ObjectiveClass,
-    QuadraticObjective,
-    SteppedObjective,
-    classify,
-    maximize_concave_qp,
-    maximize_convex_vertices,
-    step,
-    step_next,
-)
-from .seqlab import (
-    BEYOND_PREFIX,
-    INFINITE,
-    FiniteC0Sequence,
-    NoRank,
-    RankProfile,
-    partial_sup,
-    rank_profile,
-)
-from .solver import (
-    ProblemInstance,
-    ReducedInstance,
-    SolveReport,
-    SolveStatus,
-    brute_force,
-    k_pos_screen,
-    nu_at,
-    reduce_affine,
-    solve,
-)
+from .geometry import Box, Polytope, VRep
+from .solver import ProblemInstance, SolveReport, SolveStatus, brute_force, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BEYOND_PREFIX",
     "Box",
-    "FiniteC0Sequence",
-    "INFINITE",
-    "NoRank",
-    "ObjectiveClass",
     "Polytope",
     "ProblemInstance",
-    "QuadraticObjective",
-    "RankProfile",
-    "ReducedInstance",
     "SolveReport",
     "SolveStatus",
-    "SpectralData",
-    "SpectralDecomposition",
-    "SteppedObjective",
     "VRep",
     "brute_force",
-    "build_spectral_data",
-    "classify",
-    "corollary_one_holds",
-    "eig_decompose",
-    "gram_inverse",
-    "hermitian_lambda_max",
-    "k_diag",
-    "k_pos_screen",
-    "matrix_power_step",
-    "maximize_concave_qp",
-    "maximize_convex_vertices",
-    "mu",
-    "nu_at",
-    "partial_sup",
-    "rank_profile",
-    "reduce_affine",
     "solve",
-    "spectral_radius_check",
-    "step",
-    "step_next",
-    "translate",
-    "vertices",
 ]

@@ -112,7 +112,3 @@ def gram_inverse(U) -> np.ndarray:
     # enforce exact Hermitian symmetry against rounding
     return (M + M.conj().T) / 2.0
 
-
-def matrix_power_step(P_k, A) -> np.ndarray:
-    """Advance a cached matrix power one step: returns A @ P_k."""
-    return np.asarray(A) @ np.asarray(P_k)

@@ -1,25 +1,20 @@
-"""Quadratic objectives pushed through the system dynamics, and their maximizers.
+"""Quadratic objectives, their sign class, and their maximizers over a polytope.
 
-The k-th stepped objective evaluates the base quadratic on the k-th image of
-a point under the system matrix:
-
-    f_k(x) = (A^k x)^T Q (A^k x) + q^T (A^k x) + c
-
-Convex objectives are maximized by enumerating polytope vertices; strictly
-concave ones by an in-house log-barrier interior-point method over box
-constraints.
+The solver maximizes, rank by rank, the objective composed with the k-th
+power of the system matrix, f_k(x) = f(A^k x), itself a quadratic objective.
+Convex objectives are maximized by enumerating polytope vertices; concave
+ones by an in-house log-barrier interior-point method over box constraints.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyVertexList, NotConcave
 from .geometry import Box, Polytope, VRep
-from .linalg import matrix_power_step
 
 TOL_SYM = 1e-9
 TOL_PSD = 1e-9
@@ -55,6 +50,18 @@ class QuadraticObjective:
         if not (np.all(np.isfinite(self.Qmat)) and np.all(np.isfinite(self.qvec)) and np.isfinite(self.c)):
             raise ValueError("objective data must be finite")
 
+    @classmethod
+    def from_symmetric(cls, Qmat: np.ndarray, qvec: np.ndarray) -> QuadraticObjective:
+        """Wrap an exactly symmetric float Qmat and a matching float qvec, with c = 0.
+
+        Only finiteness is checked; shapes, symmetry and dtypes are the caller's.
+        """
+        if not (np.all(np.isfinite(Qmat)) and np.all(np.isfinite(qvec))):
+            raise ValueError("objective data must be finite")
+        obj = object.__new__(cls)
+        obj.Qmat, obj.qvec, obj.c = Qmat, qvec, 0.0
+        return obj
+
     @property
     def dim(self) -> int:
         return self.qvec.size
@@ -87,46 +94,7 @@ def classify(obj: QuadraticObjective) -> ObjectiveClass:
     return ObjectiveClass.UNSUPPORTED
 
 
-@dataclass(eq=False)
-class SteppedObjective:
-    """Base objective composed with the k-th matrix power (cached in `power`)."""
-
-    base: QuadraticObjective
-    A: np.ndarray
-    k: int
-    power: np.ndarray
-    effective: QuadraticObjective = field(init=False)
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.power = np.asarray(self.power, dtype=float)
-        P = self.power
-        M = P.T @ self.base.Qmat @ P
-        self.effective = QuadraticObjective((M + M.T) / 2.0, P.T @ self.base.qvec, self.base.c)
-
-    def value(self, x) -> float:
-        return self.effective.value(x)
-
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        return self.effective.value_many(X)
-
-
-def step(obj: QuadraticObjective, A, k: int) -> SteppedObjective:
-    """Objective after k steps of the dynamics."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (obj.dim, obj.dim):
-        raise ValueError("system matrix dimension must match the objective")
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    return SteppedObjective(obj, A, k, np.linalg.matrix_power(A, k))
-
-
-def step_next(s: SteppedObjective) -> SteppedObjective:
-    """Advance one step, reusing the cached matrix power."""
-    return SteppedObjective(s.base, s.A, s.k + 1, matrix_power_step(s.power, s.A))
-
-
-def maximize_convex_vertices(f: SteppedObjective, V: np.ndarray) -> tuple[float, np.ndarray]:
+def maximize_convex_vertices(f: QuadraticObjective, V: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximum of f over a vertex array, first attaining vertex wins ties."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if V.shape[0] == 0:
@@ -137,39 +105,41 @@ def maximize_convex_vertices(f: SteppedObjective, V: np.ndarray) -> tuple[float,
 
 
 def maximize_concave_qp(
-    f: SteppedObjective,
+    f: QuadraticObjective,
     P: Polytope,
     *,
     gap_tol: float = 1e-10,
 ) -> tuple[float, np.ndarray]:
-    """Maximize a strictly concave stepped objective over a box.
+    """Maximize a concave objective over a box.
 
     Log-barrier interior-point method: minimize -f plus a barrier on the box
     faces, with the barrier weight decreased geometrically (factor 10) from 1
     until the duality measure (number of faces times weight) drops below
     gap_tol. Each stage is solved by damped Newton steps with backtracking
-    line search that keeps the iterate strictly inside the box.
+    line search that keeps the iterate strictly inside the box. Qmat must be
+    negative semidefinite up to TOL_ND relative to its largest entry; the
+    rank-k objective of a strictly concave f is, though singular when A is.
     """
-    if classify(f.base) is not ObjectiveClass.STRICTLY_CONCAVE_ND:
-        raise NotConcave("objective is not strictly concave")
+    lmax = float(np.linalg.eigvalsh(f.Qmat)[-1])
+    if lmax > TOL_ND * (1.0 + float(np.max(np.abs(f.Qmat)))):
+        raise NotConcave(f"objective is not concave: largest curvature eigenvalue {lmax:.3e}")
     if isinstance(P, VRep):
         raise ValueError("concave maximization requires a box initial set")
     if not isinstance(P, Box):
         raise TypeError(f"unsupported polytope type {type(P).__name__}")
     lower, upper = P.lower, P.upper
 
-    obj = f.effective
     # pin coordinates with a collapsed range and solve in the free coordinates
     free = upper > lower
     x_full = lower.copy()
     if not np.any(free):
-        return obj.value(x_full), x_full
+        return f.value(x_full), x_full
 
-    Qf = obj.Qmat[np.ix_(free, free)]
-    lin = 2.0 * obj.Qmat[np.ix_(free, ~free)] @ lower[~free] + obj.qvec[free]
+    Qf = f.Qmat[np.ix_(free, free)]
+    lin = 2.0 * f.Qmat[np.ix_(free, ~free)] @ lower[~free] + f.qvec[free]
     y = _barrier_box_min(-Qf, -lin, lower[free], upper[free], gap_tol)
     x_full[free] = y
-    return obj.value(x_full), x_full
+    return f.value(x_full), x_full
 
 
 def _barrier_box_min(H: np.ndarray, g: np.ndarray, lower, upper, gap_tol: float) -> np.ndarray:

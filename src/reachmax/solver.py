@@ -24,11 +24,10 @@ import numpy as np
 from .bounds import SpectralData, build_spectral_data, corollary_one_holds, k_diag
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
 from .geometry import Box, Polytope, VRep, translate, vertices
-from .linalg import SpectralDecomposition, eig_decompose, matrix_power_step, spectral_radius_check
+from .linalg import SpectralDecomposition, eig_decompose, spectral_radius_check
 from .qpcore import (
     ObjectiveClass,
     QuadraticObjective,
-    SteppedObjective,
     classify,
     maximize_concave_qp,
     maximize_convex_vertices,
@@ -147,12 +146,13 @@ def reduce_affine(inst: ProblemInstance) -> ReducedInstance:
     )
 
 
-class _NuEvaluator:
-    """Sequential evaluator of the per-rank optima in reduced coordinates.
+class _RankEvaluator:
+    """The per-rank optima nu_k = max over the working set of f(A^k y), in reduced coordinates.
 
-    Matrix powers advance one multiplication per rank, never recomputed from
-    scratch, so a full run over ranks 0..K costs K products and identical
-    inputs give bit-identical value sequences.
+    Holds the base objective, A, the current rank k and the current power
+    A^k. Ranks only move forward, one product A @ A^k per rank, so a run
+    over ranks 0..K costs K products and identical inputs give bit-identical
+    value sequences.
     """
 
     def __init__(
@@ -162,38 +162,37 @@ class _NuEvaluator:
         qp_gap_tol: float = 1e-10,
         verts: np.ndarray | None = None,
     ):
-        if klass not in (ObjectiveClass.CONVEX_PSD, ObjectiveClass.STRICTLY_CONCAVE_ND):
-            raise UnsupportedObjective(f"cannot evaluate objective class {klass.value}")
-        self._red = red
-        self._klass = klass
+        self._base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
+        self._A = red.A
+        self._Xwork = red.Xwork
         self._qp_gap_tol = qp_gap_tol
-        base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
-        d = base.dim
-        self._stepped = SteppedObjective(base, red.A, 0, np.eye(d))
+        self.k = 0
+        self.power = np.eye(self._base.dim)
         if klass is ObjectiveClass.CONVEX_PSD:
             self._verts = vertices(red.Xwork) if verts is None else verts
-        else:
-            if not isinstance(red.Xwork, Box):
-                raise UnsupportedObjective("a strictly concave objective needs a box initial set")
+        elif isinstance(red.Xwork, Box):
             self._verts = None
+        else:
+            raise UnsupportedObjective("a strictly concave objective needs a box initial set")
+
+    def objective(self, k: int) -> QuadraticObjective:
+        """The rank-k objective y -> f(A^k y), stepping the power forward to rank k."""
+        if k < self.k:
+            raise ValueError(f"rank {k} is below the current rank {self.k}")
+        while self.k < k:
+            self.power = self._A @ self.power
+            self.k += 1
+        P = self.power
+        M = P.T @ self._base.Qmat @ P
+        # (M + M^T)/2 is exactly symmetric, so only finiteness is left to check
+        return QuadraticObjective.from_symmetric((M + M.T) / 2.0, P.T @ self._base.qvec)
 
     def value(self, k: int) -> tuple[float, np.ndarray]:
         """nu_k and a maximizing point, both in reduced coordinates."""
-        s = self._stepped
-        if k < s.k:
-            base = s.base
-            s = SteppedObjective(base, self._red.A, 0, np.eye(base.dim))
-        while s.k < k:
-            s = SteppedObjective(s.base, s.A, s.k + 1, matrix_power_step(s.power, s.A))
-        self._stepped = s
-        if self._klass is ObjectiveClass.CONVEX_PSD:
-            return maximize_convex_vertices(s, self._verts)
-        return maximize_concave_qp(s, self._red.Xwork, gap_tol=self._qp_gap_tol)
-
-
-def nu_at(red: ReducedInstance, k: int, klass: ObjectiveClass) -> tuple[float, np.ndarray]:
-    """One per-rank optimum (no offset), evaluated by sequential matrix powers."""
-    return _NuEvaluator(red, klass).value(k)
+        f = self.objective(k)
+        if self._verts is not None:
+            return maximize_convex_vertices(f, self._verts)
+        return maximize_concave_qp(f, self._Xwork, gap_tol=self._qp_gap_tol)
 
 
 def _validated_parts(
@@ -209,17 +208,8 @@ def _validated_parts(
     return dec, red, klass
 
 
-def solve(
-    inst: ProblemInstance,
-    *,
-    positivity_margin: float = 0.0,
-    qp_gap_tol: float = 1e-10,
-) -> SolveReport:
-    """Exact optimal value and maximizer over the reachable values set.
-
-    positivity_margin replaces the exact nu_k <= 0 test of the positivity
-    scan by nu_k <= margin; the default 0 is the faithful comparison.
-    """
+def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
+    """Exact optimal value and maximizer over the reachable values set."""
     dec, red, klass = _validated_parts(inst)
 
     # degenerate screens whose answer is known without any optimization
@@ -242,7 +232,7 @@ def solve(
     # objective, it is the whole input of every per-rank maximization
     verts = vertices(red.Xwork)
     sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
-    ev = _NuEvaluator(red, klass, qp_gap_tol, verts)
+    ev = _RankEvaluator(red, klass, qp_gap_tol, verts)
 
     nu_k, y_k = ev.value(0)
     iterations = 1
@@ -258,11 +248,11 @@ def solve(
         )
 
     k = 0
-    while k < inst.N and nu_k <= positivity_margin:
+    while k < inst.N and nu_k <= 0.0:
         k += 1
         nu_k, y_k = ev.value(k)
         iterations += 1
-    if k == inst.N and nu_k <= positivity_margin:
+    if k == inst.N and nu_k <= 0.0:
         return SolveReport(
             status=SolveStatus.FAILED,
             nu_opt=None,
@@ -307,7 +297,7 @@ def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.nda
     if horizon < 0:
         raise ValueError("horizon must be a natural number")
     _, red, klass = _validated_parts(inst)
-    ev = _NuEvaluator(red, klass)
+    ev = _RankEvaluator(red, klass)
     best_val, best_y = ev.value(0)
     best_k = 0
     for k in range(1, horizon + 1):
@@ -315,29 +305,3 @@ def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.nda
         if val > best_val:
             best_val, best_y, best_k = val, y, k
     return best_val + red.offset, best_k, best_y + red.b_tilde
-
-
-def k_pos_screen(red: ReducedInstance) -> bool:
-    """Cheap certificate that the rank-0 value is already strictly positive.
-
-    True when one of three structural conditions holds on the reduced data:
-    zero linear part with positive definite curvature; zero linear part,
-    positive semidefinite singular curvature and an initial set with interior;
-    nonzero linear part, positive semidefinite curvature and 0 strictly inside
-    the initial set. False means inconclusive, never a negative certificate.
-    """
-    if _is_origin_only(red.Xwork):
-        return False
-    Q = np.asarray(red.Qmat, dtype=float)
-    evals = np.linalg.eigvalsh(Q)
-    lmin = float(evals[0])
-    psd = lmin >= -1e-9
-    if not psd:
-        return False
-    q_zero = not np.any(red.qvec_reduced)
-    if q_zero and lmin > 1e-9:
-        return True
-    box = red.Xwork if isinstance(red.Xwork, Box) else None
-    if q_zero and lmin <= 1e-9:
-        return box is not None and bool(np.all(box.lower < box.upper))
-    return box is not None and bool(np.all(box.lower < 0.0) and np.all(box.upper > 0.0))

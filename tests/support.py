@@ -6,23 +6,17 @@ import math
 
 import numpy as np
 
-from reachmax import (
-    BEYOND_PREFIX,
-    INFINITE,
-    Box,
-    FiniteC0Sequence,
+from reachmax import Box
+from reachmax.geometry import vertices
+from reachmax.qpcore import (
     ObjectiveClass,
     QuadraticObjective,
     classify,
     maximize_concave_qp,
     maximize_convex_vertices,
-    partial_sup,
-    rank_profile,
-    reduce_affine,
-    step,
-    step_next,
-    vertices,
 )
+from reachmax.seqlab import BEYOND_PREFIX, INFINITE, FiniteC0Sequence, partial_sup, rank_profile
+from reachmax.solver import ProblemInstance, _RankEvaluator, reduce_affine
 
 # damped oscillator discretized with a small explicit Euler step
 OSC_A = np.array([[1.0, 0.01], [-0.01, 0.99]])
@@ -227,22 +221,41 @@ def trajectory_max(inst, horizon: int) -> float:
 
 
 def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
-    """Per-rank optima nu_0..nu_kmax in reduced coordinates, plus the offset."""
+    """Per-rank optima nu_0..nu_kmax in reduced coordinates, plus the offset.
+
+    Its own power loop, P <- A @ P, sharing no code with the solver's rank
+    evaluator but forming the rank-k objective by the same products in the
+    same order, so the values are bit-identical to the solver's.
+    """
     red = reduce_affine(inst)
     base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
-    klass = classify(base)
-    s = step(base, red.A, 0)
+    convex = classify(base) is ObjectiveClass.CONVEX_PSD
+    V = vertices(red.Xwork) if convex else None
+    P = np.eye(base.dim)
     out = np.empty(kmax + 1)
-    if klass is ObjectiveClass.CONVEX_PSD:
-        V = vertices(red.Xwork)
-        for k in range(kmax + 1):
-            out[k] = maximize_convex_vertices(s, V)[0]
-            s = step_next(s)
-    else:
-        for k in range(kmax + 1):
-            out[k] = maximize_concave_qp(s, red.Xwork)[0]
-            s = step_next(s)
+    for k in range(kmax + 1):
+        if k > 0:
+            P = red.A @ P
+        M = P.T @ base.Qmat @ P
+        f = QuadraticObjective((M + M.T) / 2.0, P.T @ base.qvec, 0.0)
+        if convex:
+            out[k] = maximize_convex_vertices(f, V)[0]
+        else:
+            out[k] = maximize_concave_qp(f, red.Xwork)[0]
     return out, red.offset
+
+
+def rank_evaluator(obj: QuadraticObjective, A) -> _RankEvaluator:
+    """The solver's rank evaluator for obj, its constant left out, under x -> A x over the unit box."""
+    d = obj.dim
+    inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=obj.Qmat, qvec=obj.qvec, Xin=Box(-np.ones(d), np.ones(d)))
+    return _RankEvaluator(reduce_affine(inst), ObjectiveClass.CONVEX_PSD)
+
+
+def composed(obj: QuadraticObjective, A, k: int) -> QuadraticObjective:
+    """x -> obj(A^k x) as a plain objective, from a direct matrix power."""
+    P = np.linalg.matrix_power(np.asarray(A, dtype=float), k)
+    return QuadraticObjective(P.T @ obj.Qmat @ P, P.T @ obj.qvec, obj.c)
 
 
 def concave_box_max_kkt(obj: QuadraticObjective, lower, upper) -> float:

@@ -11,20 +11,11 @@ import time
 
 import numpy as np
 
-from reachmax import (
-    BEYOND_PREFIX,
-    Box,
-    FiniteC0Sequence,
-    INFINITE,
-    ProblemInstance,
-    SolveStatus,
-    brute_force,
-    build_spectral_data,
-    eig_decompose,
-    rank_profile,
-    reduce_affine,
-    solve,
-)
+from reachmax import Box, ProblemInstance, SolveStatus, brute_force, solve
+from reachmax.bounds import build_spectral_data
+from reachmax.linalg import eig_decompose
+from reachmax.seqlab import BEYOND_PREFIX, INFINITE, FiniteC0Sequence, rank_profile
+from reachmax.solver import reduce_affine
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance, run_bench
 
 from support import (

@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from reachmax import (
-    Box,
-    ObjectiveClass,
-    QuadraticObjective,
-    SolveStatus,
-    VRep,
-    classify,
-    eig_decompose,
-    solve,
-    spectral_radius_check,
-)
+from reachmax import Box, SolveStatus, VRep, solve
+from reachmax.linalg import eig_decompose, spectral_radius_check
+from reachmax.qpcore import ObjectiveClass, QuadraticObjective, classify
 from reachmax.benchgen import (
     BenchSpec,
     ObjectiveKind,

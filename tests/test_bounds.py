@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from reachmax import (
-    Box,
-    ProblemInstance,
-    SpectralData,
-    build_spectral_data,
-    corollary_one_holds,
-    eig_decompose,
-    k_diag,
-)
+from reachmax import Box, ProblemInstance
+from reachmax.bounds import SpectralData, build_spectral_data, corollary_one_holds, k_diag
 from reachmax.errors import AssumptionViolated, NonPositiveNu, NotDiagonalizable
-from reachmax.linalg import SpectralDecomposition
+from reachmax.linalg import SpectralDecomposition, eig_decompose
 
 from support import nu_prefix, osc_box, osc_eigvec_basis
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from reachmax import Box, VRep, geometry, gram_inverse, mu, translate, vertices
+from reachmax import Box, VRep, geometry
 from reachmax.errors import DimensionTooLarge, NotConvexForm
-from reachmax.geometry import DEDUP_TOL, _dedup_points
+from reachmax.geometry import DEDUP_TOL, _dedup_points, mu, translate, vertices
+from reachmax.linalg import gram_inverse
 
 from support import dedup_reference, osc_eigvec_basis
 

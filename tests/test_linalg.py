@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from reachmax import (
+from reachmax.linalg import (
     SpectralDecomposition,
     eig_decompose,
     gram_inverse,
     hermitian_lambda_max,
-    matrix_power_step,
     spectral_radius_check,
 )
 from reachmax.errors import NonSquare, NotDiagonalizable, NotHermitian, Singular
+from reachmax.qpcore import QuadraticObjective
 
-from support import OSC_A, osc_eigvec_basis
+from support import OSC_A, osc_eigvec_basis, rank_evaluator
 
 
 class TestEigDecompose:
@@ -125,21 +125,30 @@ class TestGramInverse:
         assert np.min(np.linalg.eigvalsh(M)) > 0.0
 
 
+def powers(A):
+    """The solver's rank evaluator under x -> A x, for reading its matrix powers."""
+    d = np.shape(A)[0]
+    return rank_evaluator(QuadraticObjective(np.eye(d), np.zeros(d)), A)
+
+
 class TestMatrixPowerStep:
+    """The power A^k that the solver's rank evaluator holds, one product per rank."""
+
     def test_scaled_identity(self):
-        np.testing.assert_allclose(matrix_power_step(np.eye(2), 0.5 * np.eye(2)), 0.5 * np.eye(2))
+        ev = powers(0.5 * np.eye(2))
+        ev.objective(1)
+        np.testing.assert_allclose(ev.power, 0.5 * np.eye(2))
 
     def test_diagonal_powers(self):
-        A = np.diag([0.5, 0.25])
-        P = np.eye(2)
-        for _ in range(3):
-            P = matrix_power_step(P, A)
-        np.testing.assert_allclose(P, np.diag([0.125, 0.015625]), atol=0.0)
+        ev = powers(np.diag([0.5, 0.25]))
+        ev.objective(3)
+        np.testing.assert_allclose(ev.power, np.diag([0.125, 0.015625]), atol=0.0)
 
     def test_oscillator_square_entry(self):
-        P = matrix_power_step(matrix_power_step(np.eye(2), OSC_A), OSC_A)
+        ev = powers(OSC_A)
+        ev.objective(2)
         # hand multiplication: (1,1) entry of A^2 is 1*1 + 0.01*(-0.01)
-        assert P[0, 0] == pytest.approx(0.9999, abs=1e-15)
+        assert ev.power[0, 0] == pytest.approx(0.9999, abs=1e-15)
 
     def test_matches_spectral_powers(self):
         rng = np.random.default_rng(23)
@@ -155,9 +164,9 @@ class TestMatrixPowerStep:
                 dec = eig_decompose(A)
             except NotDiagonalizable:
                 continue
-            P = np.eye(d)
+            ev = powers(A)
             for k in range(1, 51):
-                P = matrix_power_step(P, A)
+                ev.objective(k)
                 ref = np.real((dec.U * dec.D**k) @ dec.U_inv)
-                assert np.max(np.abs(P - ref)) <= 1e-7
+                assert np.max(np.abs(ev.power - ref)) <= 1e-7
             checked += 1

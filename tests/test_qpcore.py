@@ -1,23 +1,20 @@
-"""Objective classification, stepped objectives, and the two maximizers."""
+"""Objective classification, rank-k objectives, and the two maximizers."""
 
 import numpy as np
 import pytest
 
-from reachmax import (
-    Box,
+from reachmax import Box, VRep
+from reachmax.errors import EmptyVertexList, NotConcave
+from reachmax.geometry import vertices
+from reachmax.qpcore import (
     ObjectiveClass,
     QuadraticObjective,
-    VRep,
     classify,
     maximize_concave_qp,
     maximize_convex_vertices,
-    step,
-    step_next,
-    vertices,
 )
-from reachmax.errors import EmptyVertexList, NotConcave
 
-from support import OSC_A, concave_box_max_kkt, grid_max, refined_grid_max
+from support import OSC_A, composed, concave_box_max_kkt, grid_max, rank_evaluator, refined_grid_max
 
 
 class TestQuadraticObjective:
@@ -59,23 +56,23 @@ class TestClassify:
 
 
 class TestStep:
+    """The rank-k objectives x -> f(A^k x) of the solver's rank evaluator."""
+
     def test_step_zero_is_the_objective_itself(self):
         obj = QuadraticObjective(np.eye(2), [1.0, 2.0], 0.5)
-        s = step(obj, OSC_A, 0)
+        f = rank_evaluator(obj, OSC_A).objective(0)
         x = np.array([0.3, -0.7])
-        assert s.value(x) == pytest.approx(obj.value(x), abs=0.0)
+        assert f.value(x) + obj.c == pytest.approx(obj.value(x), abs=0.0)
 
     def test_one_dimensional_contraction(self):
         # Q=1, q=-1, A=1/2, k=2: value is x^2/16 - x/4
-        obj = QuadraticObjective([[1.0]], [-1.0])
-        s = step(obj, [[0.5]], 2)
+        f = rank_evaluator(QuadraticObjective([[1.0]], [-1.0]), [[0.5]]).objective(2)
         for x in (0.25, 0.5, 1.0):
-            assert s.value([x]) == pytest.approx(x * x / 16.0 - x / 4.0, abs=1e-15)
+            assert f.value([x]) == pytest.approx(x * x / 16.0 - x / 4.0, abs=1e-15)
 
     def test_diagonal_power(self):
-        obj = QuadraticObjective(np.eye(2), np.zeros(2))
-        s = step(obj, 0.5 * np.eye(2), 3)
-        assert s.value([1.0, 1.0]) == pytest.approx(2.0 * 0.125**2, abs=0.0)
+        f = rank_evaluator(QuadraticObjective(np.eye(2), np.zeros(2)), 0.5 * np.eye(2)).objective(3)
+        assert f.value([1.0, 1.0]) == pytest.approx(2.0 * 0.125**2, abs=0.0)
 
     def test_step_next_matches_direct_power(self):
         rng = np.random.default_rng(31)
@@ -85,13 +82,13 @@ class TestStep:
             M = rng.uniform(-1.0, 1.0, size=(d, d))
             obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d), rng.normal())
             k = int(rng.integers(0, 9))
-            direct = step(obj, A, k)
-            s = step(obj, A, 0)
-            for _ in range(k):
-                s = step_next(s)
+            direct = composed(obj, A, k)
+            ev = rank_evaluator(obj, A)
+            for j in range(k + 1):
+                f = ev.objective(j)
             x = rng.uniform(-1.0, 1.0, size=d)
             scale = 1.0 + abs(direct.value(x))
-            assert abs(s.value(x) - direct.value(x)) <= 1e-9 * scale
+            assert abs(f.value(x) + obj.c - direct.value(x)) <= 1e-9 * scale
 
     def test_agrees_with_naive_composition(self):
         rng = np.random.default_rng(32)
@@ -101,20 +98,20 @@ class TestStep:
             M = rng.uniform(-1.0, 1.0, size=(d, d))
             obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d), 0.0)
             k = int(rng.integers(0, 7))
-            s = step(obj, A, k)
+            f = rank_evaluator(obj, A).objective(k)
             x = rng.uniform(-1.0, 1.0, size=d)
             z = x.copy()
             for _ in range(k):
                 z = A @ z
             naive = obj.value(z)
-            assert abs(s.value(x) - naive) <= 1e-9 * (1.0 + abs(naive))
+            assert abs(f.value(x) - naive) <= 1e-9 * (1.0 + abs(naive))
 
 
 class TestMaximizeConvexVertices:
     def test_norm_square_on_unit_box(self):
         obj = QuadraticObjective(np.eye(2), np.zeros(2))
         V = vertices(Box([-1.0, -1.0], [1.0, 1.0]))
-        val, arg = maximize_convex_vertices(step(obj, OSC_A, 0), V)
+        val, arg = maximize_convex_vertices(obj, V)
         assert val == 2.0
         # four symmetric optima: the first vertex in enumeration order wins
         np.testing.assert_array_equal(arg, [-1.0, -1.0])
@@ -123,20 +120,20 @@ class TestMaximizeConvexVertices:
         Q = np.array([[1.0, -0.5], [-0.5, 0.25]])
         obj = QuadraticObjective(Q, [-1.0, 0.5])
         V = vertices(Box([-1.0, -1.0], [1.0, 1.0]))
-        val, arg = maximize_convex_vertices(step(obj, OSC_A, 0), V)
+        val, arg = maximize_convex_vertices(obj, V)
         assert val == pytest.approx(15.0 / 4.0, abs=0.0)
         np.testing.assert_array_equal(arg, [-1.0, 1.0])
 
     def test_single_vertex(self):
         obj = QuadraticObjective([[1.0]], [0.0])
-        val, arg = maximize_convex_vertices(step(obj, [[0.5]], 0), np.array([[3.0]]))
+        val, arg = maximize_convex_vertices(obj, np.array([[3.0]]))
         assert val == 9.0
         np.testing.assert_array_equal(arg, [3.0])
 
     def test_empty_vertex_list(self):
         obj = QuadraticObjective([[1.0]], [0.0])
         with pytest.raises(EmptyVertexList):
-            maximize_convex_vertices(step(obj, [[0.5]], 0), np.empty((0, 1)))
+            maximize_convex_vertices(obj, np.empty((0, 1)))
 
     def test_matches_grid_search_on_random_instances(self):
         rng = np.random.default_rng(71)
@@ -145,7 +142,7 @@ class TestMaximizeConvexVertices:
             M = rng.uniform(-1.0, 1.0, size=(d, d))
             obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d), rng.normal())
             A = rng.uniform(-1.0, 1.0, size=(d, d)) * 0.7
-            s = step(obj, A, int(rng.integers(0, 4)))
+            s = composed(obj, A, int(rng.integers(0, 4)))
             center = rng.uniform(-1.0, 1.0, size=d)
             radius = rng.uniform(0.1, 1.0, size=d)
             box = Box(center - radius, center + radius)
@@ -155,26 +152,20 @@ class TestMaximizeConvexVertices:
 
 
 class TestMaximizeConcaveQP:
-    def _stepped(self, Q, q, c=0.0, A=None, k=0):
-        obj = QuadraticObjective(Q, q, c)
-        if A is None:
-            A = 0.5 * np.eye(obj.dim)
-        return step(obj, A, k)
-
     def test_interior_stationary_point(self):
-        s = self._stepped([[-1.0]], [1.0])
+        s = QuadraticObjective([[-1.0]], [1.0])
         val, arg = maximize_concave_qp(s, Box([0.0], [1.0]))
         assert val == pytest.approx(0.25, abs=1e-8)
         assert arg[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_boundary_optimum(self):
-        s = self._stepped([[-1.0]], [0.0])
+        s = QuadraticObjective([[-1.0]], [0.0])
         val, arg = maximize_concave_qp(s, Box([1.0], [2.0]))
         assert val == pytest.approx(-1.0, abs=1e-7)
         assert arg[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_two_dimensional_boundary_optimum(self):
-        s = self._stepped(-np.eye(2), [2.0, 0.0])
+        s = QuadraticObjective(-np.eye(2), [2.0, 0.0])
         val, arg = maximize_concave_qp(s, Box([-1.0, -1.0], [1.0, 1.0]))
         # dense grid search at step 1e-3 confirms the optimum (1, (1, 0))
         pts = np.stack(
@@ -187,17 +178,24 @@ class TestMaximizeConcaveQP:
         np.testing.assert_allclose(arg, [1.0, 0.0], atol=1e-5)
 
     def test_rejects_convex_objective(self):
-        s = self._stepped(np.eye(2), np.zeros(2))
+        s = QuadraticObjective(np.eye(2), np.zeros(2))
         with pytest.raises(NotConcave):
             maximize_concave_qp(s, Box([-1.0, -1.0], [1.0, 1.0]))
 
+    def test_accepts_singular_rank_objective(self):
+        # a singular A leaves the rank-1 objective negative semidefinite only
+        s = composed(QuadraticObjective(-np.eye(2), [1.0, 1.0]), np.diag([1.0, 0.0]), 1)
+        val, arg = maximize_concave_qp(s, Box([-1.0, -1.0], [1.0, 1.0]))
+        assert val == pytest.approx(0.25, abs=1e-8)
+        assert arg[0] == pytest.approx(0.5, abs=1e-6)
+
     def test_rejects_vertex_representation(self):
-        s = self._stepped(-np.eye(2), [1.0, 0.0])
+        s = QuadraticObjective(-np.eye(2), [1.0, 0.0])
         with pytest.raises(ValueError):
             maximize_concave_qp(s, VRep([[0.0, 0.0], [1.0, 1.0]]))
 
     def test_degenerate_box_coordinates_pinned(self):
-        s = self._stepped(-np.eye(2), [1.0, 1.0])
+        s = QuadraticObjective(-np.eye(2), [1.0, 1.0])
         val, arg = maximize_concave_qp(s, Box([0.25, 0.0], [0.25, 1.0]))
         assert arg[0] == 0.25
         assert val == pytest.approx(s.value([0.25, 0.5]), abs=1e-8)
@@ -210,14 +208,14 @@ class TestMaximizeConcaveQP:
             Q = -(M.T @ M) - 1e-3 * np.eye(d)
             obj = QuadraticObjective(Q, rng.uniform(-1.0, 1.0, size=d), rng.normal())
             A = rng.uniform(-1.0, 1.0, size=(d, d)) * 0.7
-            s = step(obj, A, int(rng.integers(0, 3)))
+            s = composed(obj, A, int(rng.integers(0, 3)))
             center = rng.uniform(-1.0, 1.0, size=d)
             radius = rng.uniform(0.1, 1.0, size=d)
             box = Box(center - radius, center + radius)
             val, arg = maximize_concave_qp(s, box)
             ref = refined_grid_max(s.value_many, box.lower, box.upper)
             assert val == pytest.approx(ref, abs=1e-5)
-            kkt = concave_box_max_kkt(s.effective, box.lower, box.upper)
+            kkt = concave_box_max_kkt(s, box.lower, box.upper)
             assert val == pytest.approx(kkt, abs=1e-7)
             assert np.all(arg >= box.lower - 1e-9) and np.all(arg <= box.upper + 1e-9)
 
@@ -228,7 +226,7 @@ class TestMaximizeConcaveQP:
             M = rng.uniform(-1.0, 1.0, size=(d, d))
             obj = QuadraticObjective(-(M.T @ M) - 1e-3 * np.eye(d), np.zeros(d), 0.0)
             A = rng.uniform(-1.0, 1.0, size=(d, d)) * 0.7
-            s = step(obj, A, int(rng.integers(0, 4)))
+            s = composed(obj, A, int(rng.integers(0, 4)))
             center = rng.uniform(-1.0, 1.0, size=d)
             box = Box(center - 0.5, center + 0.5)
             val, _ = maximize_concave_qp(s, box)

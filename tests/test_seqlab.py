@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from reachmax import (
+from reachmax.seqlab import (
     BEYOND_PREFIX,
     INFINITE,
     FiniteC0Sequence,

@@ -3,22 +3,11 @@
 import numpy as np
 import pytest
 
-from reachmax import (
-    Box,
-    geometry,
-    ObjectiveClass,
-    ProblemInstance,
-    SolveStatus,
-    VRep,
-    brute_force,
-    k_pos_screen,
-    nu_at,
-    partial_sup,
-    reduce_affine,
-    solve,
-)
+from reachmax import Box, ProblemInstance, SolveStatus, VRep, brute_force, geometry, solve
 from reachmax import solver as solver_module
-from reachmax.seqlab import FiniteC0Sequence
+from reachmax.qpcore import ObjectiveClass, QuadraticObjective
+from reachmax.seqlab import FiniteC0Sequence, partial_sup
+from reachmax.solver import _RankEvaluator, reduce_affine
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
 from reachmax.errors import (
     NotConvergent,
@@ -27,7 +16,7 @@ from reachmax.errors import (
     UnsupportedObjective,
 )
 
-from support import OSC_A, nu_prefix, osc_box, trajectory_max
+from support import OSC_A, nu_prefix, osc_box, rank_evaluator, trajectory_max
 
 
 def osc_instance(Q, q=(0.0, 0.0), N=100):
@@ -67,23 +56,40 @@ class TestReduceAffine:
 
 
 class TestNuAt:
+    """The per-rank optima nu_k, from the solver's rank evaluator."""
+
     def test_oscillator_rank_zero(self):
-        red = reduce_affine(osc_instance(np.eye(2)))
-        val, _ = nu_at(red, 0, ObjectiveClass.CONVEX_PSD)
+        ev = _RankEvaluator(reduce_affine(osc_instance(np.eye(2))), ObjectiveClass.CONVEX_PSD)
+        val, _ = ev.value(0)
         assert val == 2.0
 
     def test_decaying_values_stay_negative(self):
-        red = reduce_affine(DECAYING_1D)
+        ev = _RankEvaluator(reduce_affine(DECAYING_1D), ObjectiveClass.CONVEX_PSD)
         for k in (0, 1, 5, 40):
-            val, _ = nu_at(red, k, ObjectiveClass.CONVEX_PSD)
+            val, _ = ev.value(k)
             expected = (1.0 / 16.0) * 0.25**k - 0.25 * 0.5**k
             assert val == pytest.approx(expected, abs=1e-15)
             assert val < 0.0
 
     def test_oscillator_peak_value(self):
-        red = reduce_affine(osc_instance(np.diag([1.0, 0.0])))
-        val, _ = nu_at(red, 61, ObjectiveClass.CONVEX_PSD)
+        ev = _RankEvaluator(reduce_affine(osc_instance(np.diag([1.0, 0.0]))), ObjectiveClass.CONVEX_PSD)
+        val, _ = ev.value(61)
         assert val == pytest.approx(1.64886, abs=1e-4)
+
+
+class TestRankEvaluator:
+    def test_rejects_a_rank_below_the_current_one(self):
+        ev = _RankEvaluator(reduce_affine(DECAYING_1D), ObjectiveClass.CONVEX_PSD)
+        first, _ = ev.value(3)
+        again, _ = ev.value(3)
+        assert again == first
+        with pytest.raises(ValueError):
+            ev.value(2)
+
+    def test_rejects_a_non_finite_rank_objective(self):
+        ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            ev.objective(1)
 
 
 class TestSolveGoldens:
@@ -129,13 +135,6 @@ class TestSolveGoldens:
     def test_failed_soundness_every_value_nonpositive(self):
         nus, _ = nu_prefix(DECAYING_1D, DECAYING_1D.N)
         assert np.all(nus <= 0.0)
-
-    def test_positivity_margin_raises_the_bar(self):
-        # all values of this instance stay at or below 2, so a margin of 3
-        # starves the positivity scan while the default margin succeeds
-        inst = osc_instance(np.eye(2))
-        assert solve(inst).status is SolveStatus.K_DIAG
-        assert solve(inst, positivity_margin=3.0).status is SolveStatus.FAILED
 
     def test_small_scan_cap(self):
         inst = ProblemInstance(
@@ -220,6 +219,58 @@ class TestSingleEnumeration:
         assert len(calls) == 1
 
 
+class TestMaximizerCalls:
+    """One maximizer call per evaluated rank, looked up in the solver module with a fixed call shape."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(name):
+            original = getattr(solver_module, name)
+
+            def maximize(*args, **kwargs):
+                counted.append((name, args, kwargs))
+                return original(*args, **kwargs)
+
+            return maximize
+
+        for name in ("maximize_convex_vertices", "maximize_concave_qp"):
+            monkeypatch.setattr(solver_module, name, counting(name))
+        return counted
+
+    def test_convex_box(self, calls):
+        rep = solve(osc_instance(np.eye(2)))
+        assert rep.iterations == len(calls) == 112
+        for name, args, kwargs in calls:
+            assert name == "maximize_convex_vertices" and kwargs == {}
+            f, V = args
+            assert isinstance(f, QuadraticObjective) and V.shape == (4, 2)
+
+    def test_convex_vertex_list(self, calls):
+        pts = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.5, 0.5 + 1e-13]]
+        inst = ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0], Xin=VRep(pts))
+        rep = solve(inst)
+        assert rep.status is SolveStatus.K_DIAG
+        assert rep.iterations == len(calls) > 1
+        for name, args, kwargs in calls:
+            assert name == "maximize_convex_vertices" and kwargs == {}
+            f, V = args
+            assert isinstance(f, QuadraticObjective) and V.shape == (5, 2)
+
+    def test_concave_box(self, calls):
+        inst = ProblemInstance(
+            A=0.5 * np.eye(2), b=np.zeros(2), Qmat=-np.eye(2), qvec=[1.0, 0.5], Xin=osc_box()
+        )
+        rep = solve(inst)
+        assert rep.status is not SolveStatus.FAILED
+        assert rep.iterations == len(calls) > 1
+        for name, args, kwargs in calls:
+            assert name == "maximize_concave_qp" and set(kwargs) == {"gap_tol"}
+            f, P = args
+            assert isinstance(f, QuadraticObjective) and isinstance(P, Box)
+
+
 class TestDegenerateScreens:
     def test_affine_fixed_point_only_working_set(self):
         # Xin = {b~}: the recentred set is the origin, the value is the offset
@@ -258,40 +309,6 @@ class TestCorollaryOneExit:
         assert rep.k_pos == 0
         assert rep.iterations == 1
         assert rep.K_trace == []
-
-
-class TestKPosScreen:
-    def test_positive_definite_homogeneous(self):
-        red = reduce_affine(osc_instance(np.eye(2)))
-        assert k_pos_screen(red)
-
-    def test_singular_convex_single_point_inconclusive(self):
-        inst = ProblemInstance(
-            A=0.5 * np.eye(2), b=np.zeros(2), Qmat=np.diag([1.0, 0.0]), qvec=np.zeros(2),
-            Xin=VRep([[1.0, 1.0]]),
-        )
-        assert not k_pos_screen(reduce_affine(inst))
-
-    def test_singular_convex_box_with_interior(self):
-        red = reduce_affine(osc_instance(np.diag([1.0, 0.0])))
-        assert k_pos_screen(red)
-
-    def test_nonhomogeneous_with_origin_inside(self):
-        red = reduce_affine(osc_instance(np.diag([1.0, 0.0]), q=(0.5, 0.0)))
-        assert k_pos_screen(red)
-
-    def test_nonhomogeneous_origin_outside_inconclusive(self):
-        inst = ProblemInstance(
-            A=0.5 * np.eye(2), b=np.zeros(2), Qmat=np.eye(2), qvec=[1.0, 0.0],
-            Xin=Box([1.0, 1.0], [2.0, 2.0]),
-        )
-        assert not k_pos_screen(reduce_affine(inst))
-
-    def test_concave_inconclusive(self):
-        inst = ProblemInstance(
-            A=0.5 * np.eye(2), b=np.zeros(2), Qmat=-np.eye(2), qvec=[1.0, 0.0], Xin=osc_box()
-        )
-        assert not k_pos_screen(reduce_affine(inst))
 
 
 class TestBruteForce:
