@@ -9,9 +9,7 @@ point clouds. Concave kinds require boxes.
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
-import os
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -162,7 +160,7 @@ def _peak_mib(inst: ProblemInstance) -> float:
         tracemalloc.stop()
 
 
-def _solve_one(spec: BenchSpec, index: int, measure_memory: bool) -> InstanceRecord:
+def _solve_one(spec: BenchSpec, index: int) -> InstanceRecord:
     inst = random_instance(spec, index)
     start = time.perf_counter()
     try:
@@ -180,7 +178,6 @@ def _solve_one(spec: BenchSpec, index: int, measure_memory: bool) -> InstanceRec
             time_s=time.perf_counter() - start,
         )
     elapsed = time.perf_counter() - start
-    mem_mib = _peak_mib(inst) if measure_memory else None
     k_init = report.K_trace[0][1] if report.K_trace else None
     k_final = report.K_trace[-1][1] if report.K_trace else None
     return InstanceRecord(
@@ -193,35 +190,17 @@ def _solve_one(spec: BenchSpec, index: int, measure_memory: bool) -> InstanceRec
         K_final=k_final,
         iterations=report.iterations,
         time_s=elapsed,
-        mem_mib=mem_mib,
+        mem_mib=_peak_mib(inst),
     )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("REACHMAX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def run_bench(spec: BenchSpec) -> tuple[BenchStats, list[InstanceRecord]]:
     """Solve the whole batch and aggregate the table columns.
 
-    Per-instance failures become Error records instead of aborting the batch.
-    Parallelism is capped by REACHMAX_THREADS (default 1); memory peaks are
-    only meaningful sequentially, so they are omitted for parallel runs.
+    Instances are solved one after another. Per-instance failures become
+    Error records instead of aborting the batch.
     """
-    threads = _thread_count()
-    measure_memory = threads == 1
-    indices = range(spec.instance_count)
-    if threads == 1:
-        records = [_solve_one(spec, i, measure_memory) for i in indices]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_solve_one, spec, i, False): i for i in indices}
-            by_index = {futures[f]: f.result() for f in concurrent.futures.as_completed(futures)}
-        records = [by_index[i] for i in indices]
+    records = [_solve_one(spec, i) for i in range(spec.instance_count)]
 
     def _mean(values):
         return float(np.mean(values)) if values else None
@@ -238,7 +217,7 @@ def run_bench(spec: BenchSpec) -> tuple[BenchStats, list[InstanceRecord]]:
         count_f=sum(r.status == SolveStatus.FAILED.value for r in records),
         count_error=sum(r.status.startswith("Error:") for r in records),
         avg_time_s=float(np.mean([r.time_s for r in records])),
-        avg_mem_mib=_mean(mems) if measure_memory else None,
+        avg_mem_mib=_mean(mems),
         avg_k_pos=_mean(finite_kpos),
         max_k_pos=max(finite_kpos) if finite_kpos else None,
         avg_iter=_mean(finals),

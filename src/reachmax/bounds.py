@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, NonPositiveNu
-from .geometry import Polytope, mu
+from .geometry import mu
 from .linalg import SpectralDecomposition, gram_inverse, hermitian_lambda_max
 
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
@@ -41,8 +41,8 @@ class SpectralData:
     envelope: float
 
 
-def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, Xwork: Polytope | np.ndarray) -> SpectralData:
-    """Assemble the envelope data for the given objective and working set (or its vertex array)."""
+def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: np.ndarray) -> SpectralData:
+    """Assemble the envelope data for the given objective and the vertex array V of the working set."""
     Q = np.asarray(Qmat, dtype=float)
     q = np.asarray(qvec, dtype=float)
     Ustar = dec.U.conj().T
@@ -52,7 +52,7 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, Xwork: Polytope 
         raise AssumptionViolated("largest eigenvalue of U* Q U is numerically zero")
     lmax_abs = abs(lmax)
 
-    mu_gram = mu(gram_inverse(dec.U), Xwork)
+    mu_gram = mu(gram_inverse(dec.U), V)
     v_diag = float(np.linalg.norm(Ustar @ q)) / (2.0 * math.sqrt(lmax_abs))
     envelope = (math.sqrt(lmax_abs * mu_gram) + v_diag) ** 2 - v_diag**2
     return SpectralData(dec=dec, mu_gram=mu_gram, lmax_abs=lmax_abs, v_diag=v_diag, envelope=envelope)

@@ -32,26 +32,6 @@ def osc_eigvec_basis() -> np.ndarray:
     return np.array([[1.0, 1.0], [(s3 - 1.0) / 2.0, -(s3 + 1.0) / 2.0]])
 
 
-def dedup_reference(points: np.ndarray, tol: float) -> np.ndarray:
-    """Greedy first-occurrence deduplication, each row checked against every kept row.
-
-    The one-row-at-a-time loop the vectorized `_dedup_points` must reproduce
-    exactly: a row is dropped iff it lies within tol, in the max norm, of a
-    row kept before it.
-    """
-    if points.shape[0] <= 1:
-        return points
-    kept = np.empty_like(points)
-    count = 0
-    keep: list[int] = []
-    for i, p in enumerate(points):
-        if count == 0 or float(np.min(np.max(np.abs(kept[:count] - p), axis=1))) > tol:
-            kept[count] = p
-            count += 1
-            keep.append(i)
-    return points[keep]
-
-
 # ---------------------------------------------------------------------------
 # reference sequences with known rank profiles
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from reachmax import Box, ProblemInstance, SolveStatus, brute_force, solve
 from reachmax.bounds import build_spectral_data
+from reachmax.geometry import vertices
 from reachmax.linalg import eig_decompose
 from reachmax.seqlab import BEYOND_PREFIX, INFINITE, FiniteC0Sequence, rank_profile
 from reachmax.solver import reduce_affine
@@ -94,7 +95,7 @@ def test_criterion_04_oscillator_nonhomogeneous():
     with criterion(4, "non-homogeneous objective: correction 1/2, envelope 7+sqrt(7), horizon 115"):
         Q = np.array([[1.0, -0.5], [-0.5, 0.25]])
         q = np.array([-1.0, 0.5])
-        sd = build_spectral_data(eig_decompose(OSC_A), Q, q, osc_box())
+        sd = build_spectral_data(eig_decompose(OSC_A), Q, q, vertices(osc_box()))
         assert sd.v_diag == 0.5
         assert abs(sd.envelope - (7.0 + np.sqrt(7.0))) <= 1e-9
         rep = solve(osc_instance(Q, q))
@@ -173,7 +174,7 @@ def test_criterion_08_oracle_equivalence_on_random_instances():
             ks = [K for _, K in rep.K_trace]
             assert all(a >= b for a, b in zip(ks, ks[1:]))
             red = reduce_affine(inst)
-            sd = build_spectral_data(eig_decompose(inst.A), red.Qmat, red.qvec_reduced, red.Xwork)
+            sd = build_spectral_data(eig_decompose(inst.A), red.Qmat, red.qvec_reduced, vertices(red.Xwork))
             nus, _ = nu_prefix(inst, final_k)
             assert np.all(nus[1:] <= sd.envelope + 1e-7)
         elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ import pytest
 from reachmax import Box, ProblemInstance
 from reachmax.bounds import SpectralData, build_spectral_data, corollary_one_holds, k_diag
 from reachmax.errors import AssumptionViolated, NonPositiveNu, NotDiagonalizable
+from reachmax.geometry import vertices
 from reachmax.linalg import SpectralDecomposition, eig_decompose
 
 from support import nu_prefix, osc_box, osc_eigvec_basis
@@ -20,7 +21,7 @@ def osc_spectral_data(Q, q):
         U_inv=np.linalg.inv(U),
         rho=float(np.sqrt(9901) / 100),
     )
-    return build_spectral_data(dec, np.asarray(Q, float), np.asarray(q, float), osc_box())
+    return build_spectral_data(dec, np.asarray(Q, float), np.asarray(q, float), vertices(osc_box()))
 
 
 class TestBuildSpectralData:
@@ -42,7 +43,7 @@ class TestBuildSpectralData:
 
     def test_trivial_identity_basis(self):
         dec = eig_decompose(0.5 * np.eye(1))
-        sd = build_spectral_data(dec, np.eye(1), np.zeros(1), Box([-1.0], [1.0]))
+        sd = build_spectral_data(dec, np.eye(1), np.zeros(1), vertices(Box([-1.0], [1.0])))
         assert sd.lmax_abs == pytest.approx(1.0, abs=1e-12)
         assert sd.mu_gram == pytest.approx(1.0, abs=1e-12)
         assert sd.v_diag == 0.0
@@ -51,7 +52,7 @@ class TestBuildSpectralData:
     def test_zero_curvature_rejected(self):
         dec = eig_decompose(0.5 * np.eye(2))
         with pytest.raises(AssumptionViolated):
-            build_spectral_data(dec, np.zeros((2, 2)), np.zeros(2), osc_box())
+            build_spectral_data(dec, np.zeros((2, 2)), np.zeros(2), vertices(osc_box()))
 
 
 class TestCorollaryOneHolds:
@@ -86,7 +87,7 @@ class TestKDiag:
 
     def test_nilpotent_system(self):
         dec = eig_decompose(np.zeros((2, 2)))
-        sd = build_spectral_data(dec, np.eye(2), np.zeros(2), osc_box())
+        sd = build_spectral_data(dec, np.eye(2), np.zeros(2), vertices(osc_box()))
         assert k_diag(sd, 1.0) == 1
 
     def test_value_at_envelope_clamps_to_one(self):
@@ -126,7 +127,7 @@ class TestEnvelopeProperties:
     def test_soundness_and_stopping_rank_on_random_instances(self):
         rng = np.random.default_rng(2024)
         for dec, inst in random_convergent_instances(1000, seed=1001):
-            sd = build_spectral_data(dec, inst.Qmat, inst.qvec, inst.Xin)
+            sd = build_spectral_data(dec, inst.Qmat, inst.qvec, vertices(inst.Xin))
             nus, _ = nu_prefix(inst, 60)
 
             # every value after rank 0 sits below the envelope
@@ -151,6 +152,6 @@ class TestEnvelopeProperties:
 
     def test_k_diag_always_at_least_one(self):
         for dec, inst in random_convergent_instances(50, seed=77):
-            sd = build_spectral_data(dec, inst.Qmat, inst.qvec, inst.Xin)
+            sd = build_spectral_data(dec, inst.Qmat, inst.qvec, vertices(inst.Xin))
             for nu in (1e-8, 1e-3, 0.5, sd.envelope * 0.99, sd.envelope * 3.0):
                 assert k_diag(sd, nu) >= 1

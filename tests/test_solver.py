@@ -184,6 +184,30 @@ class TestSolveValidation:
             )
 
 
+class TestVertexLists:
+    """A vertex list is taken as given: every stored point competes, and ties go to the first."""
+
+    @staticmethod
+    def square_instance(extra=()):
+        pts = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], *extra]
+        return ProblemInstance(A=OSC_A, b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2), Xin=VRep(pts))
+
+    def test_near_duplicate_that_scores_higher_is_reported(self):
+        # within 1e-12 of the corner (1, 1) in the max norm, and farther from the origin
+        top = np.array([1.0, 1.0 + 5e-13])
+        rep = solve(self.square_instance([top]))
+        assert rep.status is SolveStatus.K_DIAG
+        assert rep.x_opt.tobytes() == top.tobytes()
+        assert rep.nu_opt > solve(self.square_instance()).nu_opt
+
+    def test_exact_duplicates_change_nothing(self):
+        once = solve(self.square_instance())
+        twice = solve(self.square_instance([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+        assert (twice.status, twice.nu_opt, twice.k_opt, twice.k_pos, twice.K_trace, twice.iterations) == (
+            once.status, once.nu_opt, once.k_opt, once.k_pos, once.K_trace, once.iterations)
+        assert twice.x_opt.tobytes() == once.x_opt.tobytes()
+
+
 class TestSingleEnumeration:
     """The working vertex set is enumerated once per solve, for the envelope and the ranks alike."""
 
