@@ -13,8 +13,28 @@ positive value nu_j the rank
     K(j) = floor( ln((sqrt(nu_j + V^2) - V) / sqrt(L*M)) / ln rho ) + 1
 
 guarantees nu_k <= nu_j for every k >= K(j), so the search can stop there.
-"""
 
+The envelope lets the dominant mode stand in for every mode. The rank bound
+keeps the modes apart. With y = U^-1 x, the rank-k state is A^k x = U z for
+z_i = lambda_i^k y_i, so, with l = lambda_max(U* Q U) taken with its sign
+and c = ||U* q|| = 2 sqrt(L) V,
+
+    f(A^k x) = z* (U* Q U) z + (U* q)* z <= l s + c sqrt(s),
+    s = ||z||^2 = sum_i |lambda_i|^(2k) |y_i|^2.
+
+|y_i|^2 is a convex form in x, so its maximum m_i over the working set is
+attained at a vertex, and s <= S_k = min(sum_i |lambda_i|^(2k) m_i,
+rho^(2k) M) for every x in the set. Hence
+
+    nu_k <= B_k = max over 0 <= s <= S_k of (l s + c sqrt(s)),
+
+attained at S_k for l > 0 and at min(S_k, c^2 / (4 l^2)) for l < 0. The
+bound holds for convex and concave objectives alike. It never exceeds the
+envelope at rank k, since S_k <= rho^(2k) M and l s <= L s. S_k does not
+grow with k because every |lambda_i| < 1, and B_k is a maximum over
+[0, S_k], so B_k does not grow either: once B_k is at most the incumbent,
+no rank from k on can beat it.
+"""
 from __future__ import annotations
 
 import math
@@ -28,6 +48,12 @@ from .linalg import SpectralDecomposition, gram_inverse, hermitian_lambda_max
 
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
 TOL_LMAX_ZERO = 1e-12
+# A rank counts as settled by its bound only when (1 + TOL_RANK_BOUND) B_k <= incumbent,
+# a margin for the rounding in U^-1, the mode maxima and the bound itself.
+TOL_RANK_BOUND = 1e-9
+# Vertex rows per block when taking the mode maxima: the temporaries stay a
+# few hundred kB instead of a complex copy of the whole vertex array.
+MODE_BLOCK_ROWS = 2048
 
 
 @dataclass(eq=False)
@@ -39,6 +65,8 @@ class SpectralData:
     lmax_abs: float
     v_diag: float
     envelope: float
+    lmax: float  # lambda_max(U* Q U) with its sign
+    mode_max: np.ndarray  # m_i, the maximum of |(U^-1 x)_i|^2 over the vertices
 
 
 def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: np.ndarray) -> SpectralData:
@@ -55,7 +83,43 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: np.ndarray) -
     mu_gram = mu(gram_inverse(dec.U), V)
     v_diag = float(np.linalg.norm(Ustar @ q)) / (2.0 * math.sqrt(lmax_abs))
     envelope = (math.sqrt(lmax_abs * mu_gram) + v_diag) ** 2 - v_diag**2
-    return SpectralData(dec=dec, mu_gram=mu_gram, lmax_abs=lmax_abs, v_diag=v_diag, envelope=envelope)
+    return SpectralData(
+        dec=dec,
+        mu_gram=mu_gram,
+        lmax_abs=lmax_abs,
+        v_diag=v_diag,
+        envelope=envelope,
+        lmax=lmax,
+        mode_max=_mode_maxima(dec.U_inv, V),
+    )
+
+
+def _mode_maxima(U_inv: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """max over the rows x of V of |(U_inv x)_i|^2 for each i, by real products on row blocks."""
+    d = U_inv.shape[0]
+    # rows 0..d-1 of W @ x are the real parts of U_inv x, rows d..2d-1 the imaginary parts;
+    # one column per vertex keeps the reductions along contiguous rows
+    W = np.vstack([U_inv.real, U_inv.imag])
+    out = np.zeros(d)
+    for start in range(0, V.shape[0], MODE_BLOCK_ROWS):
+        Y = W @ V[start : start + MODE_BLOCK_ROWS].T
+        Y *= Y
+        Y[:d] += Y[d:]
+        np.maximum(out, Y[:d].max(axis=1), out=out)
+    return out
+
+
+def rank_bound(sd: SpectralData, k: int) -> float:
+    """B_k, an upper bound on nu_k from every mode's decay rate; nonincreasing in k.
+
+    See the module docstring: B_k = max of l s + c sqrt(s) over 0 <= s <= S_k.
+    """
+    s = min(float(np.abs(sd.dec.D) ** (2 * k) @ sd.mode_max), sd.dec.rho ** (2 * k) * sd.mu_gram)
+    c = 2.0 * math.sqrt(sd.lmax_abs) * sd.v_diag
+    if sd.lmax < 0.0:
+        # a concave parabola in sqrt(s), peaking at s = c^2 / (4 l^2)
+        s = min(s, (c / (2.0 * sd.lmax)) ** 2)
+    return sd.lmax * s + c * math.sqrt(s)
 
 
 def corollary_one_holds(sd: SpectralData, nu0: float) -> bool:

@@ -12,6 +12,13 @@ from .errors import DimensionTooLarge, NotConvexForm
 DEFAULT_VERTEX_CAP = 2**22
 
 
+def frozen_array(x) -> np.ndarray:
+    """A read-only float copy of x: a later write to the caller's array cannot reach validated data."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 class Polytope:
     """Base for the supported initial-set representations."""
 
@@ -22,14 +29,14 @@ class Polytope:
 
 @dataclass(eq=False)
 class Box(Polytope):
-    """Axis-aligned box {x : lower <= x <= upper}, nonempty."""
+    """Axis-aligned box {x : lower <= x <= upper}, nonempty, with read-only copies of the bounds."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        self.lower = np.atleast_1d(frozen_array(self.lower))
+        self.upper = np.atleast_1d(frozen_array(self.upper))
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise ValueError("box bounds must be 1-d vectors of equal length")
         if self.lower.size == 0:
@@ -46,12 +53,12 @@ class Box(Polytope):
 
 @dataclass(eq=False)
 class VRep(Polytope):
-    """Polytope given as the convex hull of an explicit list of points."""
+    """Polytope given as the convex hull of an explicit list of points, kept as a read-only copy."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = np.atleast_2d(frozen_array(self.points))
         if self.points.ndim != 2 or self.points.shape[0] == 0 or self.points.shape[1] == 0:
             raise ValueError("vertex representation needs at least one point")
         if not np.all(np.isfinite(self.points)):
@@ -67,9 +74,9 @@ def vertices(P: Polytope, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
 
     Boxes enumerate their 2^dim corners in lexicographic (lower, upper) order
     per coordinate, the last coordinate changing fastest. Vertex lists are
-    returned as stored, the validated points array itself, repeated or
-    near-equal rows included: the maximum of a convex form over the list is
-    the same, and ties go to the first row. Callers must not write to it.
+    returned as stored, the validated read-only points array itself, repeated
+    or near-equal rows included: the maximum of a convex form over the list
+    is the same, and ties go to the first row.
     """
     if isinstance(P, Box):
         d = P.dim

@@ -11,7 +11,9 @@ In reduced coordinates the per-rank optimal values nu_k tend to zero, so the
 search runs in three phases: an early exit when nu_0 dominates the decay
 envelope; a bounded scan for the first strictly positive nu_k (failing after
 N ranks); then a loop up to the stopping rank K derived from the best value
-seen, shrinking K each time the incumbent improves.
+seen, shrinking K each time the incumbent improves. The loop ends early once
+the per-mode rank bound of `bounds.rank_bound` is at most the incumbent: the
+bound does not grow with the rank, so no rank up to K is left to evaluate.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import SpectralData, build_spectral_data, corollary_one_holds, k_diag
+from .bounds import TOL_RANK_BOUND, build_spectral_data, corollary_one_holds, k_diag, rank_bound
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
-from .geometry import Box, Polytope, VRep, translate, vertices
+from .geometry import Box, Polytope, VRep, frozen_array, translate, vertices
 from .linalg import SpectralDecomposition, eig_decompose, spectral_radius_check
 from .qpcore import (
     ObjectiveClass,
@@ -44,7 +46,10 @@ class SolveStatus(enum.Enum):
 
 @dataclass(eq=False)
 class ProblemInstance:
-    """Problem data: dynamics (A, b), objective (Qmat, qvec), initial set, scan cap N."""
+    """Problem data: dynamics (A, b), objective (Qmat, qvec), initial set, scan cap N.
+
+    The arrays are kept as read-only copies, so the validated data cannot change.
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -54,13 +59,13 @@ class ProblemInstance:
     N: int = DEFAULT_N
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        self.A = np.atleast_2d(frozen_array(self.A))
         d = self.A.shape[0]
         if self.A.shape != (d, d):
             raise ValueError(f"A must be square, got shape {self.A.shape}")
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        self.Qmat = np.atleast_2d(np.asarray(self.Qmat, dtype=float))
-        self.qvec = np.atleast_1d(np.asarray(self.qvec, dtype=float))
+        self.b = np.atleast_1d(frozen_array(self.b))
+        self.Qmat = np.atleast_2d(frozen_array(self.Qmat))
+        self.qvec = np.atleast_1d(frozen_array(self.qvec))
         if self.b.shape != (d,) or self.qvec.shape != (d,) or self.Qmat.shape != (d, d):
             raise ValueError("A, b, Q, q dimensions are inconsistent")
         if not isinstance(self.Xin, Polytope):
@@ -98,8 +103,10 @@ class SolveReport:
     """Outcome of a solve in original coordinates.
 
     K_trace records every stopping-rank computation as (rank, K) pairs, the
-    first entry being the initial K; iterations counts per-rank optimizations.
-    For the Failed status only k-independent fields are meaningful.
+    first entry being the initial K. iterations counts the ranks settled,
+    each either by its per-rank optimization or, unevaluated, by the rank
+    bound once that bound is at most the incumbent. For the Failed status
+    only k-independent fields are meaningful.
     """
 
     status: SolveStatus
@@ -268,6 +275,10 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     K_trace = [(k, K)]
     nu_opt, y_opt, k_opt = nu_k, y_k, k
     while k < K:
+        if (1.0 + TOL_RANK_BOUND) * rank_bound(sd, k + 1) <= nu_opt:
+            # the bound does not grow with the rank: ranks k+1..K cannot beat nu_opt
+            iterations += K - k
+            break
         k += 1
         nu_k, y_k = ev.value(k)
         iterations += 1

@@ -200,24 +200,30 @@ def trajectory_max(inst, horizon: int) -> float:
     return best
 
 
-def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
-    """Per-rank optima nu_0..nu_kmax in reduced coordinates, plus the offset.
+def rank_objectives(inst, kmax: int):
+    """The rank-k objectives y -> f(A^k y) in reduced coordinates, for k = 0..kmax.
 
     Its own power loop, P <- A @ P, sharing no code with the solver's rank
-    evaluator but forming the rank-k objective by the same products in the
-    same order, so the values are bit-identical to the solver's.
+    evaluator but forming each objective by the same products in the same
+    order, so they are bit-identical to the solver's.
     """
     red = reduce_affine(inst)
     base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
-    convex = classify(base) is ObjectiveClass.CONVEX_PSD
-    V = vertices(red.Xwork) if convex else None
     P = np.eye(base.dim)
-    out = np.empty(kmax + 1)
     for k in range(kmax + 1):
         if k > 0:
             P = red.A @ P
         M = P.T @ base.Qmat @ P
-        f = QuadraticObjective((M + M.T) / 2.0, P.T @ base.qvec, 0.0)
+        yield QuadraticObjective((M + M.T) / 2.0, P.T @ base.qvec, 0.0)
+
+
+def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
+    """Per-rank optima nu_0..nu_kmax in reduced coordinates, bit-identical to the solver's, plus the offset."""
+    red = reduce_affine(inst)
+    convex = classify(QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)) is ObjectiveClass.CONVEX_PSD
+    V = vertices(red.Xwork) if convex else None
+    out = np.empty(kmax + 1)
+    for k, f in enumerate(rank_objectives(inst, kmax)):
         if convex:
             out[k] = maximize_convex_vertices(f, V)[0]
         else:

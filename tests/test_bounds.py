@@ -1,15 +1,27 @@
-"""Envelope data, early-exit test, and the stopping rank."""
+"""Envelope data, early-exit test, the stopping rank, and the per-mode rank bound."""
+
+import collections
 
 import numpy as np
 import pytest
 
-from reachmax import Box, ProblemInstance
-from reachmax.bounds import SpectralData, build_spectral_data, corollary_one_holds, k_diag
+from reachmax import Box, ProblemInstance, SolveStatus, VRep, solve
+from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
+from reachmax.bounds import (
+    MODE_BLOCK_ROWS,
+    TOL_RANK_BOUND,
+    SpectralData,
+    build_spectral_data,
+    corollary_one_holds,
+    k_diag,
+    rank_bound,
+)
 from reachmax.errors import AssumptionViolated, NonPositiveNu, NotDiagonalizable
 from reachmax.geometry import vertices
 from reachmax.linalg import SpectralDecomposition, eig_decompose
+from reachmax.solver import reduce_affine
 
-from support import nu_prefix, osc_box, osc_eigvec_basis
+from support import OSC_A, nu_prefix, osc_box, osc_eigvec_basis
 
 
 def osc_spectral_data(Q, q):
@@ -155,3 +167,68 @@ class TestEnvelopeProperties:
             sd = build_spectral_data(dec, inst.Qmat, inst.qvec, vertices(inst.Xin))
             for nu in (1e-8, 1e-3, 0.5, sd.envelope * 0.99, sd.envelope * 3.0):
                 assert k_diag(sd, nu) >= 1
+
+
+def mixed_instances():
+    """Convex and concave objectives, boxes and vertex lists, linear and affine systems, d = 1..4.
+
+    Fewer concave instances: each of their ranks is a barrier QP.
+    """
+    for kind, set_kind, count, per_spec in (
+        (ObjectiveKind.CXH, "box", None, 3),
+        (ObjectiveKind.CXNH, "vertices", 8, 3),
+        (ObjectiveKind.CANH, "box", None, 1),
+    ):
+        for system in SystemKind:
+            for dim in (1, 2, 3, 4):
+                spec = BenchSpec(dim, system, kind, set_kind, count, 1, 90 + dim, 100)
+                for index in range(per_spec):
+                    yield random_instance(spec, index)
+
+
+def reduced_spectral_data(inst):
+    """The envelope data a solve of inst builds, in reduced coordinates."""
+    dec, red = eig_decompose(inst.A), reduce_affine(inst)
+    return build_spectral_data(dec, red.Qmat, red.qvec_reduced, vertices(red.Xwork))
+
+
+class TestRankBound:
+    def test_bounds_every_rank_and_never_grows(self):
+        seen = collections.Counter()
+        for inst in mixed_instances():
+            rep = solve(inst)
+            if rep.status is not SolveStatus.K_DIAG or not rep.K_trace:
+                continue
+            horizon = 4 * rep.K_trace[-1][1]
+            sd = reduced_spectral_data(inst)
+            nus, _ = nu_prefix(inst, horizon)
+            B = np.array([rank_bound(sd, k) for k in range(horizon + 1)])
+            # with the margin the solver allows before it settles a rank by its bound
+            assert np.all((1.0 + TOL_RANK_BOUND) * B >= nus)
+            assert np.all(np.diff(B) <= 0.0)
+            rho_k = sd.dec.rho ** np.arange(horizon + 1)
+            envelope = (rho_k * np.sqrt(sd.lmax_abs * sd.mu_gram) + sd.v_diag) ** 2 - sd.v_diag**2
+            assert np.all(B <= envelope * (1.0 + 1e-12))
+            seen[sd.lmax > 0.0, isinstance(inst.Xin, VRep), bool(np.any(sd.dec.D.imag))] += 1
+        # convex box, convex vertex list and concave box, each with real and with complex spectra
+        assert len(seen) == 6 and min(seen.values()) >= 4
+
+    def test_oscillator_modes_decay_together(self):
+        # a conjugate pair of equal modulus: the bound is the envelope's rho^(2k) M L
+        inst = ProblemInstance(A=OSC_A, b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
+        sd = reduced_spectral_data(inst)
+        for k in (0, 1, 50, 111):
+            assert rank_bound(sd, k) == pytest.approx(sd.lmax_abs * sd.mu_gram * sd.dec.rho ** (2 * k), rel=1e-12)
+
+    def test_mode_maxima_over_several_blocks(self):
+        rng = np.random.default_rng(5)
+        A = rng.uniform(-1.0, 1.0, size=(12, 12))
+        dec = eig_decompose(0.9 * A / np.max(np.abs(np.linalg.eigvals(A))))
+        box = vertices(Box(-rng.uniform(0.1, 1.0, 12), rng.uniform(0.1, 1.0, 12)))
+        cloud = rng.uniform(-1.0, 1.0, size=(2 * MODE_BLOCK_ROWS + 7, 12))
+        cloud[-1] *= 3.0  # the largest values sit in the last, partial block
+        for V in (box, cloud):
+            assert V.shape[0] > MODE_BLOCK_ROWS
+            sd = build_spectral_data(dec, np.eye(12), np.zeros(12), V)
+            expected = np.max(np.abs(V @ dec.U_inv.T) ** 2, axis=0)
+            np.testing.assert_allclose(sd.mode_max, expected, rtol=1e-12)

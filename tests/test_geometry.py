@@ -51,6 +51,28 @@ class TestVertices:
             Box([1.0], [0.0])
 
 
+class TestInputCopies:
+    """A polytope keeps read-only copies: writing to the caller's arrays later changes nothing."""
+
+    def test_box_bounds(self):
+        lower, upper = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        box = Box(lower, upper)
+        lower[0], upper[1] = 5.0, -5.0  # would give lower > upper if the box shared them
+        np.testing.assert_array_equal(box.lower, [-1.0, -1.0])
+        np.testing.assert_array_equal(box.upper, [1.0, 1.0])
+        np.testing.assert_array_equal(vertices(box), [[-1, -1], [-1, 1], [1, -1], [1, 1]])
+        with pytest.raises(ValueError):
+            box.lower[0] = 5.0
+
+    def test_vrep_points(self):
+        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+        vrep = VRep(pts)
+        pts[0] = 99.0
+        np.testing.assert_array_equal(vertices(vrep), [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError):
+            vertices(vrep)[0, 0] = 99.0
+
+
 class TestTranslate:
     def test_box_shift(self):
         shifted = translate(Box([-1.0, -1.0], [1.0, 1.0]), [1.0, -1.0])

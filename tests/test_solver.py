@@ -1,5 +1,7 @@
 """End-to-end solves, the affine reduction, and the brute-force cross-checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from reachmax.errors import (
     UnsupportedObjective,
 )
 
-from support import OSC_A, nu_prefix, osc_box, rank_evaluator, trajectory_max
+from support import OSC_A, nu_prefix, osc_box, rank_evaluator, rank_objectives, trajectory_max
 
 
 def osc_instance(Q, q=(0.0, 0.0), N=100):
@@ -184,6 +186,21 @@ class TestSolveValidation:
             )
 
 
+class TestInputCopies:
+    def test_writes_to_the_inputs_after_construction_change_nothing(self):
+        A, b, Q, q = OSC_A.copy(), np.zeros(2), np.eye(2), np.zeros(2)
+        inst = ProblemInstance(A=A, b=b, Qmat=Q, qvec=q, Xin=osc_box())
+        A[:] = 2.0  # not convergent
+        b[:] = 1.0
+        Q[0, 1] = 3.0  # not symmetric
+        q[:] = np.nan
+        for field in (inst.A, inst.b, inst.Qmat, inst.qvec):
+            with pytest.raises(ValueError):
+                field[0] = 1.0
+        rep = solve(inst)
+        assert (rep.status, rep.nu_opt, rep.K_trace) == (SolveStatus.K_DIAG, 2.0, [(0, 111)])
+
+
 class TestVertexLists:
     """A vertex list is taken as given: every stored point competes, and ties go to the first."""
 
@@ -244,7 +261,12 @@ class TestSingleEnumeration:
 
 
 class TestMaximizerCalls:
-    """One maximizer call per evaluated rank, looked up in the solver module with a fixed call shape."""
+    """One maximizer call per evaluated rank, looked up in the solver module with a fixed call shape.
+
+    The evaluated ranks are 0, 1, ..., consecutive; the ranks after them up
+    to the stopping rank are settled by the rank bound without a call, and
+    iterations counts both.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -263,36 +285,78 @@ class TestMaximizerCalls:
             monkeypatch.setattr(solver_module, name, counting(name))
         return counted
 
+    @staticmethod
+    def assert_consecutive_ranks(calls, inst):
+        """Call i gets the full rank-i objective, bit for bit."""
+        for (_, args, _), g in zip(calls, rank_objectives(inst, len(calls) - 1), strict=True):
+            assert np.array_equal(args[0].Qmat, g.Qmat) and np.array_equal(args[0].qvec, g.qvec)
+
     def test_convex_box(self, calls):
-        rep = solve(osc_instance(np.eye(2)))
-        assert rep.iterations == len(calls) == 112
+        inst = osc_instance(np.eye(2))
+        rep = solve(inst)
+        assert (len(calls), rep.iterations) == (111, 112)
+        assert rep.K_trace == [(0, 111)]
         for name, args, kwargs in calls:
             assert name == "maximize_convex_vertices" and kwargs == {}
             f, V = args
             assert isinstance(f, QuadraticObjective) and V.shape == (4, 2)
+        self.assert_consecutive_ranks(calls, inst)
 
     def test_convex_vertex_list(self, calls):
         pts = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.5, 0.5 + 1e-13]]
         inst = ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0], Xin=VRep(pts))
         rep = solve(inst)
         assert rep.status is SolveStatus.K_DIAG
-        assert rep.iterations == len(calls) > 1
+        assert (len(calls), rep.iterations) == (310, 311)
         for name, args, kwargs in calls:
             assert name == "maximize_convex_vertices" and kwargs == {}
             f, V = args
             assert isinstance(f, QuadraticObjective) and V.shape == (5, 2)
+        self.assert_consecutive_ranks(calls, inst)
 
     def test_concave_box(self, calls):
         inst = ProblemInstance(
             A=0.5 * np.eye(2), b=np.zeros(2), Qmat=-np.eye(2), qvec=[1.0, 0.5], Xin=osc_box()
         )
         rep = solve(inst)
-        assert rep.status is not SolveStatus.FAILED
-        assert rep.iterations == len(calls) > 1
+        assert rep.status is SolveStatus.K_DIAG and rep.K_trace == [(0, 3)]
+        # ranks 2 and 3 are settled by the rank bound
+        assert (len(calls), rep.iterations) == (2, 4)
         for name, args, kwargs in calls:
             assert name == "maximize_concave_qp" and set(kwargs) == {"gap_tol"}
             f, P = args
             assert isinstance(f, QuadraticObjective) and isinstance(P, Box)
+        self.assert_consecutive_ranks(calls, inst)
+
+
+class TestRankBoundScreen:
+    def test_settled_ranks_cannot_beat_the_incumbent(self, monkeypatch):
+        evaluated = []
+        original = solver_module._RankEvaluator.value
+
+        def value(self, k):
+            evaluated.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(solver_module._RankEvaluator, "value", value)
+        checked = screened = 0
+        for spec, index in itertools.product(mixed_benchspecs(seed=606), range(2)):
+            inst = random_instance(spec, index)
+            evaluated.clear()
+            rep = solve(inst)
+            if rep.status is not SolveStatus.K_DIAG or rep.iterations == 0:
+                continue
+            checked += 1
+            n = len(evaluated)
+            assert evaluated == list(range(n))
+            # settled ranks run to the final stopping rank, or to k_pos when that is later
+            assert rep.iterations == max(rep.K_trace[-1][1], rep.k_pos) + 1
+            nus, offset = nu_prefix(inst, rep.iterations - 1)
+            best = np.max(nus[:n])
+            assert best + offset == rep.nu_opt
+            assert np.all(nus[n:] <= best)
+            screened += n < rep.iterations
+        assert checked >= 40 and screened >= 30
 
 
 class TestDegenerateScreens:
