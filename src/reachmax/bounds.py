@@ -34,6 +34,13 @@ envelope at rank k, since S_k <= rho^(2k) M and l s <= L s. S_k does not
 grow with k because every |lambda_i| < 1, and B_k is a maximum over
 [0, S_k], so B_k does not grow either: once B_k is at most the incumbent,
 no rank from k on can beat it.
+
+M and the m_i are maxima over the vertex set that `geometry.vertex_set`
+gives. For a vertex array they are taken row by row. For a large box,
+handed over as a `BoxCorners` table, M comes from the table's split
+evaluation, and each m_i from the at most 2d vertices of the zonogon
+{(U^-1 x)_i : x a corner} (see `_zonogon_maxima`), so neither builds the
+2^d x d corner array.
 """
 from __future__ import annotations
 
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, NonPositiveNu
-from .geometry import mu
+from .geometry import BoxCorners, mu
 from .linalg import SpectralDecomposition, gram_inverse, hermitian_lambda_max
 
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
@@ -69,8 +76,8 @@ class SpectralData:
     mode_max: np.ndarray  # m_i, the maximum of |(U^-1 x)_i|^2 over the vertices
 
 
-def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: np.ndarray) -> SpectralData:
-    """Assemble the envelope data for the given objective and the vertex array V of the working set."""
+def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: np.ndarray | BoxCorners) -> SpectralData:
+    """Assemble the envelope data for the given objective and the vertex set V of the working set."""
     Q = np.asarray(Qmat, dtype=float)
     q = np.asarray(qvec, dtype=float)
     Ustar = dec.U.conj().T
@@ -94,8 +101,10 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: np.ndarray) -
     )
 
 
-def _mode_maxima(U_inv: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """max over the rows x of V of |(U_inv x)_i|^2 for each i, by real products on row blocks."""
+def _mode_maxima(U_inv: np.ndarray, V: np.ndarray | BoxCorners) -> np.ndarray:
+    """max over the vertices x in V of |(U_inv x)_i|^2 for each i."""
+    if isinstance(V, BoxCorners):
+        return _zonogon_maxima(U_inv, V.lower, V.upper)
     d = U_inv.shape[0]
     # rows 0..d-1 of W @ x are the real parts of U_inv x, rows d..2d-1 the imaginary parts;
     # one column per vertex keeps the reductions along contiguous rows
@@ -107,6 +116,29 @@ def _mode_maxima(U_inv: np.ndarray, V: np.ndarray) -> np.ndarray:
         Y[:d] += Y[d:]
         np.maximum(out, Y[:d].max(axis=1), out=out)
     return out
+
+
+def _zonogon_maxima(U_inv: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """max over the corners x of the box [lower, upper] of |(U_inv x)_i|^2 for each i, from O(d^3) work.
+
+    Mode i maps corner x = lower + t (upper - lower), t in {0,1}^d, to the
+    complex number c_i + sum_j t_j g_ij, with c = U_inv lower and
+    g_ij = U_inv_ij (upper_j - lower_j): the corner images span a zonogon.
+    |z|^2 is convex, so its maximum over them sits at a vertex of the
+    zonogon. For a direction u, the corner maximizing Re(conj(u) z) takes
+    t_j = 1 exactly when Re(conj(u) g_ij) > 0, and that choice only changes
+    where u crosses a normal of some g_ij. One direction inside each of the
+    2d arcs between consecutive normals therefore meets every vertex.
+    """
+    G = U_inv * (upper - lower)
+    # the normals of g, in (-pi, pi]: the angles of i g and -i g (multiplying by +-i is exact)
+    normals = np.sort(np.angle(np.concatenate([1j * G, -1j * G], axis=1)), axis=1)
+    mid = (normals + np.roll(normals, -1, axis=1)) / 2.0
+    mid[:, -1] += np.pi  # the arc that wraps around past pi
+    # t[i, k, j]: whether the corner for mode i, direction k, takes coordinate j at its upper bound
+    t = (np.exp(-1j * mid)[:, :, None] * G[:, None, :]).real > 0.0
+    z = (U_inv @ lower)[:, None] + (t * G[:, None, :]).sum(axis=2)
+    return np.max(z.real**2 + z.imag**2, axis=1)
 
 
 def rank_bound(sd: SpectralData, k: int) -> float:

@@ -2,7 +2,8 @@
 
 The solver maximizes, rank by rank, the objective composed with the k-th
 power of the system matrix, f_k(x) = f(A^k x), itself a quadratic objective.
-Convex objectives are maximized by enumerating polytope vertices; concave
+Convex objectives are maximized by taking their values at every polytope
+vertex (a vertex array, or a box's `BoxCorners` table); concave
 ones by an in-house log-barrier interior-point method over box constraints.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyVertexList, NotConcave
-from .geometry import Box, Polytope, VRep
+from .geometry import Box, BoxCorners, Polytope, VRep
 
 TOL_SYM = 1e-9
 TOL_PSD = 1e-9
@@ -94,12 +95,16 @@ def classify(obj: QuadraticObjective) -> ObjectiveClass:
     return ObjectiveClass.UNSUPPORTED
 
 
-def maximize_convex_vertices(f: QuadraticObjective, V: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximum of f over a vertex array, first attaining vertex wins ties."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] == 0:
-        raise EmptyVertexList("no vertices to evaluate")
-    vals = f.value_many(V)
+def maximize_convex_vertices(f: QuadraticObjective, V: np.ndarray | BoxCorners) -> tuple[float, np.ndarray]:
+    """Maximum of f over a vertex array or a box's corner table, first attaining vertex wins ties."""
+    if isinstance(V, BoxCorners):
+        vals = V.form_values(f.Qmat, f.qvec)
+        vals += f.c
+    else:
+        V = np.atleast_2d(np.asarray(V, dtype=float))
+        if V.shape[0] == 0:
+            raise EmptyVertexList("no vertices to evaluate")
+        vals = f.value_many(V)
     i = int(np.argmax(vals))
     return float(vals[i]), V[i].copy()
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import TOL_RANK_BOUND, build_spectral_data, corollary_one_holds, k_diag, rank_bound
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
-from .geometry import Box, Polytope, VRep, frozen_array, translate, vertices
+from .geometry import Box, BoxCorners, Polytope, VRep, frozen_array, translate, vertex_set
 from .linalg import SpectralDecomposition, eig_decompose, spectral_radius_check
 from .qpcore import (
     ObjectiveClass,
@@ -167,7 +167,7 @@ class _RankEvaluator:
         red: ReducedInstance,
         klass: ObjectiveClass,
         qp_gap_tol: float = 1e-10,
-        verts: np.ndarray | None = None,
+        verts: np.ndarray | BoxCorners | None = None,
     ):
         self._base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
         self._A = red.A
@@ -176,7 +176,7 @@ class _RankEvaluator:
         self.k = 0
         self.power = np.eye(self._base.dim)
         if klass is ObjectiveClass.CONVEX_PSD:
-            self._verts = vertices(red.Xwork) if verts is None else verts
+            self._verts = vertex_set(red.Xwork) if verts is None else verts
         elif isinstance(red.Xwork, Box):
             self._verts = None
         else:
@@ -237,7 +237,7 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
 
     # one vertex set per solve: it fixes M in the envelope and, for a convex
     # objective, it is the whole input of every per-rank maximization
-    verts = vertices(red.Xwork)
+    verts = vertex_set(red.Xwork)
     sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
     ev = _RankEvaluator(red, klass, qp_gap_tol, verts)
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from reachmax import Box
-from reachmax.geometry import vertices
+from reachmax.geometry import CORNER_TABLE_MIN_DIM, vertices
 from reachmax.qpcore import (
     ObjectiveClass,
     QuadraticObjective,
@@ -148,6 +148,21 @@ def check_profile_properties(u: FiniteC0Sequence) -> None:
 
 
 # ---------------------------------------------------------------------------
+# boxes evaluated through corner tables
+
+
+def corner_table_boxes(seed: int):
+    """(rng, box) for d = CORNER_TABLE_MIN_DIM..16: asymmetric random bounds, two coordinates collapsed."""
+    rng = np.random.default_rng(seed)
+    for d in range(CORNER_TABLE_MIN_DIM, 17):
+        lower = rng.uniform(-2.0, 1.0, size=d)
+        upper = lower + rng.uniform(0.0, 3.0, size=d)
+        collapsed = rng.choice(d, size=2, replace=False)
+        upper[collapsed] = lower[collapsed]
+        yield rng, Box(lower, upper)
+
+
+# ---------------------------------------------------------------------------
 # brute-force optimization oracles
 
 
@@ -218,7 +233,12 @@ def rank_objectives(inst, kmax: int):
 
 
 def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
-    """Per-rank optima nu_0..nu_kmax in reduced coordinates, bit-identical to the solver's, plus the offset."""
+    """Per-rank optima nu_0..nu_kmax in reduced coordinates, plus the offset, from row products on the vertex array.
+
+    Below geometry.CORNER_TABLE_MIN_DIM, and for every vertex list, they are
+    bit-identical to the solver's. A larger box is solved through a BoxCorners
+    table, whose values can differ from these in their last bits.
+    """
     red = reduce_affine(inst)
     convex = classify(QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)) is ObjectiveClass.CONVEX_PSD
     V = vertices(red.Xwork) if convex else None

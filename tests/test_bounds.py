@@ -17,11 +17,11 @@ from reachmax.bounds import (
     rank_bound,
 )
 from reachmax.errors import AssumptionViolated, NonPositiveNu, NotDiagonalizable
-from reachmax.geometry import vertices
+from reachmax.geometry import BoxCorners, vertices
 from reachmax.linalg import SpectralDecomposition, eig_decompose
 from reachmax.solver import reduce_affine
 
-from support import OSC_A, nu_prefix, osc_box, osc_eigvec_basis
+from support import OSC_A, corner_table_boxes, nu_prefix, osc_box, osc_eigvec_basis
 
 
 def osc_spectral_data(Q, q):
@@ -232,3 +232,20 @@ class TestRankBound:
             sd = build_spectral_data(dec, np.eye(12), np.zeros(12), V)
             expected = np.max(np.abs(V @ dec.U_inv.T) ** 2, axis=0)
             np.testing.assert_allclose(sd.mode_max, expected, rtol=1e-12)
+
+
+class TestCornerTableEnvelope:
+    def test_mu_and_mode_maxima_match_the_row_path(self):
+        """A BoxCorners table gives M and the m_i of the vertex array, up to rounding."""
+        for rng, box in corner_table_boxes(41):
+            d = box.dim
+            A = rng.uniform(-1.0, 1.0, size=(d, d))
+            dec = eig_decompose(0.9 * A / np.max(np.abs(np.linalg.eigvals(A))))
+            M = rng.normal(size=(d, d))
+            Q, q = M.T @ M, rng.normal(size=d)
+            got = build_spectral_data(dec, Q, q, BoxCorners(box))
+            ref = build_spectral_data(dec, Q, q, vertices(box))
+            assert np.any(dec.D.imag != 0.0)
+            assert got.mu_gram == pytest.approx(ref.mu_gram, rel=1e-12)
+            np.testing.assert_allclose(got.mode_max, ref.mode_max, rtol=1e-12)
+            assert (got.lmax, got.v_diag) == (ref.lmax, ref.v_diag)

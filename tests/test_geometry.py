@@ -7,10 +7,11 @@ import pytest
 
 from reachmax import Box, VRep
 from reachmax.errors import DimensionTooLarge, NotConvexForm
-from reachmax.geometry import mu, translate, vertices
+from reachmax.geometry import CORNER_TABLE_MIN_DIM, BoxCorners, mu, translate, vertex_set, vertices
 from reachmax.linalg import gram_inverse
+from reachmax.qpcore import QuadraticObjective, maximize_convex_vertices
 
-from support import osc_eigvec_basis
+from support import corner_table_boxes, osc_eigvec_basis
 
 
 class TestVertices:
@@ -49,6 +50,72 @@ class TestVertices:
     def test_empty_box_rejected_at_construction(self):
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
+
+
+def random_convex_objective(rng, d: int, linear: bool = True) -> QuadraticObjective:
+    M = rng.normal(size=(d, d))
+    return QuadraticObjective(M.T @ M, rng.normal(size=d) if linear else np.zeros(d))
+
+
+class TestBoxCorners:
+    """Corner tables give the corners and form values of `vertices` without the 2^d x d array."""
+
+    def test_vertex_set_dispatches_on_dimension(self):
+        d = CORNER_TABLE_MIN_DIM
+        below = vertex_set(Box(-np.ones(d - 1), np.ones(d - 1)))
+        assert isinstance(below, np.ndarray) and below.shape == (2 ** (d - 1), d - 1)
+        table = vertex_set(Box(-np.ones(d), np.ones(d)))
+        assert isinstance(table, BoxCorners) and len(table) == 2**d
+        pts = np.ones((3, d + 2))
+        np.testing.assert_array_equal(vertex_set(VRep(pts)), pts)
+
+    def test_cap_exceeded(self):
+        with pytest.raises(DimensionTooLarge):
+            vertex_set(Box(-np.ones(CORNER_TABLE_MIN_DIM), np.ones(CORNER_TABLE_MIN_DIM)), cap=16)
+
+    def test_decoded_corners_are_the_vertex_rows_bit_for_bit(self):
+        for _, box in corner_table_boxes(32):
+            V, table = vertices(box), BoxCorners(box)
+            assert len(table) == len(V)
+            decoded = np.array([table[i] for i in range(len(table))])
+            assert decoded.tobytes() == V.tobytes()
+
+    def test_values_match_the_row_products(self):
+        eps = np.finfo(float).eps
+        for rng, box in corner_table_boxes(31):
+            d = box.dim
+            f = random_convex_objective(rng, d)
+            V = vertices(box)
+            got = BoxCorners(box).form_values(f.Qmat, f.qvec)
+            ref = f.value_many(V)
+            # each value is a sum of at most d^2 + d products, summed in two different orders;
+            # both stay within (2d + 2) eps of the sum of the products' magnitudes
+            scale = np.einsum("ij,jk,ik->i", np.abs(V), np.abs(f.Qmat), np.abs(V)) + np.abs(V) @ np.abs(f.qvec)
+            assert np.all(np.abs(got - ref) <= 4 * (d + 2) * eps * scale)
+            assert int(np.argmax(got)) == int(np.argmax(ref))
+
+    def test_exact_tie_of_opposite_corners_goes_to_the_first(self):
+        rng = np.random.default_rng(33)
+        for d in range(CORNER_TABLE_MIN_DIM, 17):
+            radius = rng.uniform(0.1, 1.0, size=d)
+            box = Box(-radius, radius)
+            f = random_convex_objective(rng, d, linear=False)
+            table = BoxCorners(box)
+            vals = table.form_values(f.Qmat, f.qvec)
+            # corner 2^d - 1 - i is minus corner i, and f(x) = f(-x) without rounding
+            np.testing.assert_array_equal(vals, vals[::-1])
+            nu, x = maximize_convex_vertices(f, table)
+            ref_nu, ref_x = maximize_convex_vertices(f, vertices(box))
+            assert x.tobytes() == ref_x.tobytes()
+            assert int(np.argmax(vals)) < len(table) // 2
+            assert nu == pytest.approx(ref_nu, rel=1e-13)
+
+    def test_mu_matches_the_row_path(self):
+        for rng, box in corner_table_boxes(34):
+            d = box.dim
+            M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            B = M @ M.conj().T
+            assert mu(B, BoxCorners(box)) == pytest.approx(mu(B, vertices(box)), rel=1e-13)
 
 
 class TestInputCopies:

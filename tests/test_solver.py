@@ -1,6 +1,8 @@
 """End-to-end solves, the affine reduction, and the brute-force cross-checks."""
 
+import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from reachmax.seqlab import FiniteC0Sequence, partial_sup
 from reachmax.solver import _RankEvaluator, reduce_affine
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
 from reachmax.errors import (
+    DimensionTooLarge,
     NotConvergent,
     NotDiagonalizable,
     SingularShift,
@@ -226,7 +229,11 @@ class TestVertexLists:
 
 
 class TestSingleEnumeration:
-    """The working vertex set is enumerated once per solve, for the envelope and the ranks alike."""
+    """The working vertex set is enumerated once per solve, for the envelope and the ranks alike.
+
+    The solver takes it from `geometry.vertex_set`, which builds the vertex
+    array by `geometry.vertices`, or a corner table for a large box.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -237,8 +244,7 @@ class TestSingleEnumeration:
             counted.append(P)
             return original(P, *args, **kwargs)
 
-        for mod in (geometry, solver_module):
-            monkeypatch.setattr(mod, "vertices", vertices)
+        monkeypatch.setattr(geometry, "vertices", vertices)
         return counted
 
     def test_convex_vertex_list(self, calls):
@@ -258,6 +264,13 @@ class TestSingleEnumeration:
         )
         assert solve(inst).status is not SolveStatus.FAILED
         assert len(calls) == 1
+
+    def test_large_box_builds_no_vertex_array(self, calls):
+        d = geometry.CORNER_TABLE_MIN_DIM
+        inst = ProblemInstance(A=0.5 * np.eye(d), b=np.zeros(d), Qmat=np.eye(d), qvec=np.zeros(d),
+                               Xin=Box(-np.ones(d), np.ones(d)))
+        assert solve(inst).status is not SolveStatus.FAILED
+        assert calls == []
 
 
 class TestMaximizerCalls:
@@ -327,6 +340,86 @@ class TestMaximizerCalls:
             f, P = args
             assert isinstance(f, QuadraticObjective) and isinstance(P, Box)
         self.assert_consecutive_ranks(calls, inst)
+
+
+class TestCornerTableSolves:
+    """Boxes of dimension CORNER_TABLE_MIN_DIM or more are solved through BoxCorners tables.
+
+    The reference is the same solve on the vertex array, which it takes when
+    the dimension threshold is raised above the box's dimension, and the
+    row-product oracles nu_prefix and trajectory_max.
+    """
+
+    @staticmethod
+    def solve_on_rows(inst, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "CORNER_TABLE_MIN_DIM", inst.dim + 1)
+            return solve(inst)
+
+    def test_reports_match_the_row_path_and_the_oracles(self, monkeypatch):
+        T = geometry.CORNER_TABLE_MIN_DIM
+        checked = collections.Counter()
+        for kind, system, count in (
+            (ObjectiveKind.CXH, SystemKind.LINEAR, 3),
+            (ObjectiveKind.CXNH, SystemKind.AFFINE, 3),
+            (ObjectiveKind.CANH, SystemKind.AFFINE, 1),
+        ):
+            for dim in (T, T + 1):
+                spec = BenchSpec(dim, system, kind, "box", None, 1, 700 + dim, 100)
+                for index in range(count):
+                    inst = random_instance(spec, index)
+                    rep, ref = solve(inst), self.solve_on_rows(inst, monkeypatch)
+                    assert rep.status is ref.status is SolveStatus.K_DIAG
+                    assert (rep.k_opt, rep.k_pos, rep.K_trace, rep.iterations) == (
+                        ref.k_opt, ref.k_pos, ref.K_trace, ref.iterations)
+                    assert rep.x_opt.tobytes() == ref.x_opt.tobytes()
+                    horizon = rep.K_trace[-1][1]
+                    nus, offset = nu_prefix(inst, horizon)
+                    assert abs(rep.nu_opt - (np.max(nus) + offset)) <= 1e-12 * abs(rep.nu_opt)
+                    if kind.convex:
+                        traj = trajectory_max(inst, 4 * horizon)
+                        assert abs(rep.nu_opt - traj) <= 1e-12 * abs(rep.nu_opt)
+                    checked[kind] += 1
+        assert checked == {ObjectiveKind.CXH: 6, ObjectiveKind.CXNH: 6, ObjectiveKind.CANH: 2}
+
+
+def large_box_instance(d: int, seed: int) -> ProblemInstance:
+    """A convex homogeneous instance on a box in dimension d, with spectral radius 0.5."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, size=(d, d))
+    M = rng.uniform(-1.0, 1.0, size=(d, d))
+    lower = rng.uniform(-1.0, 0.0, size=d)
+    return ProblemInstance(A=0.5 * A / np.max(np.abs(np.linalg.eigvals(A))), b=np.zeros(d), Qmat=M.T @ M,
+                           qvec=np.zeros(d), Xin=Box(lower, lower + rng.uniform(0.1, 2.0, size=d)))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCornerTableMemory:
+    def test_box_above_the_vertex_cap_is_refused_before_any_corner_array(self):
+        inst = large_box_instance(23, seed=5)  # 2^23 corners, above DEFAULT_VERTEX_CAP = 2^22
+
+        def refused():
+            with pytest.raises(DimensionTooLarge):
+                solve(inst)
+
+        # a value per corner alone would take 64 MiB
+        assert traced_peak(refused) < 2**20
+
+    def test_solve_memory_grows_with_corner_values_not_the_vertex_array(self):
+        inst = large_box_instance(18, seed=6)
+        reports = []
+        # 2^18 corner values take 2 MiB; the 2^18 x 18 vertex array alone took 36 MiB
+        assert traced_peak(lambda: reports.append(solve(inst))) < 16 * 2**20
+        assert reports[0].status is SolveStatus.K_DIAG
 
 
 class TestRankBoundScreen:
