@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, NonPositiveNu
-from .geometry import BoxCorners, mu
+from .geometry import BoxCorners, VertexSet, mu
 from .linalg import SpectralDecomposition, gram_inverse, hermitian_lambda_max
 
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
@@ -76,7 +76,7 @@ class SpectralData:
     mode_max: np.ndarray  # m_i, the maximum of |(U^-1 x)_i|^2 over the vertices
 
 
-def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: np.ndarray | BoxCorners) -> SpectralData:
+def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) -> SpectralData:
     """Assemble the envelope data for the given objective and the vertex set V of the working set."""
     Q = np.asarray(Qmat, dtype=float)
     q = np.asarray(qvec, dtype=float)
@@ -101,7 +101,7 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: np.ndarray | 
     )
 
 
-def _mode_maxima(U_inv: np.ndarray, V: np.ndarray | BoxCorners) -> np.ndarray:
+def _mode_maxima(U_inv: np.ndarray, V: VertexSet) -> np.ndarray:
     """max over the vertices x in V of |(U_inv x)_i|^2 for each i."""
     if isinstance(V, BoxCorners):
         return _zonogon_maxima(U_inv, V.lower, V.upper)

@@ -100,15 +100,15 @@ def vertices(P: Polytope, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     raise TypeError(f"unsupported polytope type {type(P).__name__}")
 
 
-def vertex_set(P: Polytope, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray | BoxCorners:
+def vertex_set(P: Polytope) -> VertexSet:
     """The vertices of P as the maximizers take them.
 
     A box of dimension CORNER_TABLE_MIN_DIM or more gives a BoxCorners
     table; anything else gives the `vertices` array.
     """
     if isinstance(P, Box) and P.dim >= CORNER_TABLE_MIN_DIM:
-        return BoxCorners(P, cap)
-    return vertices(P, cap)
+        return BoxCorners(P)
+    return vertices(P)
 
 
 def _check_corner_count(d: int, cap: int) -> None:
@@ -139,8 +139,8 @@ class BoxCorners:
     Memory is O(2^d) floats for the values, against 2^d x d for the array.
     """
 
-    def __init__(self, box: Box, cap: int = DEFAULT_VERTEX_CAP):
-        _check_corner_count(box.dim, cap)
+    def __init__(self, box: Box):
+        _check_corner_count(box.dim, DEFAULT_VERTEX_CAP)
         self.lower, self.upper = box.lower, box.upper
         a = self.split = box.dim // 2
         self.head = _box_corners(box.lower[:a], box.upper[:a])
@@ -165,6 +165,10 @@ class BoxCorners:
         return vals.ravel()
 
 
+# What the maximizers take as the vertices of a polytope: see `vertex_set`.
+VertexSet = np.ndarray | BoxCorners
+
+
 def translate(P: Polytope, t) -> Polytope:
     """Return the shifted set P - t (the same representation, bounds moved by -t)."""
     t = np.asarray(t, dtype=float)
@@ -175,7 +179,7 @@ def translate(P: Polytope, t) -> Polytope:
     raise TypeError(f"unsupported polytope type {type(P).__name__}")
 
 
-def mu(B, V: np.ndarray | BoxCorners) -> float:
+def mu(B, V: VertexSet) -> float:
     """Maximum of the quadratic form x^T Re(B) x over the vertices V.
 
     V is the vertex set of a polytope, as returned by `vertex_set`. B must be
@@ -187,7 +191,14 @@ def mu(B, V: np.ndarray | BoxCorners) -> float:
     R = np.real(B + B.conj().T) / 2.0
     if float(np.linalg.eigvalsh(R)[0]) < -1e-9:
         raise NotConvexForm("real part of the form has a negative eigenvalue")
+    return float(np.max(form_values(V, R, np.zeros(len(R)))))
+
+
+def form_values(V: VertexSet, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x^T Q x + q^T x at every vertex x of V, in vertex order; Q must be exactly symmetric.
+
+    A vertex array is evaluated row by row, a BoxCorners table by its split sums.
+    """
     if isinstance(V, BoxCorners):
-        return float(np.max(V.form_values(R, np.zeros(len(R)))))
-    W = V @ R
-    return float(np.max(np.einsum("ij,ij->i", W, V)))
+        return V.form_values(Q, q)
+    return np.einsum("ij,ij->i", V @ Q, V) + V @ q

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyVertexList, NotConcave
-from .geometry import Box, BoxCorners, Polytope, VRep
+from .geometry import Box, Polytope, VertexSet, VRep, form_values
 
 TOL_SYM = 1e-9
 TOL_PSD = 1e-9
@@ -95,16 +95,12 @@ def classify(obj: QuadraticObjective) -> ObjectiveClass:
     return ObjectiveClass.UNSUPPORTED
 
 
-def maximize_convex_vertices(f: QuadraticObjective, V: np.ndarray | BoxCorners) -> tuple[float, np.ndarray]:
+def maximize_convex_vertices(f: QuadraticObjective, V: VertexSet) -> tuple[float, np.ndarray]:
     """Maximum of f over a vertex array or a box's corner table, first attaining vertex wins ties."""
-    if isinstance(V, BoxCorners):
-        vals = V.form_values(f.Qmat, f.qvec)
-        vals += f.c
-    else:
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        if V.shape[0] == 0:
-            raise EmptyVertexList("no vertices to evaluate")
-        vals = f.value_many(V)
+    if len(V) == 0:
+        raise EmptyVertexList("no vertices to evaluate")
+    vals = form_values(V, f.Qmat, f.qvec)
+    vals += f.c
     i = int(np.argmax(vals))
     return float(vals[i]), V[i].copy()
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import TOL_RANK_BOUND, build_spectral_data, corollary_one_holds, k_diag, rank_bound
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
-from .geometry import Box, BoxCorners, Polytope, VRep, frozen_array, translate, vertex_set
+from .geometry import Box, Polytope, VertexSet, VRep, frozen_array, translate, vertex_set
 from .linalg import SpectralDecomposition, eig_decompose, spectral_radius_check
 from .qpcore import (
     ObjectiveClass,
@@ -167,7 +167,7 @@ class _RankEvaluator:
         red: ReducedInstance,
         klass: ObjectiveClass,
         qp_gap_tol: float = 1e-10,
-        verts: np.ndarray | BoxCorners | None = None,
+        verts: VertexSet | None = None,
     ):
         self._base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
         self._A = red.A

@@ -69,10 +69,6 @@ class TestBoxCorners:
         pts = np.ones((3, d + 2))
         np.testing.assert_array_equal(vertex_set(VRep(pts)), pts)
 
-    def test_cap_exceeded(self):
-        with pytest.raises(DimensionTooLarge):
-            vertex_set(Box(-np.ones(CORNER_TABLE_MIN_DIM), np.ones(CORNER_TABLE_MIN_DIM)), cap=16)
-
     def test_decoded_corners_are_the_vertex_rows_bit_for_bit(self):
         for _, box in corner_table_boxes(32):
             V, table = vertices(box), BoxCorners(box)
