@@ -4,11 +4,11 @@ For a convergent diagonalizable system the k-th optimal value nu_k obeys
 
     nu_k <= (rho^k * sqrt(L * M) + V)^2 - V^2        for k > 0
 
-with L = |lambda_max(U* Q U)|, M the maximum of the Gram-inverse form over
-the working initial set, and V = ||U* q||_2 / (2 sqrt(L)). Two consequences
-drive the solver: if nu_0 already reaches the k-independent envelope
-(sqrt(L*M) + V)^2 - V^2, it is the global supremum; and for any strictly
-positive value nu_j the rank
+with L = |lambda_max(U* Q U)|, M the maximum of the Gram-inverse form
+x* (U U*)^-1 x = ||U^-1 x||^2 over the working initial set, and
+V = ||U* q||_2 / (2 sqrt(L)). Two consequences drive the solver: if nu_0
+already reaches the k-independent envelope (sqrt(L*M) + V)^2 - V^2, it is
+the global supremum; and for any strictly positive value nu_j the rank
 
     K(j) = floor( ln((sqrt(nu_j + V^2) - V) / sqrt(L*M)) / ln rho ) + 1
 
@@ -35,10 +35,13 @@ grow with k because every |lambda_i| < 1, and B_k is a maximum over
 [0, S_k], so B_k does not grow either: once B_k is at most the incumbent,
 no rank from k on can beat it.
 
-M and the m_i are maxima over the vertex set that `geometry.vertex_set`
-gives. For a vertex array they are taken row by row. For a large box,
-handed over as a `BoxCorners` table, M comes from the table's split
-evaluation, and each m_i from the at most 2d vertices of the zonogon
+M = max ||U^-1 x||^2 = max sum_i |y_i|^2 and the m_i are maxima over the
+vertex set that `geometry.vertex_set` gives, taken together in one pass
+(`_vertex_maxima`) from U^-1 alone. For a vertex array they come from the
+same squared products, row by row: the m_i are their row maxima, M the
+largest column sum. For a large box, handed over as a `BoxCorners` table,
+M comes from the table's split evaluation of the form x^T Re(U^-* U^-1) x,
+and each m_i from the at most 2d vertices of the zonogon
 {(U^-1 x)_i : x a corner} (see `_zonogon_maxima`), so neither builds the
 2^d x d corner array.
 """
@@ -50,15 +53,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, NonPositiveNu
-from .geometry import BoxCorners, VertexSet, mu
-from .linalg import SpectralDecomposition, gram_inverse, hermitian_lambda_max
+from .geometry import BoxCorners, VertexSet, form_values
+from .linalg import SpectralDecomposition, hermitian_lambda_max
 
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
 TOL_LMAX_ZERO = 1e-12
 # A rank counts as settled by its bound only when (1 + TOL_RANK_BOUND) B_k <= incumbent,
 # a margin for the rounding in U^-1, the mode maxima and the bound itself.
 TOL_RANK_BOUND = 1e-9
-# Vertex rows per block when taking the mode maxima: the temporaries stay a
+# Vertex rows per block when taking M and the mode maxima: the temporaries stay a
 # few hundred kB instead of a complex copy of the whole vertex array.
 MODE_BLOCK_ROWS = 2048
 
@@ -68,7 +71,7 @@ class SpectralData:
     """Envelope ingredients, all tied to one eigenbasis and one working set."""
 
     dec: SpectralDecomposition
-    mu_gram: float
+    mu_gram: float  # M, the maximum of ||U^-1 x||^2 over the vertices
     lmax_abs: float
     v_diag: float
     envelope: float
@@ -87,7 +90,7 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
         raise AssumptionViolated("largest eigenvalue of U* Q U is numerically zero")
     lmax_abs = abs(lmax)
 
-    mu_gram = mu(gram_inverse(dec.U), V)
+    mu_gram, mode_max = _vertex_maxima(dec.U_inv, V)
     v_diag = float(np.linalg.norm(Ustar @ q)) / (2.0 * math.sqrt(lmax_abs))
     envelope = (math.sqrt(lmax_abs * mu_gram) + v_diag) ** 2 - v_diag**2
     return SpectralData(
@@ -97,25 +100,28 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
         v_diag=v_diag,
         envelope=envelope,
         lmax=lmax,
-        mode_max=_mode_maxima(dec.U_inv, V),
+        mode_max=mode_max,
     )
 
 
-def _mode_maxima(U_inv: np.ndarray, V: VertexSet) -> np.ndarray:
-    """max over the vertices x in V of |(U_inv x)_i|^2 for each i."""
-    if isinstance(V, BoxCorners):
-        return _zonogon_maxima(U_inv, V.lower, V.upper)
+def _vertex_maxima(U_inv: np.ndarray, V: VertexSet) -> tuple[float, np.ndarray]:
+    """M = max ||U_inv x||^2 and, for each i, m_i = max |(U_inv x)_i|^2, over the vertices x in V."""
     d = U_inv.shape[0]
-    # rows 0..d-1 of W @ x are the real parts of U_inv x, rows d..2d-1 the imaginary parts;
-    # one column per vertex keeps the reductions along contiguous rows
+    # rows 0..d-1 of W @ x are the real parts of U_inv x, rows d..2d-1 the imaginary parts
     W = np.vstack([U_inv.real, U_inv.imag])
-    out = np.zeros(d)
+    if isinstance(V, BoxCorners):
+        R = W.T @ W  # ||U_inv x||^2 = x^T R x for a real x
+        M = float(np.max(form_values(V, (R + R.T) / 2.0, np.zeros(d))))
+        return M, _zonogon_maxima(U_inv, V.lower, V.upper)
+    # one column per vertex keeps the reductions along contiguous rows
+    M, m = 0.0, np.zeros(d)
     for start in range(0, V.shape[0], MODE_BLOCK_ROWS):
         Y = W @ V[start : start + MODE_BLOCK_ROWS].T
         Y *= Y
         Y[:d] += Y[d:]
-        np.maximum(out, Y[:d].max(axis=1), out=out)
-    return out
+        np.maximum(m, Y[:d].max(axis=1), out=m)
+        M = max(M, float(Y[:d].sum(axis=0).max()))
+    return M, m
 
 
 def _zonogon_maxima(U_inv: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -17,16 +17,8 @@ class NotHermitian(ReachmaxError):
     """A Hermitian matrix was expected."""
 
 
-class Singular(ReachmaxError):
-    """A nonsingular matrix was expected."""
-
-
 class DimensionTooLarge(ReachmaxError):
     """Corner enumeration of a box would exceed the configured vertex cap."""
-
-
-class NotConvexForm(ReachmaxError):
-    """The quadratic form has a negative eigenvalue, so vertex maximization is invalid."""
 
 
 class EmptyVertexList(ReachmaxError):

@@ -1,4 +1,4 @@
-"""Initial-set polytopes: boxes, explicit vertex lists, translation, convex-form maxima.
+"""Initial-set polytopes: boxes, explicit vertex lists, translation, form values at the vertices.
 
 A convex form is maximized over a polytope by taking its largest value at a
 vertex. `vertex_set` gives the vertices the way the maximizers take them: a
@@ -6,7 +6,9 @@ vertex list, or a box below CORNER_TABLE_MIN_DIM, as the (m, dim) array of
 `vertices`; a larger box as a `BoxCorners` table, which evaluates a form at
 all 2^dim corners from two half-box corner tables and never builds the
 2^dim x dim array. Both give the corners in the same order, so the first
-maximizing corner is the same one up to rounding of the values.
+maximizing corner is the same one up to rounding of the values. The
+envelope constant M = max ||U^-1 x||^2 is such a maximum too; `bounds`
+takes it from the same pass over the vertex set as the per-mode maxima m_i.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NotConvexForm
+from .errors import DimensionTooLarge
 
 # Corner enumeration refuses boxes with more than this many vertices.
 DEFAULT_VERTEX_CAP = 2**22
@@ -177,21 +179,6 @@ def translate(P: Polytope, t) -> Polytope:
     if isinstance(P, VRep):
         return VRep(P.points - t)
     raise TypeError(f"unsupported polytope type {type(P).__name__}")
-
-
-def mu(B, V: VertexSet) -> float:
-    """Maximum of the quadratic form x^T Re(B) x over the vertices V.
-
-    V is the vertex set of a polytope, as returned by `vertex_set`. B must be
-    Hermitian with positive semidefinite real part: the maximum of a convex
-    form over a polytope is attained at a vertex, which is what makes the
-    enumeration exact. A real argument x only sees Re(B).
-    """
-    B = np.asarray(B, dtype=complex)
-    R = np.real(B + B.conj().T) / 2.0
-    if float(np.linalg.eigvalsh(R)[0]) < -1e-9:
-        raise NotConvexForm("real part of the form has a negative eigenvalue")
-    return float(np.max(form_values(V, R, np.zeros(len(R)))))
 
 
 def form_values(V: VertexSet, Q: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Everything downstream consumes the spectral factorization A = U diag(D) U^-1
 produced here: the convergence check on the spectral radius, the largest
-eigenvalue of the Hermitian product U* Q U, and the Gram inverse (U U*)^-1.
-Complex arithmetic is used throughout even when A has only real eigenvalues,
-so there is a single code path.
+eigenvalue of the Hermitian product U* Q U, and U^-1, from which `bounds`
+takes the envelope constant M = max ||U^-1 x||^2 in the same pass over the
+vertex set as the per-mode maxima. eig_decompose holds the one conditioning
+limit: it rejects cond(U) > 1/TOL_DIAG = 1e7. Complex arithmetic is used
+throughout even when A has only real eigenvalues, so there is a single code
+path.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonSquare, NotDiagonalizable, NotHermitian, Singular
+from .errors import NonSquare, NotDiagonalizable, NotHermitian
 
 # Acceptance thresholds for a factorization (entrywise max norm).
 TOL_RECON = 1e-9
-# A decomposition is rejected when cond(U) exceeds 1/TOL_DIAG.
-TOL_DIAG = 1e-10
+# A decomposition is rejected when cond(U) exceeds 1/TOL_DIAG. This is the one
+# conditioning limit of a solve: the envelope's L*M grows like cond(U)^2.
+TOL_DIAG = 1e-7
 # Strict-convergence margin: rho < 1 - TOL_RHO.
 TOL_RHO = 1e-12
 
@@ -99,16 +103,4 @@ def hermitian_lambda_max(B) -> float:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {1e-9 * scale:.3e}")
     H = (B + B.conj().T) / 2.0
     return float(np.linalg.eigvalsh(H)[-1])
-
-
-def gram_inverse(U) -> np.ndarray:
-    """Hermitian positive-definite inverse (U U*)^-1 of the Gram matrix of U."""
-    U = _as_square(np.asarray(U, dtype=complex))
-    G = U @ U.conj().T
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise Singular(f"Gram matrix has condition {cond:.3e}")
-    M = np.linalg.inv(G)
-    # enforce exact Hermitian symmetry against rounding
-    return (M + M.conj().T) / 2.0
 

@@ -75,9 +75,12 @@ class ProblemInstance:
         for arr in (self.A, self.b, self.Qmat, self.qvec):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("problem data must be finite")
-        self.N = int(self.N)
-        if self.N < 1:
+        N = self.N
+        if isinstance(N, (float, np.floating)) and np.isfinite(N) and N == int(N):
+            N = int(N)
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
             raise ValueError("N must be a positive integer")
+        self.N = int(N)
         if not np.any(self.b) and _is_origin_only(self.Xin):
             raise ValueError("a linear system needs an initial set other than {0}")
 
@@ -232,14 +235,12 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
             K_trace=[],
             iterations=0,
         )
-    if concave and isinstance(red.Xwork, VRep):
-        raise UnsupportedObjective("a strictly concave objective needs a box initial set")
 
-    # one vertex set per solve: it fixes M in the envelope and, for a convex
-    # objective, it is the whole input of every per-rank maximization
+    # one vertex set per solve: it fixes M and the m_i in the envelope and, for a
+    # convex objective, it is the whole input of every per-rank maximization
     verts = vertex_set(red.Xwork)
-    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
     ev = _RankEvaluator(red, klass, qp_gap_tol, verts)
+    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
 
     nu_k, y_k = ev.value(0)
     iterations = 1

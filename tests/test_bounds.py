@@ -230,8 +230,67 @@ class TestRankBound:
         for V in (box, cloud):
             assert V.shape[0] > MODE_BLOCK_ROWS
             sd = build_spectral_data(dec, np.eye(12), np.zeros(12), V)
-            expected = np.max(np.abs(V @ dec.U_inv.T) ** 2, axis=0)
-            np.testing.assert_allclose(sd.mode_max, expected, rtol=1e-12)
+            Y = np.abs(V @ dec.U_inv.T) ** 2
+            np.testing.assert_allclose(sd.mode_max, np.max(Y, axis=0), rtol=1e-12)
+            # M, the largest ||U^-1 x||^2, from the same blocks
+            assert sd.mu_gram == pytest.approx(float(np.max(Y.sum(axis=1))), rel=1e-12)
+            if V is cloud:
+                assert np.argmax(Y.sum(axis=1)) >= 2 * MODE_BLOCK_ROWS
+
+
+def conditioned_matrix(rng, d, cond):
+    """A real d x d matrix S B S^-1 with cond(S) = cond and spectral radius below 0.9.
+
+    B is diagonal, with a rotation block for a complex pair half of the time.
+    """
+    Q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    S = Q1 @ np.diag(np.logspace(0.0, -np.log10(cond), d)) @ Q2
+    B = np.diag(rng.uniform(-0.9, 0.9, size=d))
+    if rng.random() < 0.5:
+        r, t = rng.uniform(0.3, 0.9), rng.uniform(0.2, 3.0)
+        B[:2, :2] = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return S @ B @ np.linalg.inv(S)
+
+
+def mp_vertex_maxima(U, X):
+    """M = max ||U^-1 x||^2 and the m_i = max |(U^-1 x)_i|^2 over the rows x of X, in 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        Y = mpmath.matrix(U.tolist()) ** -1 * mpmath.matrix(X.T.tolist())
+        sq = [[abs(Y[i, j]) ** 2 for j in range(X.shape[0])] for i in range(U.shape[0])]
+        M = max(sum(col) for col in zip(*sq))
+        return float(M), np.array([float(max(row)) for row in sq])
+
+
+class TestEnvelopeOracle:
+    def test_vertex_maxima_match_a_60_digit_evaluation(self):
+        """M and the m_i for the stored U, against mpmath, for cond(U) from 1 to about 3e6.
+
+        The program takes both from U^-1 = inv(U) in double precision, which
+        carries a relative error of order cond(U) eps. Each is checked to an
+        absolute 4 d cond(U) eps M: M itself, and every m_i, which can sit far
+        below M. Boxes go through the vertex array and the corner table.
+        """
+        eps = np.finfo(float).eps
+        conds = []
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            for target in np.logspace(0.0, 6.5, 14):
+                d = int(rng.integers(2, 7))
+                dec = eig_decompose(conditioned_matrix(rng, d, target))
+                cond = float(np.linalg.cond(dec.U))
+                conds.append(cond)
+                lower = rng.uniform(-2.0, 1.0, size=d)
+                box = Box(lower, lower + rng.uniform(0.1, 3.0, size=d))
+                cloud = rng.normal(size=(12, d))
+                for V, X in ((vertices(box), vertices(box)), (BoxCorners(box), vertices(box)), (cloud, cloud)):
+                    sd = build_spectral_data(dec, np.eye(d), np.zeros(d), V)
+                    M, m = mp_vertex_maxima(dec.U, X)
+                    tol = 4 * d * cond * eps * M
+                    assert abs(sd.mu_gram - M) <= tol
+                    assert np.all(np.abs(sd.mode_max - m) <= tol)
+        assert min(conds) < 10.0 and max(conds) > 1e6
 
 
 class TestCornerTableEnvelope:

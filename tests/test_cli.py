@@ -61,6 +61,23 @@ class TestSolveCommand:
         assert main(["solve", path, "--json"]) == 1
         assert "NotDiagonalizable" in capsys.readouterr().err
 
+    def test_near_jordan_beyond_the_conditioning_limit_named_error(self, tmp_path, capsys):
+        for eps in (1e-14, 1e-16, 1e-20):
+            doc = oscillator_doc()
+            doc["A"] = [[0.5, 1.0], [eps, 0.5]]
+            path = write_json(tmp_path / "near_jordan.json", doc)
+            assert main(["solve", path, "--json"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("NotDiagonalizable:") and "Traceback" not in err
+
+    def test_scan_cap_must_be_a_positive_integer(self, tmp_path, capsys):
+        for N in (float("inf"), 2.7, "20", 0):
+            path = write_json(tmp_path / "bad_n.json", dict(DECAYING_DOC, N=N))
+            assert main(["solve", path, "--json"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("InvalidInstanceFile: N must be a positive integer")
+            assert "Traceback" not in err
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"A": [[0.5]],', encoding="utf-8")

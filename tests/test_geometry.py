@@ -1,4 +1,4 @@
-"""Boxes, vertex lists, translation, and the convex-form maximum."""
+"""Boxes, vertex lists, translation, and the envelope constant M, a convex-form maximum."""
 
 import itertools
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from reachmax import Box, VRep
-from reachmax.errors import DimensionTooLarge, NotConvexForm
-from reachmax.geometry import CORNER_TABLE_MIN_DIM, BoxCorners, mu, translate, vertex_set, vertices
-from reachmax.linalg import gram_inverse
+from reachmax.bounds import _vertex_maxima
+from reachmax.errors import DimensionTooLarge
+from reachmax.geometry import CORNER_TABLE_MIN_DIM, BoxCorners, translate, vertex_set, vertices
 from reachmax.qpcore import QuadraticObjective, maximize_convex_vertices
 
 from support import corner_table_boxes, osc_eigvec_basis
@@ -106,13 +106,6 @@ class TestBoxCorners:
             assert int(np.argmax(vals)) < len(table) // 2
             assert nu == pytest.approx(ref_nu, rel=1e-13)
 
-    def test_mu_matches_the_row_path(self):
-        for rng, box in corner_table_boxes(34):
-            d = box.dim
-            M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            B = M @ M.conj().T
-            assert mu(B, BoxCorners(box)) == pytest.approx(mu(B, vertices(box)), rel=1e-13)
-
 
 class TestInputCopies:
     """A polytope keeps read-only copies: writing to the caller's arrays later changes nothing."""
@@ -170,33 +163,34 @@ class TestTranslate:
 
 
 class TestMu:
+    """M = max ||U^-1 x||^2 over the vertices x, the maximum of the Gram-inverse form x* (U U*)^-1 x."""
+
     def test_oscillator_gram_form(self):
-        B = gram_inverse(osc_eigvec_basis())
-        assert mu(B, vertices(Box([-1.0, -1.0], [1.0, 1.0]))) == pytest.approx(2.0, abs=1e-12)
+        M, _ = _vertex_maxima(np.linalg.inv(osc_eigvec_basis()), vertices(Box([-1.0, -1.0], [1.0, 1.0])))
+        assert M == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_form_on_unit_box(self):
-        assert mu(np.eye(2), vertices(Box([-1.0, -1.0], [1.0, 1.0]))) == pytest.approx(2.0, abs=0.0)
+        M, m = _vertex_maxima(np.eye(2), vertices(Box([-1.0, -1.0], [1.0, 1.0])))
+        assert M == 2.0
+        np.testing.assert_array_equal(m, [1.0, 1.0])
 
     def test_single_point(self):
-        assert mu(np.eye(2), vertices(VRep([[3.0, 4.0]]))) == pytest.approx(25.0, abs=0.0)
-
-    def test_rejects_nonconvex_form(self):
-        with pytest.raises(NotConvexForm):
-            mu(np.diag([1.0, -1.0]), vertices(Box([-1.0, -1.0], [1.0, 1.0])))
+        M, m = _vertex_maxima(np.eye(2), vertices(VRep([[3.0, 4.0]])))
+        assert M == 25.0
+        np.testing.assert_array_equal(m, [9.0, 16.0])
 
     def test_matches_grid_search_on_random_boxes(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
             d = int(rng.integers(1, 7))
-            M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            B = M @ M.conj().T  # Hermitian PSD
+            U_inv = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             center = rng.uniform(-1.0, 1.0, size=d)
             radius = rng.uniform(0.1, 1.0, size=d)
             box = Box(center - radius, center + radius)
-            got = mu(B, vertices(box))
-            R = np.real(B)
+            M, m = _vertex_maxima(U_inv, vertices(box))
             axes = [np.linspace(lo, up, 5) for lo, up in zip(box.lower, box.upper)]
             mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            ref = float(np.max(np.einsum("ij,jk,ik->i", pts, R, pts)))
-            assert got == pytest.approx(ref, rel=1e-6)
+            pts = np.stack([g.ravel() for g in mesh], axis=1)
+            Y = np.abs(pts @ U_inv.T) ** 2
+            assert M == pytest.approx(float(np.max(Y.sum(axis=1))), rel=1e-6)
+            np.testing.assert_allclose(m, np.max(Y, axis=0), rtol=1e-6)

@@ -1,4 +1,4 @@
-"""Eigendecomposition, convergence checks, Hermitian extremes, Gram inverse."""
+"""Eigendecomposition, convergence checks, Hermitian extremes."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,10 @@ import pytest
 from reachmax.linalg import (
     SpectralDecomposition,
     eig_decompose,
-    gram_inverse,
     hermitian_lambda_max,
     spectral_radius_check,
 )
-from reachmax.errors import NonSquare, NotDiagonalizable, NotHermitian, Singular
+from reachmax.errors import NonSquare, NotDiagonalizable, NotHermitian
 from reachmax.qpcore import QuadraticObjective
 
 from support import OSC_A, osc_eigvec_basis, rank_evaluator
@@ -99,30 +98,6 @@ class TestHermitianLambdaMax:
             x = rng.normal(size=5) + 1j * rng.normal(size=5)
             rq = float(np.real(x.conj() @ B @ x) / np.real(x.conj() @ x))
             assert lmax - rq >= -1e-9
-
-
-class TestGramInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(gram_inverse(np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_oscillator_basis_form(self):
-        M = gram_inverse(osc_eigvec_basis())
-        np.testing.assert_allclose(np.real(M), np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, atol=1e-12)
-        # Hermitian by construction
-        np.testing.assert_allclose(M, M.conj().T, atol=0.0)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(gram_inverse(np.diag([2.0, 1.0])), np.diag([0.25, 1.0]), atol=1e-12)
-
-    def test_singular_rejected(self):
-        with pytest.raises(Singular):
-            gram_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_positive_definite(self):
-        rng = np.random.default_rng(3)
-        U = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        M = gram_inverse(U)
-        assert np.min(np.linalg.eigvalsh(M)) > 0.0
 
 
 def powers(A):

@@ -188,6 +188,41 @@ class TestSolveValidation:
                 Xin=Box([0.0, 0.0], [0.0, 0.0]),
             )
 
+    @pytest.mark.parametrize("N", [20, 20.0, np.int64(20), np.float64(20.0)])
+    def test_scan_cap_accepts_integral_values(self, N):
+        inst = osc_instance(np.eye(2), N=N)
+        assert inst.N == 20 and type(inst.N) is int
+
+    @pytest.mark.parametrize("N", [float("inf"), float("-inf"), float("nan"), 2.7, "20", None, True, 0, 0.0, -3])
+    def test_scan_cap_rejects_anything_but_a_positive_integer(self, N):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            osc_instance(np.eye(2), N=N)
+
+
+def near_jordan_instance(eps):
+    """A = [[0.5, 1], [eps, 0.5]], Q = I on the unit box: cond(U) is about 1/sqrt(eps)."""
+    return ProblemInstance(
+        A=[[0.5, 1.0], [eps, 0.5]], b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box(), N=20
+    )
+
+
+class TestConditioningLimit:
+    """eig_decompose's cond(U) <= 1e7 is the one limit: solve and brute_force reject the same A."""
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-16, 1e-20])
+    def test_near_jordan_beyond_the_limit_is_not_diagonalizable(self, eps):
+        inst = near_jordan_instance(eps)
+        with pytest.raises(NotDiagonalizable):
+            solve(inst)
+        with pytest.raises(NotDiagonalizable):
+            brute_force(inst, 5)
+
+    def test_near_jordan_within_the_limit_solves(self):
+        rep = solve(near_jordan_instance(1e-12))  # cond(U) about 1e6
+        assert rep.status is SolveStatus.K_DIAG
+        assert rep.K_trace[:2] == [(0, 20), (1, 20)]
+        assert rep.iterations == 21
+
 
 class TestInputCopies:
     def test_writes_to_the_inputs_after_construction_change_nothing(self):
