@@ -1,4 +1,4 @@
-"""Decay envelope and stopping ranks derived from the spectral factorization.
+"""Decay envelope, stopping ranks and rank bounds derived from the spectral factorization.
 
 For a convergent diagonalizable system the k-th optimal value nu_k obeys
 
@@ -32,8 +32,23 @@ attained at S_k for l > 0 and at min(S_k, c^2 / (4 l^2)) for l < 0. The
 bound holds for convex and concave objectives alike. It never exceeds the
 envelope at rank k, since S_k <= rho^(2k) M and l s <= L s. S_k does not
 grow with k because every |lambda_i| < 1, and B_k is a maximum over
-[0, S_k], so B_k does not grow either: once B_k is at most the incumbent,
-no rank from k on can beat it.
+[0, S_k], so B_k does not grow either.
+
+B_k still charges every mode with the largest curvature l. The polydisc
+bound charges each pair of modes with its own entry of G = U* Q U. With
+e = U* q and a_i(k) = |lambda_i|^k sqrt(m_i), every rank-k state has
+|z_i| <= a_i(k), so by the triangle inequality
+
+    f(A^k x) = z* G z + e* z <= P_k = sum_ij |G_ij| a_i a_j + sum_i |e_i| a_i.
+
+P_k holds for any Hermitian G, so for convex and concave objectives alike.
+Every coefficient is non-negative and every a_i shrinks with k, so P_k
+does not grow either. It is exact for a diagonal A, a diagonal Q >= 0,
+q = 0 and a box: U is then a permutation, z_i is lambda_i^k x_i up to
+order, and every term Q_ii lambda_i^(2k) x_i^2 peaks at the same corner,
+where x_i^2 = m_i. The rank bound is min(B_k, P_k), and S_k above is
+sum_i a_i(k)^2 capped by rho^(2k) M: once it is at most the incumbent, no
+rank from k on can beat it.
 
 M = max ||U^-1 x||^2 = max sum_i |y_i|^2 and the m_i are maxima over the
 vertex set that `geometry.vertex_set` gives, taken together in one pass
@@ -77,6 +92,10 @@ class SpectralData:
     envelope: float
     lmax: float  # lambda_max(U* Q U) with its sign
     mode_max: np.ndarray  # m_i, the maximum of |(U^-1 x)_i|^2 over the vertices
+    mode_root: np.ndarray  # sqrt(m_i), the polydisc radii at rank 0
+    decay: np.ndarray  # |lambda_i|, the rate at which each radius shrinks
+    gram_abs: np.ndarray  # |U* Q U| entrywise
+    lin_abs: np.ndarray  # |U* q| entrywise
 
 
 def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) -> SpectralData:
@@ -85,13 +104,15 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
     q = np.asarray(qvec, dtype=float)
     Ustar = dec.U.conj().T
 
-    lmax = hermitian_lambda_max(Ustar @ Q @ dec.U)
+    G = Ustar @ Q @ dec.U
+    lmax = hermitian_lambda_max(G)
     if abs(lmax) <= TOL_LMAX_ZERO:
         raise AssumptionViolated("largest eigenvalue of U* Q U is numerically zero")
     lmax_abs = abs(lmax)
 
     mu_gram, mode_max = _vertex_maxima(dec.U_inv, V)
-    v_diag = float(np.linalg.norm(Ustar @ q)) / (2.0 * math.sqrt(lmax_abs))
+    e = Ustar @ q
+    v_diag = float(np.linalg.norm(e)) / (2.0 * math.sqrt(lmax_abs))
     envelope = (math.sqrt(lmax_abs * mu_gram) + v_diag) ** 2 - v_diag**2
     return SpectralData(
         dec=dec,
@@ -101,6 +122,10 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
         envelope=envelope,
         lmax=lmax,
         mode_max=mode_max,
+        mode_root=np.sqrt(mode_max),
+        decay=np.abs(dec.D),
+        gram_abs=np.abs(G),
+        lin_abs=np.abs(e),
     )
 
 
@@ -148,16 +173,18 @@ def _zonogon_maxima(U_inv: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
 
 
 def rank_bound(sd: SpectralData, k: int) -> float:
-    """B_k, an upper bound on nu_k from every mode's decay rate; nonincreasing in k.
+    """min(B_k, P_k), an upper bound on nu_k from every mode's decay rate; nonincreasing in k.
 
-    See the module docstring: B_k = max of l s + c sqrt(s) over 0 <= s <= S_k.
+    See the module docstring: B_k = max of l s + c sqrt(s) over 0 <= s <= S_k,
+    and P_k = a^T |G| a + |e|^T a over the polydisc |z_i| <= a_i(k).
     """
-    s = min(float(np.abs(sd.dec.D) ** (2 * k) @ sd.mode_max), sd.dec.rho ** (2 * k) * sd.mu_gram)
+    a = sd.decay**k * sd.mode_root
+    s = min(float(a @ a), sd.dec.rho ** (2 * k) * sd.mu_gram)
     c = 2.0 * math.sqrt(sd.lmax_abs) * sd.v_diag
     if sd.lmax < 0.0:
         # a concave parabola in sqrt(s), peaking at s = c^2 / (4 l^2)
         s = min(s, (c / (2.0 * sd.lmax)) ** 2)
-    return sd.lmax * s + c * math.sqrt(s)
+    return min(sd.lmax * s + c * math.sqrt(s), float(a @ (sd.gram_abs @ a + sd.lin_abs)))
 
 
 def corollary_one_holds(sd: SpectralData, nu0: float) -> bool:

@@ -103,7 +103,7 @@ def cmd_solve(args) -> int:
     try:
         inst = load_instance(args.path, args.n)
         report = solve(inst, qp_gap_tol=args.tol_qp)
-    except ReachmaxError as exc:
+    except (ReachmaxError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.json:
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pretty", action="store_true", help="human-readable output (default)")
     p_solve.add_argument("--n", type=int, default=None, help="override the positivity-search cap")
     p_solve.add_argument("--tol-qp", type=float, default=1e-10, dest="tol_qp",
-                         help="duality-measure target of the concave QP solver")
+                         help="duality-measure target of the concave QP solver, a finite positive number")
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a randomized benchmark batch")

@@ -19,6 +19,7 @@ bound does not grow with the rank, so no rank up to K is left to evaluate.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,6 +221,10 @@ def _validated_parts(
 
 def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     """Exact optimal value and maximizer over the reachable values set."""
+    if not 0.0 < qp_gap_tol < math.inf:
+        # the barrier QP stops once its duality measure is below qp_gap_tol: a target
+        # of 0 or less is never met, and an infinite one stops after the first stage
+        raise ValueError("qp_gap_tol must be a finite positive number")
     dec, red, klass = _validated_parts(inst)
 
     # degenerate screens whose answer is known without any optimization

@@ -32,6 +32,14 @@ def osc_eigvec_basis() -> np.ndarray:
     return np.array([[1.0, 1.0], [(s3 - 1.0) / 2.0, -(s3 + 1.0) / 2.0]])
 
 
+def diagonal_instance() -> ProblemInstance:
+    """Diagonal A and Q, q = 0, a box: each mode decays apart, and nu_k = 4 (0.81)^k + 2.5 (0.25)^k."""
+    return ProblemInstance(
+        A=np.diag([0.9, 0.5]), b=np.zeros(2), Qmat=np.diag([1.0, 10.0]), qvec=np.zeros(2),
+        Xin=Box([-2.0, -0.5], [2.0, 0.5]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # reference sequences with known rank profiles
 

@@ -21,7 +21,7 @@ from reachmax.geometry import BoxCorners, vertices
 from reachmax.linalg import SpectralDecomposition, eig_decompose
 from reachmax.solver import reduce_affine
 
-from support import OSC_A, corner_table_boxes, nu_prefix, osc_box, osc_eigvec_basis
+from support import OSC_A, corner_table_boxes, diagonal_instance, nu_prefix, osc_box, osc_eigvec_basis
 
 
 def osc_spectral_data(Q, q):
@@ -192,9 +192,27 @@ def reduced_spectral_data(inst):
     return build_spectral_data(dec, red.Qmat, red.qvec_reduced, vertices(red.Xwork))
 
 
+def ball_and_polydisc_bounds(inst, ks):
+    """B_k and P_k, the two members of the rank bound, from their definitions in the bounds docstring."""
+    sd, red = reduced_spectral_data(inst), reduce_affine(inst)
+    dec = sd.dec
+    G = dec.U.conj().T @ red.Qmat @ dec.U
+    e = dec.U.conj().T @ red.qvec_reduced
+    l, c = float(np.linalg.eigvalsh((G + G.conj().T) / 2.0)[-1]), float(np.linalg.norm(e))
+    B, P = [], []
+    for k in ks:
+        S = min(float(np.sum(np.abs(dec.D) ** (2 * k) * sd.mode_max)), dec.rho ** (2 * k) * sd.mu_gram)
+        s = S if l > 0.0 else min(S, c**2 / (4.0 * l**2))
+        B.append(l * s + c * np.sqrt(s))
+        a = np.abs(dec.D) ** k * np.sqrt(sd.mode_max)
+        P.append(float(np.sum(np.abs(G) * np.outer(a, a)) + np.sum(np.abs(e) * a)))
+    return np.array(B), np.array(P)
+
+
 class TestRankBound:
     def test_bounds_every_rank_and_never_grows(self):
         seen = collections.Counter()
+        tighter = set()  # (convex, vertex list) kinds on which P_k < B_k at some rank
         for inst in mixed_instances():
             rep = solve(inst)
             if rep.status is not SolveStatus.K_DIAG or not rep.K_trace:
@@ -203,6 +221,10 @@ class TestRankBound:
             sd = reduced_spectral_data(inst)
             nus, _ = nu_prefix(inst, horizon)
             B = np.array([rank_bound(sd, k) for k in range(horizon + 1)])
+            ball, polydisc = ball_and_polydisc_bounds(inst, range(horizon + 1))
+            np.testing.assert_allclose(B, np.minimum(ball, polydisc), rtol=1e-12, atol=1e-300)
+            if np.any(polydisc < ball):
+                tighter.add((sd.lmax > 0.0, isinstance(inst.Xin, VRep)))
             # with the margin the solver allows before it settles a rank by its bound
             assert np.all((1.0 + TOL_RANK_BOUND) * B >= nus)
             assert np.all(np.diff(B) <= 0.0)
@@ -212,6 +234,15 @@ class TestRankBound:
             seen[sd.lmax > 0.0, isinstance(inst.Xin, VRep), bool(np.any(sd.dec.D.imag))] += 1
         # convex box, convex vertex list and concave box, each with real and with complex spectra
         assert len(seen) == 6 and min(seen.values()) >= 4
+        # the sweep above covers the polydisc member, not only B_k
+        assert {(True, False), (True, True)} <= tighter
+
+    def test_polydisc_member_is_exact_for_a_diagonal_system(self):
+        inst = diagonal_instance()
+        sd = reduced_spectral_data(inst)
+        nus, _ = nu_prefix(inst, 40)
+        for k in range(41):
+            assert rank_bound(sd, k) == pytest.approx(nus[k], rel=1e-12, abs=0.0)
 
     def test_oscillator_modes_decay_together(self):
         # a conjugate pair of equal modulus: the bound is the envelope's rho^(2k) M L

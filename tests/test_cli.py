@@ -34,6 +34,13 @@ DECAYING_DOC = {
     "N": 100,
 }
 
+CONCAVE_DOC = {
+    "A": [[0.5, 0.0], [0.0, 0.25]],
+    "Q": [[-1.0, 0.0], [0.0, -1.0]],
+    "q": [1.0, 0.5],
+    "initial_set": {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+}
+
 
 class TestSolveCommand:
     def test_oscillator_json_output(self, tmp_path, capsys):
@@ -117,16 +124,19 @@ class TestSolveCommand:
         assert json.loads(capsys.readouterr().out)["nu_opt"] == 2.0
 
     def test_qp_tolerance_flag(self, tmp_path, capsys):
-        doc = {
-            "A": [[0.5, 0.0], [0.0, 0.25]],
-            "Q": [[-1.0, 0.0], [0.0, -1.0]],
-            "q": [1.0, 0.5],
-            "initial_set": {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
-        }
-        path = write_json(tmp_path / "concave.json", doc)
+        path = write_json(tmp_path / "concave.json", CONCAVE_DOC)
         assert main(["solve", path, "--json", "--tol-qp", "1e-8"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["status"] in ("KDiag", "CorollaryOne")
+
+
+    def test_qp_tolerance_must_be_finite_and_positive(self, tmp_path, capsys):
+        path = write_json(tmp_path / "concave.json", CONCAVE_DOC)
+        for tol in ("0", "-1", "nan", "inf"):
+            assert main(["solve", path, "--json", "--tol-qp", tol]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "ValueError: qp_gap_tol must be a finite positive number\n"
 
 
 class TestAnalyzeSeqCommand:

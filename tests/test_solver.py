@@ -21,7 +21,15 @@ from reachmax.errors import (
     UnsupportedObjective,
 )
 
-from support import OSC_A, nu_prefix, osc_box, rank_evaluator, rank_objectives, trajectory_max
+from support import (
+    OSC_A,
+    diagonal_instance,
+    nu_prefix,
+    osc_box,
+    rank_evaluator,
+    rank_objectives,
+    trajectory_max,
+)
 
 
 def osc_instance(Q, q=(0.0, 0.0), N=100):
@@ -197,6 +205,19 @@ class TestSolveValidation:
     def test_scan_cap_rejects_anything_but_a_positive_integer(self, N):
         with pytest.raises(ValueError, match="N must be a positive integer"):
             osc_instance(np.eye(2), N=N)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_qp_gap_tol_must_be_finite_and_positive(self, tol, monkeypatch):
+        # 0, -1 and nan made the barrier QP loop forever; inf stopped it after one stage
+        def no_work(A):
+            raise AssertionError("solve factorized A before checking qp_gap_tol")
+
+        monkeypatch.setattr(solver_module, "eig_decompose", no_work)
+        inst = ProblemInstance(
+            A=0.5 * np.eye(2), b=np.zeros(2), Qmat=-np.eye(2), qvec=[1.0, 0.5], Xin=osc_box()
+        )
+        with pytest.raises(ValueError, match="qp_gap_tol must be a finite positive number"):
+            solve(inst, qp_gap_tol=tol)
 
 
 def near_jordan_instance(eps):
@@ -374,6 +395,14 @@ class TestMaximizerCalls:
             assert name == "maximize_concave_qp" and set(kwargs) == {"gap_tol"}
             f, P = args
             assert isinstance(f, QuadraticObjective) and isinstance(P, Box)
+        self.assert_consecutive_ranks(calls, inst)
+
+    def test_diagonal_system_settles_after_rank_zero(self, calls):
+        # the polydisc bound is exact here: P_1 = nu_1 = 3.865 < nu_0 = 6.5, while B_1 = 33.0
+        inst = diagonal_instance()
+        rep = solve(inst)
+        assert (rep.status, rep.nu_opt, rep.k_opt, rep.K_trace) == (SolveStatus.K_DIAG, 6.5, 0, [(0, 9)])
+        assert (len(calls), rep.iterations) == (1, 10)
         self.assert_consecutive_ranks(calls, inst)
 
 
