@@ -59,6 +59,13 @@ M comes from the table's split evaluation of the form x^T Re(U^-* U^-1) x,
 and each m_i from the at most 2d vertices of the zonogon
 {(U^-1 x)_i : x a corner} (see `_zonogon_maxima`), so neither builds the
 2^d x d corner array.
+
+Both members bound every rank from the envelope data alone. `box_bound`
+instead bounds one rank's own objective f_k over the bounding box of the
+working set, in O(d^2) and with no vertex pass: the solver forms f_k before
+maximizing it anyway, so a bound at most the incumbent settles that rank
+without the maximization. It does not shrink monotonically with k, so it
+settles one rank at a time.
 """
 from __future__ import annotations
 
@@ -74,7 +81,8 @@ from .linalg import SpectralDecomposition, hermitian_lambda_max
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
 TOL_LMAX_ZERO = 1e-12
 # A rank counts as settled by its bound only when (1 + TOL_RANK_BOUND) B_k <= incumbent,
-# a margin for the rounding in U^-1, the mode maxima and the bound itself.
+# a margin for the rounding in U^-1, the mode maxima and the bound itself; by its box
+# bound only when beta + TOL_RANK_BOUND sigma <= incumbent (see `box_bound`).
 TOL_RANK_BOUND = 1e-9
 # Vertex rows per block when taking M and the mode maxima: the temporaries stay a
 # few hundred kB instead of a complex copy of the whole vertex array.
@@ -185,6 +193,45 @@ def rank_bound(sd: SpectralData, k: int) -> float:
         # a concave parabola in sqrt(s), peaking at s = c^2 / (4 l^2)
         s = min(s, (c / (2.0 * sd.lmax)) ** 2)
     return min(sd.lmax * s + c * math.sqrt(s), float(a @ (sd.gram_abs @ a + sd.lin_abs)))
+
+
+def box_bound(Q: np.ndarray, q: np.ndarray, centre: np.ndarray, radius: np.ndarray) -> tuple[float, float]:
+    """(beta, sigma): an upper bound beta on f(y) = y^T Q y + q^T y over a box, and its rounding scale.
+
+    Q must be symmetric; the box is {c + r s : s in [-1, 1]^d} for the
+    centre c and the half-widths r >= 0. With g = 2 Q c + q,
+
+        f(c + r s) = f(c) + sum_i r_i g_i s_i + sum_ij Q_ij r_i r_j s_i s_j.
+
+    Each |s_i| <= 1, so the linear sum is at most sum_i |r_i g_i|, every
+    off-diagonal term at most |Q_ij| r_i r_j, and every diagonal term,
+    Q_ii r_i^2 s_i^2 with 0 <= s_i^2 <= 1, at most max(Q_ii, 0) r_i^2:
+
+        f(y) <= beta = f(c) + sum_i |r_i g_i|
+                       + sum_(i != j) |Q_ij| r_i r_j + sum_i max(Q_ii, 0) r_i^2.
+
+    No sign of Q is assumed, so beta bounds convex and concave objectives
+    alike, and it bounds f over any set inside the box, such as the convex
+    hull of a vertex list inside its bounding box. It costs O(d^2), and it
+    is exact for a diagonal Q >= 0, q = 0 and c = 0, where every term peaks
+    at the same corner.
+
+    sigma = w^T |Q| w + |q|^T w with w = |c| + r bounds the sum of the
+    absolute values of the terms of beta, and the size of each term of f at
+    any point of the box. Rounding in beta, and in any computed value of f
+    at a point of the box, is therefore a small multiple of eps * sigma, and
+    a caller adds a margin in sigma before comparing beta with a computed
+    value.
+    """
+    Qc = Q @ centre
+    h = Qc + q  # f(c) = c^T h and g = Qc + h
+    absQ = np.abs(Q)
+    # sum_i r_i (|g_i| + (|Q| r)_i + min(Q_ii, 0) r_i): the row sums of |Q| count |Q_ii| r_i,
+    # and |Q_ii| + min(Q_ii, 0) = max(Q_ii, 0)
+    beta = centre @ h + radius @ (np.abs(Qc + h) + absQ @ radius + np.minimum(Q.diagonal(), 0.0) * radius)
+    w = np.abs(centre) + radius
+    sigma = w @ (absQ @ w + np.abs(q))
+    return float(beta), float(sigma)
 
 
 def corollary_one_holds(sd: SpectralData, nu0: float) -> bool:

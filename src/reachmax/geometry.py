@@ -57,7 +57,7 @@ class Box(Polytope):
             raise ValueError("box bounds must be 1-d vectors of equal length")
         if self.lower.size == 0:
             raise ValueError("box dimension must be positive")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("box bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("empty box: lower > upper in some coordinate")
@@ -77,7 +77,7 @@ class VRep(Polytope):
         self.points = np.atleast_2d(frozen_array(self.points))
         if self.points.ndim != 2 or self.points.shape[0] == 0 or self.points.shape[1] == 0:
             raise ValueError("vertex representation needs at least one point")
-        if not np.all(np.isfinite(self.points)):
+        if not np.isfinite(self.points).all():
             raise ValueError("vertices must be finite")
 
     @property

@@ -5,9 +5,12 @@ produced here: the convergence check on the spectral radius, the largest
 eigenvalue of the Hermitian product U* Q U, and U^-1, from which `bounds`
 takes the envelope constant M = max ||U^-1 x||^2 in the same pass over the
 vertex set as the per-mode maxima. eig_decompose holds the one conditioning
-limit: it rejects cond(U) > 1/TOL_DIAG = 1e7. Complex arithmetic is used
-throughout even when A has only real eigenvalues, so there is a single code
-path.
+limit: it rejects cond(U) > 1/TOL_DIAG = 1e7. It inverts U first, and
+||U||_F ||U^-1||_F, an upper bound on cond_2(U), accepts most matrices at a
+fraction of the cost of an SVD; only a product above half the limit pays for
+np.linalg.cond(U), which then decides as before, so the accepted matrices are
+the same. Complex arithmetic is used throughout even when A has only real
+eigenvalues, so there is a single code path.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ TOL_RHO = 1e-12
 def _as_square(A: np.ndarray) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -57,9 +60,10 @@ class SpectralDecomposition:
 def eig_decompose(A) -> SpectralDecomposition:
     """Diagonalize a real square matrix.
 
-    Raises NotDiagonalizable when the eigenvector matrix is numerically
-    singular (condition estimate above 1/TOL_DIAG) or when the factorization
-    fails to reconstruct A within TOL_RECON * (1 + max|A|).
+    Raises NotDiagonalizable when the eigenvector matrix is singular, or
+    numerically singular (np.linalg.cond(U) above 1/TOL_DIAG, computed only
+    when ||U||_F ||U^-1||_F exceeds half that limit), or when the
+    factorization fails to reconstruct A within TOL_RECON * (1 + max|A|).
     """
     A = _as_square(np.asarray(A, dtype=float))
     w, V = np.linalg.eig(A)
@@ -67,12 +71,20 @@ def eig_decompose(A) -> SpectralDecomposition:
     D = w[order].astype(complex)
     U = V[:, order].astype(complex)
 
-    cond = np.linalg.cond(U)
-    if not np.isfinite(cond) or cond > 1.0 / TOL_DIAG:
-        raise NotDiagonalizable(
-            f"eigenvector matrix has condition estimate {cond:.3e} (limit {1.0 / TOL_DIAG:.1e})"
-        )
-    U_inv = np.linalg.inv(U)
+    try:
+        U_inv = np.linalg.inv(U)
+    except np.linalg.LinAlgError as exc:
+        raise NotDiagonalizable("eigenvector matrix is singular") from exc
+    # ||U||_F ||U^-1||_F >= cond_2(U): a product at half the limit accepts U without an SVD,
+    # clear of the rounding in U^-1; above that, or once the norm overflows, the SVD decides
+    with np.errstate(over="ignore"):
+        frobenius_bound = np.linalg.norm(U) * np.linalg.norm(U_inv)
+    if not frobenius_bound <= 0.5 / TOL_DIAG:
+        cond = np.linalg.cond(U)
+        if not np.isfinite(cond) or cond > 1.0 / TOL_DIAG:
+            raise NotDiagonalizable(
+                f"eigenvector matrix has condition estimate {cond:.3e} (limit {1.0 / TOL_DIAG:.1e})"
+            )
 
     scale = 1.0 + float(np.max(np.abs(A)))
     recon_err = float(np.max(np.abs(A - (U * D) @ U_inv)))

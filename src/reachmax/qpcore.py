@@ -10,6 +10,7 @@ ones by an in-house log-barrier interior-point method over box constraints.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ class QuadraticObjective:
         if self.qvec.shape != (Q.shape[0],):
             raise ValueError("q length must match Q dimension")
         self.c = float(self.c)
-        if not (np.all(np.isfinite(self.Qmat)) and np.all(np.isfinite(self.qvec)) and np.isfinite(self.c)):
+        if not (np.isfinite(self.Qmat).all() and np.isfinite(self.qvec).all() and np.isfinite(self.c)):
             raise ValueError("objective data must be finite")
 
     @classmethod
@@ -57,7 +58,7 @@ class QuadraticObjective:
 
         Only finiteness is checked; shapes, symmetry and dtypes are the caller's.
         """
-        if not (np.all(np.isfinite(Qmat)) and np.all(np.isfinite(qvec))):
+        if not (np.isfinite(Qmat).all() and np.isfinite(qvec).all()):
             raise ValueError("objective data must be finite")
         obj = object.__new__(cls)
         obj.Qmat, obj.qvec, obj.c = Qmat, qvec, 0.0
@@ -120,7 +121,11 @@ def maximize_concave_qp(
     line search that keeps the iterate strictly inside the box. Qmat must be
     negative semidefinite up to TOL_ND relative to its largest entry; the
     rank-k objective of a strictly concave f is, though singular when A is.
+    gap_tol must be finite and positive: a target of 0 or less is never met,
+    and an infinite one stops after the first stage.
     """
+    if not 0.0 < gap_tol < math.inf:
+        raise ValueError("gap_tol must be a finite positive number")
     lmax = float(np.linalg.eigvalsh(f.Qmat)[-1])
     if lmax > TOL_ND * (1.0 + float(np.max(np.abs(f.Qmat)))):
         raise NotConcave(f"objective is not concave: largest curvature eigenvalue {lmax:.3e}")

@@ -263,7 +263,7 @@ def rank_evaluator(obj: QuadraticObjective, A) -> _RankEvaluator:
     """The solver's rank evaluator for obj, its constant left out, under x -> A x over the unit box."""
     d = obj.dim
     inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=obj.Qmat, qvec=obj.qvec, Xin=Box(-np.ones(d), np.ones(d)))
-    return _RankEvaluator(reduce_affine(inst), ObjectiveClass.CONVEX_PSD)
+    return _RankEvaluator(reduce_affine(inst), obj, ObjectiveClass.CONVEX_PSD)
 
 
 def composed(obj: QuadraticObjective, A, k: int) -> QuadraticObjective:

@@ -11,6 +11,7 @@ from reachmax.bounds import (
     MODE_BLOCK_ROWS,
     TOL_RANK_BOUND,
     SpectralData,
+    box_bound,
     build_spectral_data,
     corollary_one_holds,
     k_diag,
@@ -19,9 +20,18 @@ from reachmax.bounds import (
 from reachmax.errors import AssumptionViolated, NonPositiveNu, NotDiagonalizable
 from reachmax.geometry import BoxCorners, vertices
 from reachmax.linalg import SpectralDecomposition, eig_decompose
-from reachmax.solver import reduce_affine
+from reachmax.qpcore import QuadraticObjective
+from reachmax.solver import _bounding_box, reduce_affine
 
-from support import OSC_A, corner_table_boxes, diagonal_instance, nu_prefix, osc_box, osc_eigvec_basis
+from support import (
+    OSC_A,
+    concave_box_max_kkt,
+    corner_table_boxes,
+    diagonal_instance,
+    nu_prefix,
+    osc_box,
+    osc_eigvec_basis,
+)
 
 
 def osc_spectral_data(Q, q):
@@ -267,6 +277,77 @@ class TestRankBound:
             assert sd.mu_gram == pytest.approx(float(np.max(Y.sum(axis=1))), rel=1e-12)
             if V is cloud:
                 assert np.argmax(Y.sum(axis=1)) >= 2 * MODE_BLOCK_ROWS
+
+
+def brute_max(Q, q, X) -> float:
+    """The largest value of x^T Q x + q^T x over the rows x of X."""
+    return float(np.max(np.einsum("ij,ij->i", X @ Q, X) + X @ q))
+
+
+class TestBoxBound:
+    def test_psd_bound_on_boxes_with_collapsed_coordinates(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            d = int(rng.integers(1, 7))
+            M = rng.normal(size=(int(rng.integers(1, d + 1)), d))
+            Q, q = M.T @ M, rng.normal(size=d)
+            lower = rng.uniform(-2.0, 1.0, size=d)
+            upper = lower + rng.uniform(0.0, 2.0, size=d) * (rng.random(d) < 0.7)
+            box = Box(lower, upper)
+            beta, sigma = box_bound(Q, q, *_bounding_box(box))
+            # with the margin the solver allows: a fully collapsed box leaves only rounding between them
+            assert beta + TOL_RANK_BOUND * sigma >= brute_max(Q, q, vertices(box))
+            # sigma covers every term of beta in absolute value
+            c, r = _bounding_box(box)
+            g = 2.0 * Q @ c + q
+            terms = abs(c @ Q @ c + q @ c) + np.abs(r * g).sum() + r @ np.abs(Q) @ r
+            assert sigma >= terms * (1.0 - 1e-12)
+
+    def test_psd_bound_on_vertex_clouds(self):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            d = int(rng.integers(1, 7))
+            M = rng.normal(size=(d, d))
+            Q, q = M.T @ M, rng.normal(size=d)
+            points = rng.normal(size=(int(rng.integers(1, 60)), d)) + rng.normal(size=d)
+            centre, radius = _bounding_box(VRep(points))
+            # the coordinate range of the points, up to the rounding of the centre and half-widths
+            tol = 4e-16 * (1.0 + np.abs(points).max())
+            np.testing.assert_allclose(centre - radius, points.min(axis=0), rtol=0.0, atol=tol)
+            np.testing.assert_allclose(centre + radius, points.max(axis=0), rtol=0.0, atol=tol)
+            beta, sigma = box_bound(Q, q, centre, radius)
+            assert beta + TOL_RANK_BOUND * sigma >= brute_max(Q, q, points)
+
+    def test_indefinite_bound_over_sampled_box_points(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            d = int(rng.integers(1, 6))
+            Q = rng.normal(size=(d, d))
+            Q, q = Q + Q.T, rng.normal(size=d)
+            centre, radius = rng.normal(size=d), rng.uniform(0.0, 1.5, size=d)
+            beta, sigma = box_bound(Q, q, centre, radius)
+            corners = vertices(Box(centre - radius, centre + radius))
+            inside = centre + radius * rng.uniform(-1.0, 1.0, size=(200, d))
+            assert beta + TOL_RANK_BOUND * sigma >= brute_max(Q, q, np.vstack([corners, inside]))
+
+    def test_singular_nsd_bound_at_least_the_kkt_maximum(self):
+        rng = np.random.default_rng(44)
+        for _ in range(60):
+            d = int(rng.integers(2, 5))
+            M = rng.normal(size=(d - 1, d))  # rank d - 1 at most: singular
+            obj = QuadraticObjective(-(M.T @ M), rng.normal(size=d))
+            lower = rng.uniform(-2.0, 1.0, size=d)
+            upper = lower + rng.uniform(0.1, 2.0, size=d)
+            beta, sigma = box_bound(obj.Qmat, obj.qvec, *_bounding_box(Box(lower, upper)))
+            assert beta + TOL_RANK_BOUND * sigma >= concave_box_max_kkt(obj, lower, upper)
+
+    def test_exact_for_a_diagonal_psd_form_on_a_centred_box(self):
+        Q = np.diag([1.0, 0.0, 2.5, 4.0])
+        radius = np.array([0.5, 3.0, 1.25, 2.0])
+        box = Box(-radius, radius)
+        beta, sigma = box_bound(Q, np.zeros(4), *_bounding_box(box))
+        assert beta == brute_max(Q, np.zeros(4), vertices(box)) == 0.25 + 2.5 * 1.5625 + 16.0
+        assert sigma == beta
 
 
 def conditioned_matrix(rng, d, cond):

@@ -1,9 +1,13 @@
 """Eigendecomposition, convergence checks, Hermitian extremes."""
 
+import collections
+import warnings
+
 import numpy as np
 import pytest
 
 from reachmax.linalg import (
+    TOL_DIAG,
     SpectralDecomposition,
     eig_decompose,
     hermitian_lambda_max,
@@ -57,6 +61,60 @@ class TestEigDecompose:
             assert err <= 1e-9 * scale
             assert np.max(np.abs(dec.U @ dec.U_inv - np.eye(d))) <= 1e-9
             assert dec.rho == pytest.approx(np.max(np.abs(dec.D)), abs=0.0)
+
+
+def eigvec_matrix_with_condition(rng, d, cond):
+    """A real d x d matrix S diag(D) S^-1 with cond(S) = cond and distinct real eigenvalues."""
+    Q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    S = Q1 @ np.diag(np.logspace(0.0, -np.log10(cond), d)) @ Q2
+    return S @ np.diag(np.linspace(-0.9, 0.8, d)) @ np.linalg.inv(S)
+
+
+class TestConditioningDecision:
+    """eig_decompose accepts U exactly when np.linalg.cond(U) <= 1/TOL_DIAG, whether or not it runs the SVD."""
+
+    def test_decision_matches_the_svd_on_either_side_of_the_limit(self):
+        rng = np.random.default_rng(31)
+        sides = collections.Counter()
+        for _ in range(100):
+            A = eigvec_matrix_with_condition(rng, int(rng.integers(2, 7)), 10.0 ** rng.uniform(6.0, 8.0))
+            U = np.linalg.eig(A)[1]
+            within = bool(np.linalg.cond(U) <= 1.0 / TOL_DIAG)
+            try:
+                eig_decompose(A)
+                refused_for_conditioning = False
+            except NotDiagonalizable as exc:
+                # a reconstruction failure is a separate check, after the conditioning one
+                refused_for_conditioning = "condition" in str(exc)
+            assert refused_for_conditioning is not within
+            frobenius = np.linalg.norm(U) * np.linalg.norm(np.linalg.inv(U))
+            sides[within, bool(frobenius <= 0.5 / TOL_DIAG)] += 1
+        # accepted without the SVD, accepted by it, refused by it
+        assert min(sides[True, True], sides[True, False], sides[False, False]) >= 10
+
+    def test_well_conditioned_matrices_need_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("eig_decompose computed cond(U)")
+
+        matrices = [OSC_A, np.diag([0.5, 0.25])] + [
+            np.random.default_rng(s).uniform(-1.0, 1.0, size=(5, 5)) for s in range(5)
+        ]
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        for A in matrices:
+            eig_decompose(A)
+
+    def test_singular_eigenvector_matrix_is_not_diagonalizable(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eig", lambda A: (np.zeros(2), np.array([[1.0, 1.0], [0.0, 0.0]])))
+        with pytest.raises(NotDiagonalizable, match="singular"):
+            eig_decompose(np.zeros((2, 2)))
+
+    def test_nilpotent_block_is_refused_without_overflow_warnings(self):
+        # U^-1 has entries near 1e292, so ||U^-1||_F overflows: the SVD decides instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotDiagonalizable, match="condition"):
+                eig_decompose([[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestSpectralRadiusCheck:

@@ -194,6 +194,13 @@ class TestMaximizeConcaveQP:
         with pytest.raises(ValueError):
             maximize_concave_qp(s, VRep([[0.0, 0.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gap_tol_must_be_finite_and_positive(self, tol):
+        # a target of 0, -1 or nan is never met and used to loop forever; inf stopped after one stage
+        s = QuadraticObjective(-np.eye(2), [1.0, 1.0])
+        with pytest.raises(ValueError, match="gap_tol must be a finite positive number"):
+            maximize_concave_qp(s, Box([-1.0, -1.0], [1.0, 1.0]), gap_tol=tol)
+
     def test_degenerate_box_coordinates_pinned(self):
         s = QuadraticObjective(-np.eye(2), [1.0, 1.0])
         val, arg = maximize_concave_qp(s, Box([0.25, 0.0], [0.25, 1.0]))

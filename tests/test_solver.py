@@ -10,6 +10,7 @@ import pytest
 from reachmax import Box, ProblemInstance, SolveStatus, VRep, brute_force, geometry, solve
 from reachmax import solver as solver_module
 from reachmax.qpcore import ObjectiveClass, QuadraticObjective
+from reachmax.bounds import box_bound
 from reachmax.seqlab import FiniteC0Sequence, partial_sup
 from reachmax.solver import _RankEvaluator, reduce_affine
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
@@ -36,6 +37,12 @@ def osc_instance(Q, q=(0.0, 0.0), N=100):
     return ProblemInstance(
         A=OSC_A, b=np.zeros(2), Qmat=np.asarray(Q, float), qvec=np.asarray(q, float), Xin=osc_box(), N=N
     )
+
+
+def convex_evaluator(inst):
+    """The solver's rank evaluator for an instance with a convex objective."""
+    red = reduce_affine(inst)
+    return _RankEvaluator(red, QuadraticObjective(red.Qmat, red.qvec_reduced), ObjectiveClass.CONVEX_PSD)
 
 
 DECAYING_1D = ProblemInstance(
@@ -72,12 +79,12 @@ class TestNuAt:
     """The per-rank optima nu_k, from the solver's rank evaluator."""
 
     def test_oscillator_rank_zero(self):
-        ev = _RankEvaluator(reduce_affine(osc_instance(np.eye(2))), ObjectiveClass.CONVEX_PSD)
+        ev = convex_evaluator(osc_instance(np.eye(2)))
         val, _ = ev.value(0)
         assert val == 2.0
 
     def test_decaying_values_stay_negative(self):
-        ev = _RankEvaluator(reduce_affine(DECAYING_1D), ObjectiveClass.CONVEX_PSD)
+        ev = convex_evaluator(DECAYING_1D)
         for k in (0, 1, 5, 40):
             val, _ = ev.value(k)
             expected = (1.0 / 16.0) * 0.25**k - 0.25 * 0.5**k
@@ -85,14 +92,14 @@ class TestNuAt:
             assert val < 0.0
 
     def test_oscillator_peak_value(self):
-        ev = _RankEvaluator(reduce_affine(osc_instance(np.diag([1.0, 0.0]))), ObjectiveClass.CONVEX_PSD)
+        ev = convex_evaluator(osc_instance(np.diag([1.0, 0.0])))
         val, _ = ev.value(61)
         assert val == pytest.approx(1.64886, abs=1e-4)
 
 
 class TestRankEvaluator:
     def test_rejects_a_rank_below_the_current_one(self):
-        ev = _RankEvaluator(reduce_affine(DECAYING_1D), ObjectiveClass.CONVEX_PSD)
+        ev = convex_evaluator(DECAYING_1D)
         first, _ = ev.value(3)
         again, _ = ev.value(3)
         assert again == first
@@ -332,9 +339,10 @@ class TestSingleEnumeration:
 class TestMaximizerCalls:
     """One maximizer call per evaluated rank, looked up in the solver module with a fixed call shape.
 
-    The evaluated ranks are 0, 1, ..., consecutive; the ranks after them up
-    to the stopping rank are settled by the rank bound without a call, and
-    iterations counts both.
+    The evaluated ranks increase but need not be consecutive: a main-loop
+    rank whose box bound is at most the incumbent is settled without a call,
+    and so is every rank after the one where the rank bound falls to the
+    incumbent. iterations counts the settled ranks as well.
     """
 
     @pytest.fixture
@@ -355,33 +363,38 @@ class TestMaximizerCalls:
         return counted
 
     @staticmethod
-    def assert_consecutive_ranks(calls, inst):
-        """Call i gets the full rank-i objective, bit for bit."""
-        for (_, args, _), g in zip(calls, rank_objectives(inst, len(calls) - 1), strict=True):
+    def assert_rank_objectives(calls, inst, ranks):
+        """Call i gets the full objective of rank ranks[i], bit for bit."""
+        objectives = list(rank_objectives(inst, ranks[-1]))
+        for (_, args, _), k in zip(calls, ranks, strict=True):
+            g = objectives[k]
             assert np.array_equal(args[0].Qmat, g.Qmat) and np.array_equal(args[0].qvec, g.qvec)
 
     def test_convex_box(self, calls):
         inst = osc_instance(np.eye(2))
         rep = solve(inst)
-        assert (len(calls), rep.iterations) == (111, 112)
+        # every rank from 1 on has a box bound of at most nu_0 = 2: 111 calls before the box screen
+        assert (len(calls), rep.iterations) == (1, 112)
         assert rep.K_trace == [(0, 111)]
         for name, args, kwargs in calls:
             assert name == "maximize_convex_vertices" and kwargs == {}
             f, V = args
             assert isinstance(f, QuadraticObjective) and V.shape == (4, 2)
-        self.assert_consecutive_ranks(calls, inst)
+        self.assert_rank_objectives(calls, inst, [0])
 
     def test_convex_vertex_list(self, calls):
         pts = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.5, 0.5 + 1e-13]]
         inst = ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0], Xin=VRep(pts))
         rep = solve(inst)
         assert rep.status is SolveStatus.K_DIAG
-        assert (len(calls), rep.iterations) == (310, 311)
+        # ranks 0..207 improve the incumbent one after another; 310 calls before the box screen
+        assert (len(calls), rep.iterations) == (208, 311)
+        assert rep.K_trace[-1] == (207, 310)
         for name, args, kwargs in calls:
             assert name == "maximize_convex_vertices" and kwargs == {}
             f, V = args
             assert isinstance(f, QuadraticObjective) and V.shape == (5, 2)
-        self.assert_consecutive_ranks(calls, inst)
+        self.assert_rank_objectives(calls, inst, list(range(208)))
 
     def test_concave_box(self, calls):
         inst = ProblemInstance(
@@ -395,7 +408,7 @@ class TestMaximizerCalls:
             assert name == "maximize_concave_qp" and set(kwargs) == {"gap_tol"}
             f, P = args
             assert isinstance(f, QuadraticObjective) and isinstance(P, Box)
-        self.assert_consecutive_ranks(calls, inst)
+        self.assert_rank_objectives(calls, inst, [0, 1])
 
     def test_diagonal_system_settles_after_rank_zero(self, calls):
         # the polydisc bound is exact here: P_1 = nu_1 = 3.865 < nu_0 = 6.5, while B_1 = 33.0
@@ -403,7 +416,15 @@ class TestMaximizerCalls:
         rep = solve(inst)
         assert (rep.status, rep.nu_opt, rep.k_opt, rep.K_trace) == (SolveStatus.K_DIAG, 6.5, 0, [(0, 9)])
         assert (len(calls), rep.iterations) == (1, 10)
-        self.assert_consecutive_ranks(calls, inst)
+        self.assert_rank_objectives(calls, inst, [0])
+
+    def test_box_screen_leaves_gaps_in_the_evaluated_ranks(self, calls):
+        # ranks 1 and 2 are settled by their box bounds, rank 3 then beats nu_0
+        inst = random_instance(BenchSpec(2, SystemKind.AFFINE, ObjectiveKind.CXH, "box", None, 1, 608, 100), 0)
+        rep = solve(inst)
+        assert (rep.status, rep.k_opt, rep.K_trace) == (SolveStatus.K_DIAG, 3, [(0, 7), (3, 6)])
+        assert (len(calls), rep.iterations) == (2, 7)
+        self.assert_rank_objectives(calls, inst, [0, 3])
 
 
 class TestCornerTableSolves:
@@ -487,16 +508,18 @@ class TestCornerTableMemory:
 
 
 class TestRankBoundScreen:
+    """Ranks settled without a maximizer call, by the rank bound or by their own box bound."""
+
     def test_settled_ranks_cannot_beat_the_incumbent(self, monkeypatch):
         evaluated = []
-        original = solver_module._RankEvaluator.value
+        original = solver_module._RankEvaluator.maximize
 
-        def value(self, k):
-            evaluated.append(k)
-            return original(self, k)
+        def maximize(self, f):
+            evaluated.append(self.k)
+            return original(self, f)
 
-        monkeypatch.setattr(solver_module._RankEvaluator, "value", value)
-        checked = screened = 0
+        monkeypatch.setattr(solver_module._RankEvaluator, "maximize", maximize)
+        checked = screened = box_screened = 0
         for spec, index in itertools.product(mixed_benchspecs(seed=606), range(2)):
             inst = random_instance(spec, index)
             evaluated.clear()
@@ -505,15 +528,45 @@ class TestRankBoundScreen:
                 continue
             checked += 1
             n = len(evaluated)
-            assert evaluated == list(range(n))
+            # rank 0 and the positivity scan are always evaluated, later ranks in increasing order
+            assert evaluated[: rep.k_pos + 1] == list(range(rep.k_pos + 1))
+            assert evaluated == sorted(set(evaluated))
             # settled ranks run to the final stopping rank, or to k_pos when that is later
             assert rep.iterations == max(rep.K_trace[-1][1], rep.k_pos) + 1
             nus, offset = nu_prefix(inst, rep.iterations - 1)
-            best = np.max(nus[:n])
-            assert best + offset == rep.nu_opt
-            assert np.all(nus[n:] <= best)
+            incumbent = -np.inf
+            for k in range(rep.iterations):
+                if k in evaluated:
+                    incumbent = max(incumbent, nus[k])
+                else:
+                    assert nus[k] <= incumbent
+            assert incumbent + offset == rep.nu_opt
             screened += n < rep.iterations
-        assert checked >= 40 and screened >= 30
+            box_screened += evaluated[-1] + 1 > n
+        assert checked >= 40 and screened >= 30 and box_screened >= 5
+
+    def test_reports_without_the_box_screen_are_bit_identical(self, monkeypatch):
+        specs = mixed_benchspecs(seed=707)
+        instances = [random_instance(spec, index) for spec, index in itertools.product(specs, range(2))]
+        kinds = {(spec.objective_kind, spec.set_kind) for spec in specs}
+        assert len(kinds) == 3  # a convex box, a vertex list and a concave box
+        calls = collections.Counter()
+        original = solver_module._RankEvaluator.maximize
+
+        def maximize(self, f):
+            calls[solver_module.box_bound is box_bound] += 1
+            return original(self, f)
+
+        monkeypatch.setattr(solver_module._RankEvaluator, "maximize", maximize)
+        screened = [solve(inst) for inst in instances]
+        monkeypatch.setattr(solver_module, "box_bound", lambda *args: (np.inf, 0.0))
+        for inst, rep in zip(instances, screened, strict=True):
+            ref = solve(inst)
+            assert (rep.status, rep.nu_opt, rep.k_opt, rep.k_pos) == (ref.status, ref.nu_opt, ref.k_opt, ref.k_pos)
+            assert (rep.K_trace, rep.iterations) == (ref.K_trace, ref.iterations)
+            assert (rep.x_opt is None and ref.x_opt is None) or np.array_equal(rep.x_opt, ref.x_opt)
+        # the screen settled ranks that the unscreened solves evaluate
+        assert calls[True] < calls[False]
 
 
 class TestDegenerateScreens:
