@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import AssumptionViolated, NonPositiveNu
 from .geometry import BoxCorners, VertexSet, form_values
-from .linalg import SpectralDecomposition, hermitian_lambda_max
+from .linalg import SpectralDecomposition
 
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
 TOL_LMAX_ZERO = 1e-12
@@ -107,13 +107,14 @@ class SpectralData:
 
 
 def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) -> SpectralData:
-    """Assemble the envelope data for the given objective and the vertex set V of the working set."""
+    """Assemble the envelope data for a symmetric Qmat, qvec and the vertex set V of the working set."""
     Q = np.asarray(Qmat, dtype=float)
     q = np.asarray(qvec, dtype=float)
     Ustar = dec.U.conj().T
 
     G = Ustar @ Q @ dec.U
-    lmax = hermitian_lambda_max(G)
+    # G is Hermitian up to rounding for a symmetric Q: averaging removes the rounding
+    lmax = float(np.linalg.eigvalsh((G + G.conj().T) / 2.0)[-1])
     if abs(lmax) <= TOL_LMAX_ZERO:
         raise AssumptionViolated("largest eigenvalue of U* Q U is numerically zero")
     lmax_abs = abs(lmax)

@@ -5,24 +5,12 @@ class ReachmaxError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonSquare(ReachmaxError):
-    """A square matrix was expected."""
-
-
 class NotDiagonalizable(ReachmaxError):
     """The eigenvector basis is numerically singular or fails to reconstruct A."""
 
 
-class NotHermitian(ReachmaxError):
-    """A Hermitian matrix was expected."""
-
-
 class DimensionTooLarge(ReachmaxError):
-    """Corner enumeration of a box would exceed the configured vertex cap."""
-
-
-class EmptyVertexList(ReachmaxError):
-    """A nonempty vertex list was expected."""
+    """Corner enumeration of a box would exceed the vertex cap."""
 
 
 class NotConcave(ReachmaxError):

@@ -85,7 +85,7 @@ class VRep(Polytope):
         return self.points.shape[1]
 
 
-def vertices(P: Polytope, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+def vertices(P: Polytope) -> np.ndarray:
     """All vertices of P as an (m, dim) array in a fixed deterministic order.
 
     Boxes enumerate their 2^dim corners in lexicographic (lower, upper) order
@@ -95,7 +95,7 @@ def vertices(P: Polytope, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     is the same, and ties go to the first row.
     """
     if isinstance(P, Box):
-        _check_corner_count(P.dim, cap)
+        _check_corner_count(P.dim)
         return _box_corners(P.lower, P.upper)
     if isinstance(P, VRep):
         return P.points
@@ -113,9 +113,9 @@ def vertex_set(P: Polytope) -> VertexSet:
     return vertices(P)
 
 
-def _check_corner_count(d: int, cap: int) -> None:
-    if 2**d > cap:
-        raise DimensionTooLarge(f"box in dimension {d} would have 2^{d} vertices (cap {cap})")
+def _check_corner_count(d: int) -> None:
+    if 2**d > DEFAULT_VERTEX_CAP:
+        raise DimensionTooLarge(f"box in dimension {d} would have 2^{d} vertices (cap {DEFAULT_VERTEX_CAP})")
 
 
 def _box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -142,7 +142,7 @@ class BoxCorners:
     """
 
     def __init__(self, box: Box):
-        _check_corner_count(box.dim, DEFAULT_VERTEX_CAP)
+        _check_corner_count(box.dim)
         self.lower, self.upper = box.lower, box.upper
         a = self.split = box.dim // 2
         self.head = _box_corners(box.lower[:a], box.upper[:a])

@@ -1,8 +1,8 @@
 """Dense real/complex linear algebra for the solver core.
 
 Everything downstream consumes the spectral factorization A = U diag(D) U^-1
-produced here: the convergence check on the spectral radius, the largest
-eigenvalue of the Hermitian product U* Q U, and U^-1, from which `bounds`
+produced here: the convergence check on the spectral radius, the product
+U* Q U whose largest eigenvalue `bounds` takes, and U^-1, from which `bounds`
 takes the envelope constant M = max ||U^-1 x||^2 in the same pass over the
 vertex set as the per-mode maxima. eig_decompose holds the one conditioning
 limit: it rejects cond(U) > 1/TOL_DIAG = 1e7. It inverts U first, and
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonSquare, NotDiagonalizable, NotHermitian
+from .errors import NotDiagonalizable
 
 # Acceptance thresholds for a factorization (entrywise max norm).
 TOL_RECON = 1e-9
@@ -28,14 +28,6 @@ TOL_RECON = 1e-9
 TOL_DIAG = 1e-7
 # Strict-convergence margin: rho < 1 - TOL_RHO.
 TOL_RHO = 1e-12
-
-
-def _as_square(A: np.ndarray) -> np.ndarray:
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix entries must be finite")
-    return A
 
 
 @dataclass(eq=False)
@@ -52,10 +44,6 @@ class SpectralDecomposition:
     U_inv: np.ndarray
     rho: float
 
-    @property
-    def dim(self) -> int:
-        return self.D.size
-
 
 def eig_decompose(A) -> SpectralDecomposition:
     """Diagonalize a real square matrix.
@@ -65,7 +53,7 @@ def eig_decompose(A) -> SpectralDecomposition:
     when ||U||_F ||U^-1||_F exceeds half that limit), or when the
     factorization fails to reconstruct A within TOL_RECON * (1 + max|A|).
     """
-    A = _as_square(np.asarray(A, dtype=float))
+    A = np.asarray(A, dtype=float)
     w, V = np.linalg.eig(A)
     order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
     D = w[order].astype(complex)
@@ -100,19 +88,3 @@ def eig_decompose(A) -> SpectralDecomposition:
 def spectral_radius_check(dec: SpectralDecomposition) -> bool:
     """True iff the system is strictly convergent: rho < 1 - TOL_RHO."""
     return dec.rho < 1.0 - TOL_RHO
-
-
-def hermitian_lambda_max(B) -> float:
-    """Largest (real) eigenvalue of a Hermitian matrix.
-
-    The input must be Hermitian within 1e-9 * (1 + max|B|); it is averaged
-    with its conjugate transpose before the eigenvalue computation.
-    """
-    B = _as_square(np.asarray(B, dtype=complex))
-    scale = 1.0 + float(np.max(np.abs(B)))
-    asym = float(np.max(np.abs(B - B.conj().T)))
-    if asym > 1e-9 * scale:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {1e-9 * scale:.3e}")
-    H = (B + B.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(H)[-1])
-

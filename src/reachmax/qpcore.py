@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyVertexList, NotConcave
+from .errors import NotConcave
 from .geometry import Box, Polytope, VertexSet, VRep, form_values
 
 TOL_SYM = 1e-9
@@ -98,8 +98,6 @@ def classify(obj: QuadraticObjective) -> ObjectiveClass:
 
 def maximize_convex_vertices(f: QuadraticObjective, V: VertexSet) -> tuple[float, np.ndarray]:
     """Maximum of f over a vertex array or a box's corner table, first attaining vertex wins ties."""
-    if len(V) == 0:
-        raise EmptyVertexList("no vertices to evaluate")
     vals = form_values(V, f.Qmat, f.qvec)
     vals += f.c
     i = int(np.argmax(vals))

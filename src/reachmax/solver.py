@@ -1,4 +1,4 @@
-"""End-to-end solver: affine reduction, positivity search, envelope-driven main loop.
+"""End-to-end solver: affine reduction, the Corollary-1 exit, then one loop over the ranks.
 
 The problem is to maximize x^T Q x + q^T x over every state reachable by
 x_{k+1} = A x_k + b from a polytope of initial conditions, for a convergent
@@ -7,23 +7,23 @@ are first turned linear by recentering at the fixed point b~ = (I - A)^-1 b;
 the recentred problem has linear coefficient 2 Q b~ + q, working set
 X^in - b~, and a constant offset added back only when reporting.
 
-In reduced coordinates the per-rank optimal values nu_k tend to zero, so the
-search runs in three phases: an early exit when nu_0 dominates the decay
-envelope; a bounded scan for the first strictly positive nu_k (failing after
-N ranks); then a loop up to the stopping rank K derived from the best value
-seen, shrinking K each time the incumbent improves. The loop ends early once
-the per-mode rank bound of `bounds.rank_bound` is at most the incumbent: the
-bound does not grow with the rank, so no rank up to K is left to evaluate.
+In reduced coordinates the per-rank optimal values nu_k tend to zero. A
+solve exits early when nu_0 dominates the decay envelope; otherwise one loop
+runs over the ranks. Its incumbent starts at 0 and its stopping rank K at
+the scan cap N. The first rank that strictly beats the incumbent is k_pos,
+and every improvement sets K from the new value; with no such rank up to N
+the solve fails. Once the incumbent is positive, the loop ends early when
+the per-mode rank bound of `bounds.rank_bound` is at most the incumbent:
+the bound does not grow with the rank, so no rank up to K is left.
 
-Each main-loop rank that is left is first screened by `bounds.box_bound`, an
-O(d^2) bound on its own objective over the working set's bounding box (the
-box itself, or a vertex list's coordinate range). When that bound, plus a
-rounding margin, is at most the incumbent, the rank is settled without a
-maximizer call. The box bound can grow again at the next rank, so the screen
-settles that one rank and the loop goes on. A rank settled either way has a
-computed value of at most the incumbent, and the incumbent moves only when a
-rank strictly beats it, so the report is the same as if every rank up to K
-had been evaluated.
+Every rank after 0 is first screened by `bounds.box_bound`, an O(d^2) bound
+on its own objective over the working set's bounding box (the box itself,
+or a vertex list's coordinate range). When that bound, plus a rounding
+margin, is at most the incumbent, the rank is settled without a maximizer
+call; before k_pos that settles it as nu_k <= 0. A rank settled either way
+has a computed value of at most the incumbent, and the incumbent moves only
+when a rank strictly beats it, so the report is the same as if every rank
+up to K had been evaluated.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .bounds import TOL_RANK_BOUND, box_bound, build_spectral_data, corollary_one_holds, k_diag, rank_bound
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
 from .geometry import Box, Polytope, VertexSet, VRep, frozen_array, translate, vertex_set
-from .linalg import SpectralDecomposition, eig_decompose, spectral_radius_check
+from .linalg import eig_decompose, spectral_radius_check
 from .qpcore import (
     ObjectiveClass,
     QuadraticObjective,
@@ -231,19 +231,14 @@ class _RankEvaluator:
         return maximize_concave_qp(f, self._Xwork, gap_tol=self._qp_gap_tol)
 
 
-def _validated_parts(
-    inst: ProblemInstance,
-) -> tuple[SpectralDecomposition, ReducedInstance, QuadraticObjective, ObjectiveClass]:
-    """The factorization, the reduced instance, its base objective and the objective's class."""
-    dec = eig_decompose(inst.A)
-    if not spectral_radius_check(dec):
-        raise NotConvergent(f"spectral radius {dec.rho} is not strictly below 1")
+def _reduced_parts(inst: ProblemInstance) -> tuple[ReducedInstance, QuadraticObjective, ObjectiveClass]:
+    """The reduced instance, its base objective and the objective's class; no eigenvectors."""
     red = reduce_affine(inst)
     base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
     klass = classify(base)
     if klass is ObjectiveClass.UNSUPPORTED:
         raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
-    return dec, red, base, klass
+    return red, base, klass
 
 
 def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
@@ -252,7 +247,10 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
         # the barrier QP stops once its duality measure is below qp_gap_tol: a target
         # of 0 or less is never met, and an infinite one stops after the first stage
         raise ValueError("qp_gap_tol must be a finite positive number")
-    dec, red, base, klass = _validated_parts(inst)
+    dec = eig_decompose(inst.A)
+    if not spectral_radius_check(dec):
+        raise NotConvergent(f"spectral radius {dec.rho} is not strictly below 1")
+    red, base, klass = _reduced_parts(inst)
 
     # degenerate screens whose answer is known without any optimization
     concave = klass is ObjectiveClass.STRICTLY_CONCAVE_ND
@@ -272,10 +270,9 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     # convex objective, it is the whole input of every per-rank maximization
     verts = vertex_set(red.Xwork)
     ev = _RankEvaluator(red, base, klass, qp_gap_tol, verts)
-    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
+    sd = build_spectral_data(dec, base.Qmat, base.qvec, verts)
 
     nu_k, y_k = ev.value(0)
-    iterations = 1
     if corollary_one_holds(sd, nu_k):
         return SolveReport(
             status=SolveStatus.COROLLARY_ONE,
@@ -284,15 +281,38 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
             k_opt=0,
             k_pos=0,
             K_trace=[],
-            iterations=iterations,
+            iterations=1,
         )
 
+    # the incumbent starts at 0 and the stopping rank at the scan cap N; the
+    # first rank to beat 0 is k_pos, and every improvement sets K = K(nu_k)
+    nu_opt, y_opt, k_opt, k_pos = 0.0, None, None, None
+    K, K_trace = inst.N, []
+    centre, radius = _bounding_box(red.Xwork)
     k = 0
-    while k < inst.N and nu_k <= 0.0:
+    while True:
+        if nu_opt < nu_k:
+            if k_pos is None:
+                k_pos = k
+            nu_opt, y_opt, k_opt = nu_k, y_k, k
+            K = k_diag(sd, nu_k)
+            K_trace.append((k, K))
+        if k >= K:
+            break
+        if k_pos is not None and (1.0 + TOL_RANK_BOUND) * rank_bound(sd, k + 1) <= nu_opt:
+            # the bound does not grow with the rank: ranks k+1..K cannot beat nu_opt
+            break
         k += 1
-        nu_k, y_k = ev.value(k)
-        iterations += 1
-    if k == inst.N and nu_k <= 0.0:
+        f = ev.objective(k)
+        beta, sigma = box_bound(f.Qmat, f.qvec, centre, radius)
+        # a rank whose box bound is at most nu_opt is settled unevaluated, and nu_k stays at
+        # most nu_opt; the box bound may grow again at k + 1
+        if beta + TOL_RANK_BOUND * sigma > nu_opt:
+            nu_k, y_k = ev.maximize(f)
+
+    # every rank up to K is settled, and up to k when an improvement at k set K below it
+    iterations = max(k, K) + 1
+    if k_pos is None:
         return SolveReport(
             status=SolveStatus.FAILED,
             nu_opt=None,
@@ -302,30 +322,6 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
             K_trace=[],
             iterations=iterations,
         )
-
-    k_pos = k
-    K = k_diag(sd, nu_k)
-    K_trace = [(k, K)]
-    nu_opt, y_opt, k_opt = nu_k, y_k, k
-    centre, radius = _bounding_box(red.Xwork)
-    while k < K:
-        if (1.0 + TOL_RANK_BOUND) * rank_bound(sd, k + 1) <= nu_opt:
-            # the bound does not grow with the rank: ranks k+1..K cannot beat nu_opt
-            iterations += K - k
-            break
-        k += 1
-        f = ev.objective(k)
-        iterations += 1
-        beta, sigma = box_bound(f.Qmat, f.qvec, centre, radius)
-        if beta + TOL_RANK_BOUND * sigma <= nu_opt:
-            # rank k alone cannot beat nu_opt; the box bound may grow again at k + 1
-            continue
-        nu_k, y_k = ev.maximize(f)
-        if nu_opt < nu_k:
-            nu_opt, y_opt, k_opt = nu_k, y_k, k
-            K = k_diag(sd, nu_k)
-            K_trace.append((k, K))
-
     return SolveReport(
         status=SolveStatus.K_DIAG,
         nu_opt=nu_opt + red.offset,
@@ -340,13 +336,14 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
 def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.ndarray]:
     """Direct maximum of the per-rank optima over ranks 0..horizon.
 
-    No envelope, no stopping logic: every rank is evaluated and the best
-    (smallest attaining rank on ties) is returned with the offset included
-    and the maximizer in original coordinates.
+    No factorization, no envelope, no stopping logic: every rank is
+    evaluated and the best (smallest attaining rank on ties) is returned
+    with the offset included and the maximizer in original coordinates. A
+    need not be diagonalizable or convergent.
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural number")
-    _, red, base, klass = _validated_parts(inst)
+    red, base, klass = _reduced_parts(inst)
     ev = _RankEvaluator(red, base, klass)
     best_val, best_y = ev.value(0)
     best_k = 0

@@ -71,6 +71,19 @@ class TestBuildSpectralData:
         assert sd.v_diag == 0.0
         assert sd.envelope == pytest.approx(1.0, abs=1e-12)
 
+    def test_lmax_dominates_every_rayleigh_quotient(self):
+        assert osc_spectral_data(np.diag([1.0, 0.0]), np.zeros(2)).lmax == pytest.approx(2.0, abs=1e-9)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            A = rng.normal(size=(5, 5))
+            dec = eig_decompose(0.9 * A / np.max(np.abs(np.linalg.eigvals(A))))
+            M = rng.normal(size=(5, 5))
+            sd = build_spectral_data(dec, M + M.T, np.zeros(5), vertices(Box(-np.ones(5), np.ones(5))))
+            G = dec.U.conj().T @ (M + M.T) @ dec.U
+            X = rng.normal(size=(5, 100)) + 1j * rng.normal(size=(5, 100))
+            rq = np.real(np.einsum("ij,ij->j", X.conj(), G @ X)) / np.real(np.einsum("ij,ij->j", X.conj(), X))
+            assert np.all(sd.lmax - rq >= -1e-9 * (1.0 + np.max(np.abs(G))))
+
     def test_zero_curvature_rejected(self):
         dec = eig_decompose(0.5 * np.eye(2))
         with pytest.raises(AssumptionViolated):

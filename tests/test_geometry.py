@@ -45,7 +45,8 @@ class TestVertices:
 
     def test_cap_exceeded(self):
         with pytest.raises(DimensionTooLarge):
-            vertices(Box(-np.ones(5), np.ones(5)), cap=16)
+            # 2^23 corners, above DEFAULT_VERTEX_CAP = 2^22: refused before any corner is built
+            vertices(Box(-np.ones(23), np.ones(23)))
 
     def test_empty_box_rejected_at_construction(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Eigendecomposition, convergence checks, Hermitian extremes."""
+"""Eigendecomposition and convergence checks."""
 
 import collections
 import warnings
@@ -10,13 +10,12 @@ from reachmax.linalg import (
     TOL_DIAG,
     SpectralDecomposition,
     eig_decompose,
-    hermitian_lambda_max,
     spectral_radius_check,
 )
-from reachmax.errors import NonSquare, NotDiagonalizable, NotHermitian
+from reachmax.errors import NotDiagonalizable
 from reachmax.qpcore import QuadraticObjective
 
-from support import OSC_A, osc_eigvec_basis, rank_evaluator
+from support import OSC_A, rank_evaluator
 
 
 class TestEigDecompose:
@@ -35,10 +34,6 @@ class TestEigDecompose:
     def test_jordan_block_rejected(self):
         with pytest.raises(NotDiagonalizable):
             eig_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(NonSquare):
-            eig_decompose(np.ones((2, 3)))
 
     def test_eigenvalue_order_is_modulus_then_real_then_imag(self):
         dec = eig_decompose(np.diag([0.1, -0.9, 0.9, 0.3]))
@@ -129,33 +124,6 @@ class TestSpectralRadiusCheck:
 
     def test_zero_matrix_is_convergent(self):
         assert spectral_radius_check(eig_decompose(np.zeros((2, 2))))
-
-
-class TestHermitianLambdaMax:
-    def test_oscillator_basis_identity_form(self):
-        U = osc_eigvec_basis()
-        assert hermitian_lambda_max(U.conj().T @ np.eye(2) @ U) == pytest.approx(3.0, abs=1e-9)
-
-    def test_oscillator_basis_rank_one_form(self):
-        U = osc_eigvec_basis()
-        assert hermitian_lambda_max(U.conj().T @ np.diag([1.0, 0.0]) @ U) == pytest.approx(2.0, abs=1e-9)
-
-    def test_identity(self):
-        assert hermitian_lambda_max(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_lambda_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rayleigh_quotient_dominance(self):
-        rng = np.random.default_rng(11)
-        M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        B = (M + M.conj().T) / 2.0
-        lmax = hermitian_lambda_max(B)
-        for _ in range(100):
-            x = rng.normal(size=5) + 1j * rng.normal(size=5)
-            rq = float(np.real(x.conj() @ B @ x) / np.real(x.conj() @ x))
-            assert lmax - rq >= -1e-9
 
 
 def powers(A):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reachmax import Box, VRep
-from reachmax.errors import EmptyVertexList, NotConcave
+from reachmax.errors import NotConcave
 from reachmax.geometry import vertices
 from reachmax.qpcore import (
     ObjectiveClass,
@@ -129,11 +129,6 @@ class TestMaximizeConvexVertices:
         val, arg = maximize_convex_vertices(obj, np.array([[3.0]]))
         assert val == 9.0
         np.testing.assert_array_equal(arg, [3.0])
-
-    def test_empty_vertex_list(self):
-        obj = QuadraticObjective([[1.0]], [0.0])
-        with pytest.raises(EmptyVertexList):
-            maximize_convex_vertices(obj, np.empty((0, 1)))
 
     def test_matches_grid_search_on_random_instances(self):
         rng = np.random.default_rng(71)

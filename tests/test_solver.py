@@ -196,6 +196,25 @@ class TestSolveValidation:
         with pytest.raises(UnsupportedObjective):
             solve(inst)
 
+    def test_non_square_A_rejected(self):
+        with pytest.raises(ValueError, match="A must be square"):
+            ProblemInstance(A=np.ones((2, 3)), b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
+
+    def test_nearly_symmetric_Q_that_the_objective_accepts_is_solved(self):
+        # Q is symmetric within TOL_SYM, but U* Q U was checked for symmetry again, at 1e-9 (1 + max|U* Q U|):
+        # the eigenbasis U of A turns Q's skew part S/2 into entries up to ||S||_2 = 1.73e-9
+        S = 0.999e-9 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
+        # the first two columns span the top singular plane of S, the last is its null vector
+        U = np.column_stack([np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), np.array([1.0, -1.0, -2.0]) / np.sqrt(6.0),
+                             np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)])
+        inst = ProblemInstance(A=U @ np.diag([0.5, 0.4, 0.3]) @ U.T, b=np.zeros(3), Qmat=1e-3 * np.eye(3) + S / 2.0,
+                               qvec=np.zeros(3), Xin=Box(-np.ones(3), np.ones(3)))
+        QuadraticObjective(inst.Qmat, inst.qvec)  # asymmetry 9.99e-10, within TOL_SYM
+        rep = solve(inst)
+        val, k, _ = brute_force(inst, 40)
+        assert (rep.nu_opt, rep.k_opt) == (val, k)
+        assert (val, k) == (pytest.approx(0.003, rel=1e-12), 0)
+
     def test_origin_only_linear_initial_set_rejected(self):
         with pytest.raises(ValueError):
             ProblemInstance(
@@ -235,15 +254,16 @@ def near_jordan_instance(eps):
 
 
 class TestConditioningLimit:
-    """eig_decompose's cond(U) <= 1e7 is the one limit: solve and brute_force reject the same A."""
+    """eig_decompose's cond(U) <= 1e7 is the one limit of solve; brute_force factorizes nothing and takes any A."""
 
     @pytest.mark.parametrize("eps", [1e-14, 1e-16, 1e-20])
     def test_near_jordan_beyond_the_limit_is_not_diagonalizable(self, eps):
         inst = near_jordan_instance(eps)
         with pytest.raises(NotDiagonalizable):
             solve(inst)
-        with pytest.raises(NotDiagonalizable):
-            brute_force(inst, 5)
+        # rank 1 peaks at the corners +-(1, 1): ||(1.5, 0.5 + eps)||^2
+        val, k, _ = brute_force(inst, 5)
+        assert k == 1 and val == pytest.approx(trajectory_max(inst, 5), rel=1e-12)
 
     def test_near_jordan_within_the_limit_solves(self):
         rep = solve(near_jordan_instance(1e-12))  # cond(U) about 1e6
@@ -339,10 +359,10 @@ class TestSingleEnumeration:
 class TestMaximizerCalls:
     """One maximizer call per evaluated rank, looked up in the solver module with a fixed call shape.
 
-    The evaluated ranks increase but need not be consecutive: a main-loop
-    rank whose box bound is at most the incumbent is settled without a call,
-    and so is every rank after the one where the rank bound falls to the
-    incumbent. iterations counts the settled ranks as well.
+    The evaluated ranks increase but need not be consecutive: a rank whose
+    box bound is at most the incumbent, 0 before k_pos, is settled without a
+    call, and so is every rank after the one where the rank bound falls to
+    the incumbent. iterations counts the settled ranks as well.
     """
 
     @pytest.fixture
@@ -387,14 +407,23 @@ class TestMaximizerCalls:
         inst = ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0], Xin=VRep(pts))
         rep = solve(inst)
         assert rep.status is SolveStatus.K_DIAG
-        # ranks 0..207 improve the incumbent one after another; 310 calls before the box screen
-        assert (len(calls), rep.iterations) == (208, 311)
-        assert rep.K_trace[-1] == (207, 310)
+        # the box bounds settle ranks 1..86 as nu_k <= 0; rank 87 is evaluated, and ranks 88..207
+        # improve the incumbent one after another. 208 calls when only ranks after k_pos were
+        # screened, 310 without the box screen
+        assert (len(calls), rep.iterations) == (122, 311)
+        assert (rep.k_pos, rep.K_trace[0], rep.K_trace[-1]) == (88, (88, 1127), (207, 310))
         for name, args, kwargs in calls:
             assert name == "maximize_convex_vertices" and kwargs == {}
             f, V = args
             assert isinstance(f, QuadraticObjective) and V.shape == (5, 2)
-        self.assert_rank_objectives(calls, inst, list(range(208)))
+        self.assert_rank_objectives(calls, inst, [0] + list(range(87, 208)))
+
+    def test_failed_solve_settles_the_scan_by_box_bounds(self, calls):
+        # nu_k = 4^-k / 16 - 2^-k / 4 < 0: the box bound of every rank from 1 to N is below 0
+        rep = solve(DECAYING_1D)
+        assert rep.status is SolveStatus.FAILED
+        assert (len(calls), rep.iterations) == (1, DECAYING_1D.N + 1)
+        self.assert_rank_objectives(calls, DECAYING_1D, [0])
 
     def test_concave_box(self, calls):
         inst = ProblemInstance(
@@ -519,7 +548,7 @@ class TestRankBoundScreen:
             return original(self, f)
 
         monkeypatch.setattr(solver_module._RankEvaluator, "maximize", maximize)
-        checked = screened = box_screened = 0
+        checked = screened = box_screened = scan_screened = 0
         for spec, index in itertools.product(mixed_benchspecs(seed=606), range(2)):
             inst = random_instance(spec, index)
             evaluated.clear()
@@ -528,13 +557,15 @@ class TestRankBoundScreen:
                 continue
             checked += 1
             n = len(evaluated)
-            # rank 0 and the positivity scan are always evaluated, later ranks in increasing order
-            assert evaluated[: rep.k_pos + 1] == list(range(rep.k_pos + 1))
+            # rank 0 and k_pos are always evaluated, every rank in increasing order
+            assert evaluated[0] == 0 and rep.k_pos in evaluated
             assert evaluated == sorted(set(evaluated))
             # settled ranks run to the final stopping rank, or to k_pos when that is later
             assert rep.iterations == max(rep.K_trace[-1][1], rep.k_pos) + 1
             nus, offset = nu_prefix(inst, rep.iterations - 1)
-            incumbent = -np.inf
+            # the incumbent is 0 until k_pos, the first rank with nu_k > 0
+            assert np.all(nus[: rep.k_pos] <= 0.0) and nus[rep.k_pos] > 0.0
+            incumbent = 0.0
             for k in range(rep.iterations):
                 if k in evaluated:
                     incumbent = max(incumbent, nus[k])
@@ -543,7 +574,8 @@ class TestRankBoundScreen:
             assert incumbent + offset == rep.nu_opt
             screened += n < rep.iterations
             box_screened += evaluated[-1] + 1 > n
-        assert checked >= 40 and screened >= 30 and box_screened >= 5
+            scan_screened += evaluated[: rep.k_pos + 1] != list(range(rep.k_pos + 1))
+        assert checked >= 40 and screened >= 30 and box_screened >= 5 and scan_screened >= 1
 
     def test_reports_without_the_box_screen_are_bit_identical(self, monkeypatch):
         specs = mixed_benchspecs(seed=707)
@@ -559,6 +591,8 @@ class TestRankBoundScreen:
 
         monkeypatch.setattr(solver_module._RankEvaluator, "maximize", maximize)
         screened = [solve(inst) for inst in instances]
+        # the compared solves include Failed ones, where every rank comes before k_pos
+        assert any(rep.status is SolveStatus.FAILED for rep in screened)
         monkeypatch.setattr(solver_module, "box_bound", lambda *args: (np.inf, 0.0))
         for inst, rep in zip(instances, screened, strict=True):
             ref = solve(inst)
@@ -620,6 +654,18 @@ class TestBruteForce:
         val, k, x = brute_force(inst, 0)
         assert k == 0
         assert val == 1.0
+
+    def test_runs_on_a_jordan_block_without_a_factorization(self, monkeypatch):
+        def no_factorization(A):
+            raise AssertionError("brute_force factorized A")
+
+        monkeypatch.setattr(solver_module, "eig_decompose", no_factorization)
+        inst = ProblemInstance(A=[[0.5, 1.0], [0.0, 0.5]], b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2),
+                               Xin=osc_box())
+        val, k, x = brute_force(inst, 20)
+        # A (-1, -1) = (-1.5, -0.5), and (-1, -1) is the first of the two best corners
+        assert (val, k) == (2.5, 1) and val == trajectory_max(inst, 20)
+        np.testing.assert_array_equal(x, [-1.0, -1.0])
 
     def test_ties_break_to_smallest_rank(self):
         # second coordinate square: rank 1 reproduces the rank-0 value exactly
