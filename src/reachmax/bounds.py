@@ -196,8 +196,12 @@ def rank_bound(sd: SpectralData, k: int) -> float:
     return min(sd.lmax * s + c * math.sqrt(s), float(a @ (sd.gram_abs @ a + sd.lin_abs)))
 
 
-def box_bound(Q: np.ndarray, q: np.ndarray, centre: np.ndarray, radius: np.ndarray) -> tuple[float, float]:
+def box_bound(Q: np.ndarray, q: np.ndarray, centre: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(beta, sigma): an upper bound beta on f(y) = y^T Q y + q^T y over a box, and its rounding scale.
+
+    Q and q may carry a leading stack axis, (n, d, d) and (n, d), for n
+    objectives over one box; beta and sigma then have shape (n,), and shape ()
+    for a single (d, d) Q.
 
     Q must be symmetric; the box is {c + r s : s in [-1, 1]^d} for the
     centre c and the half-widths r >= 0. With g = 2 Q c + q,
@@ -225,14 +229,15 @@ def box_bound(Q: np.ndarray, q: np.ndarray, centre: np.ndarray, radius: np.ndarr
     value.
     """
     Qc = Q @ centre
-    h = Qc + q  # f(c) = c^T h and g = Qc + h
+    h = Qc + q  # f(c) = h^T c and g = Qc + h
     absQ = np.abs(Q)
+    diag = Q.diagonal(0, -2, -1)  # the method: np.diagonal's dispatch costs more than the diagonal at small d
     # sum_i r_i (|g_i| + (|Q| r)_i + min(Q_ii, 0) r_i): the row sums of |Q| count |Q_ii| r_i,
     # and |Q_ii| + min(Q_ii, 0) = max(Q_ii, 0)
-    beta = centre @ h + radius @ (np.abs(Qc + h) + absQ @ radius + np.minimum(Q.diagonal(), 0.0) * radius)
+    beta = h @ centre + (np.abs(Qc + h) + absQ @ radius + np.minimum(diag, 0.0) * radius) @ radius
     w = np.abs(centre) + radius
-    sigma = w @ (absQ @ w + np.abs(q))
-    return float(beta), float(sigma)
+    sigma = (absQ @ w + np.abs(q)) @ w
+    return beta, sigma
 
 
 def corollary_one_holds(sd: SpectralData, nu0: float) -> bool:

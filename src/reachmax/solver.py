@@ -24,6 +24,14 @@ call; before k_pos that settles it as nu_k <= 0. A rank settled either way
 has a computed value of at most the incumbent, and the incumbent moves only
 when a rank strictly beats it, so the report is the same as if every rank
 up to K had been evaluated.
+
+Before k_pos nothing but a positive rank can end the loop short of N, so
+that scan is known to run long: its rank objectives are formed and screened
+a block at a time, one stacked product and one stacked `box_bound` per
+block, and only the ranks whose box bound is above 0 are maximized. The
+stacked objectives are bit for bit the ones formed rank by rank. After
+k_pos the rank bound may end the loop at any rank, so ranks are formed one
+at a time there.
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ from .qpcore import (
 )
 
 DEFAULT_N = 100
+# Ranks per block while scanning for k_pos: the first block, and the most that any
+# block holds, which bounds the scan's memory for any N.
+SCAN_BLOCK_MIN = 8
+SCAN_BLOCK_MAX = 64
 
 
 class SolveStatus(enum.Enum):
@@ -118,9 +130,9 @@ class SolveReport:
 
     K_trace records every stopping-rank computation as (rank, K) pairs, the
     first entry being the initial K. iterations counts the ranks settled,
-    each either by its per-rank optimization or, unevaluated, by the rank
-    bound once that bound is at most the incumbent. For the Failed status
-    only k-independent fields are meaningful.
+    each either by its per-rank optimization or, unevaluated, by its own box
+    bound or by the rank bound, once that bound is at most the incumbent.
+    For the Failed status only k-independent fields are meaningful.
     """
 
     status: SolveStatus
@@ -220,6 +232,27 @@ class _RankEvaluator:
         # (M + M^T)/2 is exactly symmetric, so only finiteness is left to check
         return QuadraticObjective.from_symmetric((M + M.T) / 2.0, P.T @ self._base.qvec)
 
+    def objectives(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The objectives of the next n ranks, k+1..k+n, as (n, d, d) matrices and (n, d) linear terms.
+
+        The power steps through the n ranks by the same products as in
+        `objective`, and the stacked matrices come out bit for bit as
+        `objective` forms them one at a time; k and the power end at rank k+n.
+        """
+        Ps = np.empty((n,) + self.power.shape)
+        prev = self.power
+        for P in Ps:
+            np.matmul(self._A, prev, out=P)
+            prev = P
+        self.power = prev
+        self.k += n
+        PT = Ps.transpose(0, 2, 1)
+        M = PT @ self._base.Qmat @ Ps
+        Qs, qs = (M + M.transpose(0, 2, 1)) / 2.0, PT @ self._base.qvec
+        if not (np.isfinite(Qs).all() and np.isfinite(qs).all()):
+            raise ValueError("objective data must be finite")
+        return Qs, qs
+
     def value(self, k: int) -> tuple[float, np.ndarray]:
         """nu_k and a maximizing point, both in reduced coordinates."""
         return self.maximize(self.objective(k))
@@ -229,6 +262,50 @@ class _RankEvaluator:
         if self._verts is not None:
             return maximize_convex_vertices(f, self._verts)
         return maximize_concave_qp(f, self._Xwork, gap_tol=self._qp_gap_tol)
+
+
+class _ScreenedRanks:
+    """Rank objectives with their box bounds: a block at a time before k_pos, one at a time after.
+
+    Before k_pos the incumbent is 0 and K is the scan cap N, so nothing stops
+    the scan short of N: `next_open` forms its ranks a block at a time, stacked,
+    and screens each block in one `box_bound` call. Block lengths double from
+    SCAN_BLOCK_MIN up to SCAN_BLOCK_MAX, so the stacks hold O(SCAN_BLOCK_MAX d^2)
+    numbers for any N, and a solve with k_pos = 0 builds none. After k_pos the
+    rank bound may stop the loop at any rank, so `rank` forms the ranks one at
+    a time, apart from those the last block formed already.
+    """
+
+    def __init__(self, ev: _RankEvaluator, centre: np.ndarray, radius: np.ndarray):
+        self._ev, self._centre, self._radius = ev, centre, radius
+        self._length = SCAN_BLOCK_MIN
+        self._first = 1  # the block holds ranks first..ev.k
+
+    def next_open(self, k: int, K: int) -> int | None:
+        """The first rank after k, up to K, whose box bound plus margin is above 0; None if there is none."""
+        ev = self._ev
+        while k < K:
+            if k == ev.k:
+                n = min(self._length, K - k, SCAN_BLOCK_MAX)
+                self._length *= 2
+                self._first = k + 1
+                self._Q, self._q = ev.objectives(n)
+                beta, sigma = box_bound(self._Q, self._q, self._centre, self._radius)
+                self._bound = beta + TOL_RANK_BOUND * sigma
+            above = np.flatnonzero(self._bound[k + 1 - self._first :] > 0.0)
+            if above.size:
+                return k + 1 + int(above[0])
+            k = ev.k
+        return None
+
+    def rank(self, k: int) -> tuple[QuadraticObjective, float]:
+        """The objective of rank k, at most one past the evaluator's rank, and its box bound plus margin."""
+        if k > self._ev.k:
+            f = self._ev.objective(k)
+            beta, sigma = box_bound(f.Qmat, f.qvec, self._centre, self._radius)
+            return f, beta + TOL_RANK_BOUND * sigma
+        j = k - self._first
+        return QuadraticObjective.from_symmetric(self._Q[j], self._q[j]), self._bound[j]
 
 
 def _reduced_parts(inst: ProblemInstance) -> tuple[ReducedInstance, QuadraticObjective, ObjectiveClass]:
@@ -288,7 +365,7 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     # first rank to beat 0 is k_pos, and every improvement sets K = K(nu_k)
     nu_opt, y_opt, k_opt, k_pos = 0.0, None, None, None
     K, K_trace = inst.N, []
-    centre, radius = _bounding_box(red.Xwork)
+    screen = _ScreenedRanks(ev, *_bounding_box(red.Xwork))
     k = 0
     while True:
         if nu_opt < nu_k:
@@ -299,15 +376,22 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
             K_trace.append((k, K))
         if k >= K:
             break
-        if k_pos is not None and (1.0 + TOL_RANK_BOUND) * rank_bound(sd, k + 1) <= nu_opt:
+        if k_pos is None:
+            # the ranks skipped have box bounds of at most 0, so nu_k <= 0 on each
+            k_next = screen.next_open(k, K)
+            if k_next is None:
+                k = K
+                break
+            k = k_next
+        elif (1.0 + TOL_RANK_BOUND) * rank_bound(sd, k + 1) <= nu_opt:
             # the bound does not grow with the rank: ranks k+1..K cannot beat nu_opt
             break
-        k += 1
-        f = ev.objective(k)
-        beta, sigma = box_bound(f.Qmat, f.qvec, centre, radius)
+        else:
+            k += 1
+        f, bound = screen.rank(k)
         # a rank whose box bound is at most nu_opt is settled unevaluated, and nu_k stays at
         # most nu_opt; the box bound may grow again at k + 1
-        if beta + TOL_RANK_BOUND * sigma > nu_opt:
+        if bound > nu_opt:
             nu_k, y_k = ev.maximize(f)
 
     # every rank up to K is settled, and up to k when an improvement at k set K below it

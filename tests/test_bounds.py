@@ -31,6 +31,7 @@ from support import (
     nu_prefix,
     osc_box,
     osc_eigvec_basis,
+    rank_objectives,
 )
 
 
@@ -361,6 +362,34 @@ class TestBoxBound:
         beta, sigma = box_bound(Q, np.zeros(4), *_bounding_box(box))
         assert beta == brute_max(Q, np.zeros(4), vertices(box)) == 0.25 + 2.5 * 1.5625 + 16.0
         assert sigma == beta
+
+    def test_stacked_rank_objectives_agree_with_one_matrix_at_a_time(self):
+        eps = np.finfo(float).eps
+        stacks = 0
+        for kind, set_kind, dim in (
+            (ObjectiveKind.CXNH, "box", 3),
+            (ObjectiveKind.CXH, "vertices", 5),
+            (ObjectiveKind.CANH, "box", 4),
+            (ObjectiveKind.CXNH, "box", 6),
+        ):
+            count = 12 if set_kind == "vertices" else None
+            spec = BenchSpec(dim, SystemKind.AFFINE, kind, set_kind, count, 1, 900 + dim, 100)
+            for index in range(3):
+                inst = random_instance(spec, index)
+                objectives = list(rank_objectives(inst, 40))
+                Qs = np.stack([f.Qmat for f in objectives])
+                qs = np.stack([f.qvec for f in objectives])
+                centre, radius = _bounding_box(reduce_affine(inst).Xwork)
+                betas, sigmas = box_bound(Qs, qs, centre, radius)
+                assert betas.shape == sigmas.shape == (len(objectives),)
+                corners = vertices(Box(centre - radius, centre + radius))
+                for f, beta, sigma in zip(objectives, betas, sigmas, strict=True):
+                    one_beta, one_sigma = box_bound(f.Qmat, f.qvec, centre, radius)
+                    assert abs(beta - one_beta) <= 4.0 * eps * sigma
+                    assert abs(sigma - one_sigma) <= 4.0 * eps * sigma
+                    assert beta + TOL_RANK_BOUND * sigma >= brute_max(f.Qmat, f.qvec, corners)
+                stacks += 1
+        assert stacks == 12
 
 
 def conditioned_matrix(rng, d, cond):

@@ -111,6 +111,11 @@ class TestRankEvaluator:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             ev.objective(1)
 
+    def test_rejects_a_block_with_a_non_finite_rank_objective(self):
+        ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            ev.objectives(2)
+
 
 class TestSolveGoldens:
     def test_oscillator_norm_square(self):
@@ -536,15 +541,85 @@ class TestCornerTableMemory:
         assert reports[0].status is SolveStatus.K_DIAG
 
 
+class TestScanBlocks:
+    """Before k_pos the scan forms its rank objectives and their box bounds a block at a time."""
+
+    def test_failed_solve_builds_a_logarithmic_number_of_blocks(self, monkeypatch):
+        ranks, blocks, maximized = [], [], []
+        evaluator = solver_module._RankEvaluator
+        objective, objectives, maximize = evaluator.objective, evaluator.objectives, evaluator.maximize
+
+        def one(self, k):
+            ranks.append(k)
+            return objective(self, k)
+
+        def stacked(self, n):
+            blocks.append(n)
+            return objectives(self, n)
+
+        def maximizing(self, f):
+            maximized.append(self.k)
+            return maximize(self, f)
+
+        monkeypatch.setattr(evaluator, "objective", one)
+        monkeypatch.setattr(evaluator, "objectives", stacked)
+        monkeypatch.setattr(evaluator, "maximize", maximizing)
+        rep = solve(DECAYING_1D)
+        assert rep.status is SolveStatus.FAILED and rep.iterations == DECAYING_1D.N + 1
+        # rank 0 alone is formed by itself; ranks 1..N come in blocks that double in length
+        assert ranks == [0] and maximized == [0]
+        assert sum(blocks) == DECAYING_1D.N and len(blocks) <= np.log2(DECAYING_1D.N)
+        assert blocks[0] == solver_module.SCAN_BLOCK_MIN and max(blocks) <= solver_module.SCAN_BLOCK_MAX
+
+    def test_block_objectives_match_the_ranks_one_at_a_time(self):
+        rng = np.random.default_rng(13)
+        for d in (3, 6, 14):
+            A = rng.uniform(-1.0, 1.0, size=(d, d))
+            A *= 0.99 / np.max(np.abs(np.linalg.eigvals(A)))
+            M = rng.normal(size=(d, d))
+            obj = QuadraticObjective(M.T @ M, rng.normal(size=d))
+            blocked, single = rank_evaluator(obj, A), rank_evaluator(obj, A)
+            lengths, n = [], solver_module.SCAN_BLOCK_MIN
+            while sum(lengths) < 150:
+                lengths.append(min(n, solver_module.SCAN_BLOCK_MAX, 150 - sum(lengths)))
+                n *= 2
+            assert solver_module.SCAN_BLOCK_MAX in lengths
+            k = 0
+            for n in lengths:
+                Qs, qs = blocked.objectives(n)
+                for j in range(n):
+                    f = single.objective(k + 1 + j)
+                    assert np.array_equal(Qs[j], f.Qmat) and np.array_equal(qs[j], f.qvec)
+                k += n
+                assert blocked.k == single.k == k and np.array_equal(blocked.power, single.power)
+            # after the last block, ranks one at a time go on bit for bit
+            for k in range(151, 161):
+                f, g = blocked.objective(k), single.objective(k)
+                assert np.array_equal(f.Qmat, g.Qmat) and np.array_equal(f.qvec, g.qvec)
+
+    def test_failed_scan_memory_does_not_grow_with_N(self):
+        inst = ProblemInstance(A=np.diag([0.5, 0.4, 0.3]), b=np.zeros(3), Qmat=np.eye(3), qvec=-np.ones(3),
+                               Xin=Box(np.full(3, 0.25), np.full(3, 0.5)), N=10**5)
+        reports = []
+        # each term a^(2k) x^2 - a^k x of nu_k is negative, so the scan runs to N
+        assert traced_peak(lambda: reports.append(solve(inst))) < 2**20
+        assert reports[0].status is SolveStatus.FAILED and reports[0].iterations == 10**5 + 1
+
+
 class TestRankBoundScreen:
     """Ranks settled without a maximizer call, by the rank bound or by their own box bound."""
 
     def test_settled_ranks_cannot_beat_the_incumbent(self, monkeypatch):
-        evaluated = []
+        evaluated, ranks = [], []
         original = solver_module._RankEvaluator.maximize
 
         def maximize(self, f):
-            evaluated.append(self.k)
+            # the evaluator may have formed ranks ahead in a block: the rank is the next one
+            # whose objective f is, bit for bit
+            for k, g in ranks[0]:
+                if np.array_equal(g.Qmat, f.Qmat) and np.array_equal(g.qvec, f.qvec):
+                    evaluated.append(k)
+                    break
             return original(self, f)
 
         monkeypatch.setattr(solver_module._RankEvaluator, "maximize", maximize)
@@ -552,6 +627,7 @@ class TestRankBoundScreen:
         for spec, index in itertools.product(mixed_benchspecs(seed=606), range(2)):
             inst = random_instance(spec, index)
             evaluated.clear()
+            ranks[:] = [enumerate(rank_objectives(inst, 10**6))]
             rep = solve(inst)
             if rep.status is not SolveStatus.K_DIAG or rep.iterations == 0:
                 continue
@@ -586,14 +662,30 @@ class TestRankBoundScreen:
         original = solver_module._RankEvaluator.maximize
 
         def maximize(self, f):
-            calls[solver_module.box_bound is box_bound] += 1
+            calls[solver_module.box_bound is recording] += 1
             return original(self, f)
 
+        stacked = []
+
+        def recording(Q, *args):
+            stacked.append(Q.ndim == 3)
+            return box_bound(Q, *args)
+
         monkeypatch.setattr(solver_module._RankEvaluator, "maximize", maximize)
-        screened = [solve(inst) for inst in instances]
-        # the compared solves include Failed ones, where every rank comes before k_pos
-        assert any(rep.status is SolveStatus.FAILED for rep in screened)
-        monkeypatch.setattr(solver_module, "box_bound", lambda *args: (np.inf, 0.0))
+        monkeypatch.setattr(solver_module, "box_bound", recording)
+        screened, blocked = [], []
+        for inst in instances:
+            stacked.clear()
+            screened.append(solve(inst))
+            blocked.append(any(stacked))
+        # the compared solves include a Failed one, where every rank comes before k_pos, and one
+        # with k_pos >= 1, both with their scan ranks screened in blocks
+        assert any(b and rep.status is SolveStatus.FAILED for rep, b in zip(screened, blocked))
+        assert any(b and rep.k_pos is not None and rep.k_pos >= 1 for rep, b in zip(screened, blocked))
+        # both screens off: every bound is inf, for one rank or a block
+        monkeypatch.setattr(
+            solver_module, "box_bound", lambda Q, *args: (np.full(Q.shape[:-2], np.inf), np.zeros(Q.shape[:-2]))
+        )
         for inst, rep in zip(instances, screened, strict=True):
             ref = solve(inst)
             assert (rep.status, rep.nu_opt, rep.k_opt, rep.k_pos) == (ref.status, ref.nu_opt, ref.k_opt, ref.k_pos)
