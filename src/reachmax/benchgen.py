@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GenerationExhausted, NotDiagonalizable, ReachmaxError
 from .geometry import Box, VRep
 from .linalg import eig_decompose
-from .solver import ProblemInstance, SolveStatus, solve
+from .solver import DEFAULT_N, ProblemInstance, SolveStatus, solve
 
 _MAX_MATRIX_ATTEMPTS = 1000
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
@@ -56,7 +56,7 @@ class BenchSpec:
     vertex_count: int | None = None
     instance_count: int = 100
     seed: int = 0
-    N: int = 100
+    N: int = DEFAULT_N
 
     def __post_init__(self):
         if self.dim < 1:
@@ -95,7 +95,7 @@ class BenchStats:
     avg_iter / max_iter are the final stopping rank of the successful runs;
     the gap columns subtract the attaining rank from it. Memory is the
     allocator-level peak of a second, traced solve of each instance, so the
-    timed solve runs untraced; it is only measured for sequential runs.
+    timed solve runs untraced.
     """
 
     count_c: int

@@ -181,19 +181,21 @@ def _zonogon_maxima(U_inv: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return np.max(z.real**2 + z.imag**2, axis=1)
 
 
-def rank_bound(sd: SpectralData, k: int) -> float:
+def rank_bound(sd: SpectralData, k: int | np.ndarray) -> float | np.ndarray:
     """min(B_k, P_k), an upper bound on nu_k from every mode's decay rate; nonincreasing in k.
 
     See the module docstring: B_k = max of l s + c sqrt(s) over 0 <= s <= S_k,
-    and P_k = a^T |G| a + |e|^T a over the polydisc |z_i| <= a_i(k).
+    and P_k = a^T |G| a + |e|^T a over the polydisc |z_i| <= a_i(k). k is a
+    rank or an array of ranks, and the result has its shape.
     """
-    a = sd.decay**k * sd.mode_root
-    s = min(float(a @ a), sd.dec.rho ** (2 * k) * sd.mu_gram)
+    k = np.asarray(k)
+    a = sd.decay ** k[..., None] * sd.mode_root
+    s = np.minimum((a * a).sum(axis=-1), sd.dec.rho ** (2 * k) * sd.mu_gram)
     c = 2.0 * math.sqrt(sd.lmax_abs) * sd.v_diag
     if sd.lmax < 0.0:
         # a concave parabola in sqrt(s), peaking at s = c^2 / (4 l^2)
-        s = min(s, (c / (2.0 * sd.lmax)) ** 2)
-    return min(sd.lmax * s + c * math.sqrt(s), float(a @ (sd.gram_abs @ a + sd.lin_abs)))
+        s = np.minimum(s, (c / (2.0 * sd.lmax)) ** 2)
+    return np.minimum(sd.lmax * s + c * np.sqrt(s), ((a @ sd.gram_abs.T + sd.lin_abs) * a).sum(axis=-1))
 
 
 def box_bound(Q: np.ndarray, q: np.ndarray, centre: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from .benchgen import BenchSpec, ObjectiveKind, SystemKind, run_bench, vertex_co
 from .errors import InvalidInstanceFile, ReachmaxError
 from .geometry import Box, Polytope, VRep
 from .seqlab import FiniteC0Sequence, NoRank, rank_profile
-from .solver import ProblemInstance, SolveReport, SolveStatus, solve
+from .solver import DEFAULT_N, ProblemInstance, SolveReport, SolveStatus, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -65,7 +65,7 @@ def load_instance(path: str, n_override: int | None = None) -> ProblemInstance:
     except (TypeError, ValueError) as exc:
         raise InvalidInstanceFile(f"non-numeric or ragged array: {exc}") from exc
     xin = _parse_initial_set(doc["initial_set"])
-    n = n_override if n_override is not None else doc.get("N", 100)
+    n = n_override if n_override is not None else doc.get("N", DEFAULT_N)
     try:
         return ProblemInstance(A=A, b=b, Qmat=Q, qvec=q, Xin=xin, N=n)
     except ValueError as exc:
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--set", default="box", help='"box" or "vertices:<count>"')
     p_bench.add_argument("--count", type=int, default=100)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--n", type=int, default=100, help="positivity-search cap")
+    p_bench.add_argument("--n", type=int, default=DEFAULT_N, help="positivity-search cap")
     p_bench.add_argument("--out", required=True, help="aggregate CSV path")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -25,13 +25,15 @@ has a computed value of at most the incumbent, and the incumbent moves only
 when a rank strictly beats it, so the report is the same as if every rank
 up to K had been evaluated.
 
-Before k_pos nothing but a positive rank can end the loop short of N, so
-that scan is known to run long: its rank objectives are formed and screened
-a block at a time, one stacked product and one stacked `box_bound` per
-block, and only the ranks whose box bound is above 0 are maximized. The
-stacked objectives are bit for bit the ones formed rank by rank. After
-k_pos the rank bound may end the loop at any rank, so ranks are formed one
-at a time there.
+After rank 0 the loop forms the rank objectives and their box bounds a block
+at a time: one stacked product and one stacked `box_bound` per block, and
+only the ranks whose box bound is above the incumbent are maximized. Block
+lengths double from SCAN_BLOCK_MIN to SCAN_BLOCK_MAX, capped at K. Once the
+incumbent is positive, one call of `rank_bound` over a block's ranks ends
+the block before the first rank it settles, and the loop with it, so no
+rank past the stop is formed; an improvement inside a block bounds the rest
+of the block again. The stacked objectives are bit for bit the ones a plain
+rank-by-rank loop forms.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .qpcore import (
 )
 
 DEFAULT_N = 100
-# Ranks per block while scanning for k_pos: the first block, and the most that any
-# block holds, which bounds the scan's memory for any N.
+# Ranks per block of rank objectives: the first block, and the most that any block
+# holds, which bounds the loop's memory for any N.
 SCAN_BLOCK_MIN = 8
 SCAN_BLOCK_MAX = 64
 
@@ -191,12 +193,13 @@ def reduce_affine(inst: ProblemInstance) -> ReducedInstance:
 
 
 class _RankEvaluator:
-    """The per-rank optima nu_k = max over the working set of f(A^k y), in reduced coordinates.
+    """The rank objectives y -> f(A^k y) and their maxima nu_k over the working set, in reduced coordinates.
 
-    Holds the base objective, A, the current rank k and the current power
-    A^k. Ranks only move forward, one product A @ A^k per rank, so a run
-    over ranks 0..K costs K products and identical inputs give bit-identical
-    value sequences.
+    Rank 0 is the base objective itself. Holds A, the current rank k and the
+    current power A^k; `objectives` forms the next ranks a block at a time and
+    ranks only move forward, one product A @ A^k per rank, so a run over ranks
+    0..K costs K products and identical inputs give bit-identical value
+    sequences.
     """
 
     def __init__(
@@ -220,24 +223,12 @@ class _RankEvaluator:
         else:
             raise UnsupportedObjective("a strictly concave objective needs a box initial set")
 
-    def objective(self, k: int) -> QuadraticObjective:
-        """The rank-k objective y -> f(A^k y), stepping the power forward to rank k."""
-        if k < self.k:
-            raise ValueError(f"rank {k} is below the current rank {self.k}")
-        while self.k < k:
-            self.power = self._A @ self.power
-            self.k += 1
-        P = self.power
-        M = P.T @ self._base.Qmat @ P
-        # (M + M^T)/2 is exactly symmetric, so only finiteness is left to check
-        return QuadraticObjective.from_symmetric((M + M.T) / 2.0, P.T @ self._base.qvec)
-
     def objectives(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The objectives of the next n ranks, k+1..k+n, as (n, d, d) matrices and (n, d) linear terms.
+        """The objectives y -> f(A^j y) of the next n ranks, j = k+1..k+n, as (n, d, d) and (n, d) stacks.
 
-        The power steps through the n ranks by the same products as in
-        `objective`, and the stacked matrices come out bit for bit as
-        `objective` forms them one at a time; k and the power end at rank k+n.
+        The power steps through the n ranks by one product A @ A^j each, and
+        the matrices come from one stacked P^T Q P, symmetrized as
+        (M + M^T)/2; k and the power end at rank k+n.
         """
         Ps = np.empty((n,) + self.power.shape)
         prev = self.power
@@ -253,59 +244,11 @@ class _RankEvaluator:
             raise ValueError("objective data must be finite")
         return Qs, qs
 
-    def value(self, k: int) -> tuple[float, np.ndarray]:
-        """nu_k and a maximizing point, both in reduced coordinates."""
-        return self.maximize(self.objective(k))
-
     def maximize(self, f: QuadraticObjective) -> tuple[float, np.ndarray]:
         """The maximum of a rank objective over the working set, and a maximizing point."""
         if self._verts is not None:
             return maximize_convex_vertices(f, self._verts)
         return maximize_concave_qp(f, self._Xwork, gap_tol=self._qp_gap_tol)
-
-
-class _ScreenedRanks:
-    """Rank objectives with their box bounds: a block at a time before k_pos, one at a time after.
-
-    Before k_pos the incumbent is 0 and K is the scan cap N, so nothing stops
-    the scan short of N: `next_open` forms its ranks a block at a time, stacked,
-    and screens each block in one `box_bound` call. Block lengths double from
-    SCAN_BLOCK_MIN up to SCAN_BLOCK_MAX, so the stacks hold O(SCAN_BLOCK_MAX d^2)
-    numbers for any N, and a solve with k_pos = 0 builds none. After k_pos the
-    rank bound may stop the loop at any rank, so `rank` forms the ranks one at
-    a time, apart from those the last block formed already.
-    """
-
-    def __init__(self, ev: _RankEvaluator, centre: np.ndarray, radius: np.ndarray):
-        self._ev, self._centre, self._radius = ev, centre, radius
-        self._length = SCAN_BLOCK_MIN
-        self._first = 1  # the block holds ranks first..ev.k
-
-    def next_open(self, k: int, K: int) -> int | None:
-        """The first rank after k, up to K, whose box bound plus margin is above 0; None if there is none."""
-        ev = self._ev
-        while k < K:
-            if k == ev.k:
-                n = min(self._length, K - k, SCAN_BLOCK_MAX)
-                self._length *= 2
-                self._first = k + 1
-                self._Q, self._q = ev.objectives(n)
-                beta, sigma = box_bound(self._Q, self._q, self._centre, self._radius)
-                self._bound = beta + TOL_RANK_BOUND * sigma
-            above = np.flatnonzero(self._bound[k + 1 - self._first :] > 0.0)
-            if above.size:
-                return k + 1 + int(above[0])
-            k = ev.k
-        return None
-
-    def rank(self, k: int) -> tuple[QuadraticObjective, float]:
-        """The objective of rank k, at most one past the evaluator's rank, and its box bound plus margin."""
-        if k > self._ev.k:
-            f = self._ev.objective(k)
-            beta, sigma = box_bound(f.Qmat, f.qvec, self._centre, self._radius)
-            return f, beta + TOL_RANK_BOUND * sigma
-        j = k - self._first
-        return QuadraticObjective.from_symmetric(self._Q[j], self._q[j]), self._bound[j]
 
 
 def _reduced_parts(inst: ProblemInstance) -> tuple[ReducedInstance, QuadraticObjective, ObjectiveClass]:
@@ -349,7 +292,7 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     ev = _RankEvaluator(red, base, klass, qp_gap_tol, verts)
     sd = build_spectral_data(dec, base.Qmat, base.qvec, verts)
 
-    nu_k, y_k = ev.value(0)
+    nu_k, y_k = ev.maximize(base)
     if corollary_one_holds(sd, nu_k):
         return SolveReport(
             status=SolveStatus.COROLLARY_ONE,
@@ -363,49 +306,47 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
 
     # the incumbent starts at 0 and the stopping rank at the scan cap N; the
     # first rank to beat 0 is k_pos, and every improvement sets K = K(nu_k)
-    nu_opt, y_opt, k_opt, k_pos = 0.0, None, None, None
-    K, K_trace = inst.N, []
-    screen = _ScreenedRanks(ev, *_bounding_box(red.Xwork))
-    k = 0
-    while True:
-        if nu_opt < nu_k:
-            if k_pos is None:
-                k_pos = k
-            nu_opt, y_opt, k_opt = nu_k, y_k, k
-            K = k_diag(sd, nu_k)
-            K_trace.append((k, K))
-        if k >= K:
-            break
-        if k_pos is None:
-            # the ranks skipped have box bounds of at most 0, so nu_k <= 0 on each
-            k_next = screen.next_open(k, K)
-            if k_next is None:
-                k = K
+    nu_opt, y_opt, k_opt, k_pos, K, K_trace = 0.0, None, None, None, inst.N, []
+    if nu_opt < nu_k:
+        nu_opt, y_opt, k_opt, k_pos, K = nu_k, y_k, 0, 0, k_diag(sd, nu_k)
+        K_trace.append((0, K))
+    centre, radius = _bounding_box(red.Xwork)
+    k, length, settled = 0, SCAN_BLOCK_MIN, False
+    while k < K and not settled:
+        # the block holds ranks k+1..k+n; it ends before the first rank that the rank bound settles
+        n = min(length, K - k)
+        length = min(2 * length, SCAN_BLOCK_MAX)
+        ranks, rank_bounds = np.arange(k + 1, k + n + 1), None
+        if nu_opt > 0.0:
+            rank_bounds = (1.0 + TOL_RANK_BOUND) * rank_bound(sd, ranks)
+            n, settled = _open_ranks(rank_bounds, 0, n, nu_opt)
+            if n == 0:
                 break
-            k = k_next
-        elif (1.0 + TOL_RANK_BOUND) * rank_bound(sd, k + 1) <= nu_opt:
-            # the bound does not grow with the rank: ranks k+1..K cannot beat nu_opt
-            break
-        else:
-            k += 1
-        f, bound = screen.rank(k)
+        Qs, qs = ev.objectives(n)
+        beta, sigma = box_bound(Qs, qs, centre, radius)
+        screen = beta + TOL_RANK_BOUND * sigma
         # a rank whose box bound is at most nu_opt is settled unevaluated, and nu_k stays at
-        # most nu_opt; the box bound may grow again at k + 1
-        if bound > nu_opt:
-            nu_k, y_k = ev.maximize(f)
+        # most nu_opt; before k_pos that settles it as nu_k <= 0
+        for i in (screen > nu_opt).nonzero()[0].tolist():
+            if i >= n:
+                break
+            if screen[i] <= nu_opt:
+                continue
+            nu_k, y_k = ev.maximize(QuadraticObjective.from_symmetric(Qs[i], qs[i]))
+            if nu_opt < nu_k:
+                k_opt = k + 1 + i
+                if k_pos is None:
+                    # k_pos inside a scan block: bound the rest of the block from here on
+                    k_pos, rank_bounds = k_opt, (1.0 + TOL_RANK_BOUND) * rank_bound(sd, ranks)
+                nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
+                K_trace.append((k_opt, K))
+                # the ranks after k_opt up to the new K stay open, unless the rank bound settles one
+                n, settled = _open_ranks(rank_bounds, i + 1, max(i + 1, min(n, K - k)), nu_opt)
+        k += n
 
-    # every rank up to K is settled, and up to k when an improvement at k set K below it
-    iterations = max(k, K) + 1
     if k_pos is None:
-        return SolveReport(
-            status=SolveStatus.FAILED,
-            nu_opt=None,
-            x_opt=None,
-            k_opt=None,
-            k_pos=None,
-            K_trace=[],
-            iterations=iterations,
-        )
+        return SolveReport(SolveStatus.FAILED, nu_opt=None, x_opt=None, k_opt=None, k_pos=None, iterations=K + 1)
+    # every rank up to K is settled, and up to k_opt when an improvement there set K below it
     return SolveReport(
         status=SolveStatus.K_DIAG,
         nu_opt=nu_opt + red.offset,
@@ -413,8 +354,22 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
         k_opt=k_opt,
         k_pos=k_pos,
         K_trace=K_trace,
-        iterations=iterations,
+        iterations=max(K, k_opt) + 1,
     )
+
+
+def _open_ranks(rank_bounds: np.ndarray, start: int, n: int, nu_opt: float) -> tuple[int, bool]:
+    """How many of a block's first n ranks stay open, and whether the rank bound settles one of them.
+
+    rank_bounds holds the rank bounds of the block's ranks, with their margin.
+    A rank from index start on whose bound is at most nu_opt settles the
+    rest: the bound does not grow with the rank, so no later rank up to K can
+    beat nu_opt.
+    """
+    settles = (rank_bounds[start:n] <= nu_opt).nonzero()[0]
+    if settles.size:
+        return start + int(settles[0]), True
+    return n, False
 
 
 def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.ndarray]:
@@ -429,10 +384,13 @@ def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.nda
         raise ValueError("horizon must be a natural number")
     red, base, klass = _reduced_parts(inst)
     ev = _RankEvaluator(red, base, klass)
-    best_val, best_y = ev.value(0)
+    best_val, best_y = ev.maximize(base)
     best_k = 0
-    for k in range(1, horizon + 1):
-        val, y = ev.value(k)
-        if val > best_val:
-            best_val, best_y, best_k = val, y, k
+    while ev.k < horizon:
+        first = ev.k + 1
+        Qs, qs = ev.objectives(min(SCAN_BLOCK_MAX, horizon - ev.k))
+        for j, (Q, q) in enumerate(zip(Qs, qs), start=first):
+            val, y = ev.maximize(QuadraticObjective.from_symmetric(Q, q))
+            if val > best_val:
+                best_val, best_y, best_k = val, y, j
     return best_val + red.offset, best_k, best_y + red.b_tilde

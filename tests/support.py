@@ -266,6 +266,19 @@ def rank_evaluator(obj: QuadraticObjective, A) -> _RankEvaluator:
     return _RankEvaluator(reduce_affine(inst), obj, ObjectiveClass.CONVEX_PSD)
 
 
+def stepped_objective(ev: _RankEvaluator, k: int) -> QuadraticObjective:
+    """The rank-k objective of a rank evaluator, its constant left out, for k = 0 or k past the evaluator's rank.
+
+    Rank 0 is the base objective's form, as `solve` maximizes it; a later rank
+    is the last of one block `objectives(k - ev.k)`, which steps the evaluator
+    to rank k.
+    """
+    if k == 0:
+        return QuadraticObjective.from_symmetric(ev._base.Qmat, ev._base.qvec)
+    Qs, qs = ev.objectives(k - ev.k)
+    return QuadraticObjective.from_symmetric(Qs[-1], qs[-1])
+
+
 def composed(obj: QuadraticObjective, A, k: int) -> QuadraticObjective:
     """x -> obj(A^k x) as a plain objective, from a direct matrix power."""
     P = np.linalg.matrix_power(np.asarray(A, dtype=float), k)

@@ -261,6 +261,23 @@ class TestRankBound:
         # the sweep above covers the polydisc member, not only B_k
         assert {(True, False), (True, True)} <= tighter
 
+    def test_an_array_of_ranks_agrees_with_one_rank_at_a_time(self):
+        eps = np.finfo(float).eps
+        checked = 0
+        for inst in mixed_instances():
+            rep = solve(inst)
+            if rep.status is not SolveStatus.K_DIAG or not rep.K_trace:
+                continue
+            sd = reduced_spectral_data(inst)
+            ranks = np.arange(4 * rep.K_trace[-1][1] + 1)
+            B = rank_bound(sd, ranks)
+            one = np.array([rank_bound(sd, int(k)) for k in ranks])
+            assert B.shape == ranks.shape
+            assert np.all(np.abs(B - one) <= 4.0 * eps * np.abs(one))
+            assert np.all(np.diff(B) <= 0.0)
+            checked += 1
+        assert checked >= 40
+
     def test_polydisc_member_is_exact_for_a_diagonal_system(self):
         inst = diagonal_instance()
         sd = reduced_spectral_data(inst)

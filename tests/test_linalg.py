@@ -137,17 +137,17 @@ class TestMatrixPowerStep:
 
     def test_scaled_identity(self):
         ev = powers(0.5 * np.eye(2))
-        ev.objective(1)
+        ev.objectives(1)
         np.testing.assert_allclose(ev.power, 0.5 * np.eye(2))
 
     def test_diagonal_powers(self):
         ev = powers(np.diag([0.5, 0.25]))
-        ev.objective(3)
+        ev.objectives(3)
         np.testing.assert_allclose(ev.power, np.diag([0.125, 0.015625]), atol=0.0)
 
     def test_oscillator_square_entry(self):
         ev = powers(OSC_A)
-        ev.objective(2)
+        ev.objectives(2)
         # hand multiplication: (1,1) entry of A^2 is 1*1 + 0.01*(-0.01)
         assert ev.power[0, 0] == pytest.approx(0.9999, abs=1e-15)
 
@@ -167,7 +167,8 @@ class TestMatrixPowerStep:
                 continue
             ev = powers(A)
             for k in range(1, 51):
-                ev.objective(k)
+                ev.objectives(1)
+                assert ev.k == k
                 ref = np.real((dec.U * dec.D**k) @ dec.U_inv)
                 assert np.max(np.abs(ev.power - ref)) <= 1e-7
             checked += 1

@@ -14,7 +14,7 @@ from reachmax.qpcore import (
     maximize_convex_vertices,
 )
 
-from support import OSC_A, composed, concave_box_max_kkt, grid_max, rank_evaluator, refined_grid_max
+from support import OSC_A, composed, concave_box_max_kkt, grid_max, rank_evaluator, refined_grid_max, stepped_objective
 
 
 class TestQuadraticObjective:
@@ -60,18 +60,18 @@ class TestStep:
 
     def test_step_zero_is_the_objective_itself(self):
         obj = QuadraticObjective(np.eye(2), [1.0, 2.0], 0.5)
-        f = rank_evaluator(obj, OSC_A).objective(0)
+        f = stepped_objective(rank_evaluator(obj, OSC_A), 0)
         x = np.array([0.3, -0.7])
         assert f.value(x) + obj.c == pytest.approx(obj.value(x), abs=0.0)
 
     def test_one_dimensional_contraction(self):
         # Q=1, q=-1, A=1/2, k=2: value is x^2/16 - x/4
-        f = rank_evaluator(QuadraticObjective([[1.0]], [-1.0]), [[0.5]]).objective(2)
+        f = stepped_objective(rank_evaluator(QuadraticObjective([[1.0]], [-1.0]), [[0.5]]), 2)
         for x in (0.25, 0.5, 1.0):
             assert f.value([x]) == pytest.approx(x * x / 16.0 - x / 4.0, abs=1e-15)
 
     def test_diagonal_power(self):
-        f = rank_evaluator(QuadraticObjective(np.eye(2), np.zeros(2)), 0.5 * np.eye(2)).objective(3)
+        f = stepped_objective(rank_evaluator(QuadraticObjective(np.eye(2), np.zeros(2)), 0.5 * np.eye(2)), 3)
         assert f.value([1.0, 1.0]) == pytest.approx(2.0 * 0.125**2, abs=0.0)
 
     def test_step_next_matches_direct_power(self):
@@ -85,7 +85,7 @@ class TestStep:
             direct = composed(obj, A, k)
             ev = rank_evaluator(obj, A)
             for j in range(k + 1):
-                f = ev.objective(j)
+                f = stepped_objective(ev, j)
             x = rng.uniform(-1.0, 1.0, size=d)
             scale = 1.0 + abs(direct.value(x))
             assert abs(f.value(x) + obj.c - direct.value(x)) <= 1e-9 * scale
@@ -98,7 +98,7 @@ class TestStep:
             M = rng.uniform(-1.0, 1.0, size=(d, d))
             obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d), 0.0)
             k = int(rng.integers(0, 7))
-            f = rank_evaluator(obj, A).objective(k)
+            f = stepped_objective(rank_evaluator(obj, A), k)
             x = rng.uniform(-1.0, 1.0, size=d)
             z = x.copy()
             for _ in range(k):

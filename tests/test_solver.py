@@ -10,7 +10,7 @@ import pytest
 from reachmax import Box, ProblemInstance, SolveStatus, VRep, brute_force, geometry, solve
 from reachmax import solver as solver_module
 from reachmax.qpcore import ObjectiveClass, QuadraticObjective
-from reachmax.bounds import box_bound
+from reachmax.bounds import TOL_RANK_BOUND, box_bound, rank_bound
 from reachmax.seqlab import FiniteC0Sequence, partial_sup
 from reachmax.solver import _RankEvaluator, reduce_affine
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
@@ -29,6 +29,7 @@ from support import (
     osc_box,
     rank_evaluator,
     rank_objectives,
+    stepped_objective,
     trajectory_max,
 )
 
@@ -47,6 +48,12 @@ def convex_evaluator(inst):
 
 DECAYING_1D = ProblemInstance(
     A=[[0.5]], b=[0.0], Qmat=[[1.0]], qvec=[-1.0], Xin=Box([0.25], [0.5]), N=100
+)
+
+# an affine oscillator on a vertex list: k_pos = 88, and ranks 88..207 improve one after another
+OSC_VERTEX_LIST = ProblemInstance(
+    A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0],
+    Xin=VRep([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.5, 0.5 + 1e-13]]),
 )
 
 
@@ -78,43 +85,35 @@ class TestReduceAffine:
 class TestNuAt:
     """The per-rank optima nu_k, from the solver's rank evaluator."""
 
+    @staticmethod
+    def nu(ev, k):
+        return ev.maximize(stepped_objective(ev, k))[0]
+
     def test_oscillator_rank_zero(self):
         ev = convex_evaluator(osc_instance(np.eye(2)))
-        val, _ = ev.value(0)
+        val = self.nu(ev, 0)
         assert val == 2.0
 
     def test_decaying_values_stay_negative(self):
         ev = convex_evaluator(DECAYING_1D)
         for k in (0, 1, 5, 40):
-            val, _ = ev.value(k)
+            val = self.nu(ev, k)
             expected = (1.0 / 16.0) * 0.25**k - 0.25 * 0.5**k
             assert val == pytest.approx(expected, abs=1e-15)
             assert val < 0.0
 
     def test_oscillator_peak_value(self):
         ev = convex_evaluator(osc_instance(np.diag([1.0, 0.0])))
-        val, _ = ev.value(61)
+        val = self.nu(ev, 61)
         assert val == pytest.approx(1.64886, abs=1e-4)
 
 
 class TestRankEvaluator:
-    def test_rejects_a_rank_below_the_current_one(self):
-        ev = convex_evaluator(DECAYING_1D)
-        first, _ = ev.value(3)
-        again, _ = ev.value(3)
-        assert again == first
-        with pytest.raises(ValueError):
-            ev.value(2)
-
-    def test_rejects_a_non_finite_rank_objective(self):
-        ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            ev.objective(1)
-
     def test_rejects_a_block_with_a_non_finite_rank_objective(self):
-        ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            ev.objectives(2)
+        for n in (1, 2):
+            ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                ev.objectives(n)
 
 
 class TestSolveGoldens:
@@ -336,8 +335,7 @@ class TestSingleEnumeration:
         return counted
 
     def test_convex_vertex_list(self, calls):
-        pts = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.5, 0.5 + 1e-13]]
-        inst = ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0], Xin=VRep(pts))
+        inst = OSC_VERTEX_LIST
         assert solve(inst).status is SolveStatus.K_DIAG
         assert len(calls) == 1
 
@@ -408,8 +406,7 @@ class TestMaximizerCalls:
         self.assert_rank_objectives(calls, inst, [0])
 
     def test_convex_vertex_list(self, calls):
-        pts = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.5, 0.5 + 1e-13]]
-        inst = ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0], Xin=VRep(pts))
+        inst = OSC_VERTEX_LIST
         rep = solve(inst)
         assert rep.status is SolveStatus.K_DIAG
         # the box bounds settle ranks 1..86 as nu_k <= 0; rank 87 is evaluated, and ranks 88..207
@@ -542,18 +539,15 @@ class TestCornerTableMemory:
 
 
 class TestScanBlocks:
-    """Before k_pos the scan forms its rank objectives and their box bounds a block at a time."""
+    """Every rank objective after rank 0 comes in a block, with the box bounds of the block's ranks."""
 
     def test_failed_solve_builds_a_logarithmic_number_of_blocks(self, monkeypatch):
-        ranks, blocks, maximized = [], [], []
+        starts, blocks, maximized = [], [], []
         evaluator = solver_module._RankEvaluator
-        objective, objectives, maximize = evaluator.objective, evaluator.objectives, evaluator.maximize
-
-        def one(self, k):
-            ranks.append(k)
-            return objective(self, k)
+        objectives, maximize = evaluator.objectives, evaluator.maximize
 
         def stacked(self, n):
+            starts.append(self.k)
             blocks.append(n)
             return objectives(self, n)
 
@@ -561,13 +555,12 @@ class TestScanBlocks:
             maximized.append(self.k)
             return maximize(self, f)
 
-        monkeypatch.setattr(evaluator, "objective", one)
         monkeypatch.setattr(evaluator, "objectives", stacked)
         monkeypatch.setattr(evaluator, "maximize", maximizing)
         rep = solve(DECAYING_1D)
         assert rep.status is SolveStatus.FAILED and rep.iterations == DECAYING_1D.N + 1
-        # rank 0 alone is formed by itself; ranks 1..N come in blocks that double in length
-        assert ranks == [0] and maximized == [0]
+        # rank 0 is the base objective, in no block; ranks 1..N come in blocks that double in length
+        assert starts == list(np.cumsum([0] + blocks[:-1])) and maximized == [0]
         assert sum(blocks) == DECAYING_1D.N and len(blocks) <= np.log2(DECAYING_1D.N)
         assert blocks[0] == solver_module.SCAN_BLOCK_MIN and max(blocks) <= solver_module.SCAN_BLOCK_MAX
 
@@ -578,24 +571,72 @@ class TestScanBlocks:
             A *= 0.99 / np.max(np.abs(np.linalg.eigvals(A)))
             M = rng.normal(size=(d, d))
             obj = QuadraticObjective(M.T @ M, rng.normal(size=d))
-            blocked, single = rank_evaluator(obj, A), rank_evaluator(obj, A)
+            inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=obj.Qmat, qvec=obj.qvec,
+                                   Xin=Box(-np.ones(d), np.ones(d)))
+            # the reference: one rank at a time, by a plain loop of its own
+            single = list(rank_objectives(inst, 160))
+            blocked, power = rank_evaluator(obj, A), np.eye(d)
             lengths, n = [], solver_module.SCAN_BLOCK_MIN
             while sum(lengths) < 150:
                 lengths.append(min(n, solver_module.SCAN_BLOCK_MAX, 150 - sum(lengths)))
                 n *= 2
             assert solver_module.SCAN_BLOCK_MAX in lengths
+            # after the last block, blocks of one rank go on bit for bit
+            lengths += [1] * 10
             k = 0
             for n in lengths:
                 Qs, qs = blocked.objectives(n)
                 for j in range(n):
-                    f = single.objective(k + 1 + j)
+                    f = single[k + 1 + j]
                     assert np.array_equal(Qs[j], f.Qmat) and np.array_equal(qs[j], f.qvec)
+                    power = A @ power
                 k += n
-                assert blocked.k == single.k == k and np.array_equal(blocked.power, single.power)
-            # after the last block, ranks one at a time go on bit for bit
-            for k in range(151, 161):
-                f, g = blocked.objective(k), single.objective(k)
-                assert np.array_equal(f.Qmat, g.Qmat) and np.array_equal(f.qvec, g.qvec)
+                assert blocked.k == k and np.array_equal(blocked.power, power)
+            assert k == 160
+
+    @staticmethod
+    def recorded_blocks(monkeypatch):
+        """(rank before the block, block length) of every objectives call, and the envelope data of each solve."""
+        blocks, envelopes = [], []
+        objectives, build = solver_module._RankEvaluator.objectives, solver_module.build_spectral_data
+
+        def stacked(self, n):
+            blocks.append((self.k, n))
+            return objectives(self, n)
+
+        def building(*args):
+            envelopes.append(build(*args))
+            return envelopes[-1]
+
+        monkeypatch.setattr(solver_module._RankEvaluator, "objectives", stacked)
+        monkeypatch.setattr(solver_module, "build_spectral_data", building)
+        return blocks, envelopes
+
+    def test_no_rank_objective_after_rank_zero_when_the_rank_bound_settles_rank_one(self, monkeypatch):
+        blocks, _ = self.recorded_blocks(monkeypatch)
+        rep = solve(diagonal_instance())
+        assert (rep.status, rep.k_opt, rep.iterations) == (SolveStatus.K_DIAG, 0, 10)
+        assert blocks == []
+
+    def test_blocks_after_k_pos_end_before_the_rank_bound_settles(self, monkeypatch):
+        blocks, envelopes = self.recorded_blocks(monkeypatch)
+        inst = OSC_VERTEX_LIST
+        rep = solve(inst)
+        assert (rep.k_pos, rep.K_trace[-1], rep.iterations) == (88, (207, 310), 311)
+        # ranks that come from block indices are still plain ints in the report
+        assert {type(r) for r in (rep.k_opt, rep.k_pos, *itertools.chain(*rep.K_trace))} == {int}
+        nus, _ = nu_prefix(inst, rep.iterations)
+        # the incumbent once ranks 0..k are settled, and whether the rank bound settles rank k against it
+        incumbent = np.maximum.accumulate(np.maximum(nus, 0.0))
+        ranks = np.arange(rep.iterations + 1)
+        bound = (1.0 + TOL_RANK_BOUND) * rank_bound(envelopes[0], ranks)
+        after = [(k, n) for k, n in blocks if k >= rep.k_pos]
+        assert len(after) >= 3
+        for k, n in after:
+            assert not np.any(bound[k + 1 : k + n + 1] <= incumbent[k])
+        # the last block ends just before rank 310, the first that the final incumbent settles
+        k, n = blocks[-1]
+        assert k + n + 1 == np.flatnonzero(bound <= incumbent[-1])[0] == 310
 
     def test_failed_scan_memory_does_not_grow_with_N(self):
         inst = ProblemInstance(A=np.diag([0.5, 0.4, 0.3]), b=np.zeros(3), Qmat=np.eye(3), qvec=-np.ones(3),
@@ -758,6 +799,16 @@ class TestBruteForce:
         # A (-1, -1) = (-1.5, -0.5), and (-1, -1) is the first of the two best corners
         assert (val, k) == (2.5, 1) and val == trajectory_max(inst, 20)
         np.testing.assert_array_equal(x, [-1.0, -1.0])
+
+    def test_matches_the_argmax_of_the_rank_optima_across_blocks(self):
+        found = set()
+        for inst in (osc_instance(np.diag([1.0, 0.0])), OSC_VERTEX_LIST):
+            val, k, x = brute_force(inst, 150)
+            nus, offset = nu_prefix(inst, 150)
+            # horizon 150 spans blocks of SCAN_BLOCK_MAX = 64 ranks; both sides form the same values
+            assert (val, k) == (np.max(nus) + offset, int(np.argmax(nus)))
+            found.add(k // solver_module.SCAN_BLOCK_MAX)
+        assert len(found) == 2
 
     def test_ties_break_to_smallest_rank(self):
         # second coordinate square: rank 1 reproduces the rank-0 value exactly
