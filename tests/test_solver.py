@@ -109,11 +109,15 @@ class TestNuAt:
 
 
 class TestRankEvaluator:
+    def test_rejects_a_non_finite_rank_objective(self):
+        ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            ev.objectives(1)
+
     def test_rejects_a_block_with_a_non_finite_rank_objective(self):
-        for n in (1, 2):
-            ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-                ev.objectives(n)
+        ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            ev.objectives(2)
 
 
 class TestSolveGoldens:
