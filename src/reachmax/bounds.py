@@ -121,7 +121,8 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
 
     mu_gram, mode_max = _vertex_maxima(dec.U_inv, V)
     e = Ustar @ q
-    v_diag = float(np.linalg.norm(e)) / (2.0 * math.sqrt(lmax_abs))
+    # ||e||, summed as np.linalg.norm sums a complex vector
+    v_diag = math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag)) / (2.0 * math.sqrt(lmax_abs))
     envelope = (math.sqrt(lmax_abs * mu_gram) + v_diag) ** 2 - v_diag**2
     return SpectralData(
         dec=dec,

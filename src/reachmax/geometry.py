@@ -172,13 +172,31 @@ VertexSet = np.ndarray | BoxCorners
 
 
 def translate(P: Polytope, t) -> Polytope:
-    """Return the shifted set P - t (the same representation, bounds moved by -t)."""
+    """Return the shifted set P - t (the same representation, bounds moved by -t).
+
+    The result skips its constructor's validation: the differences are fresh
+    arrays, and rounding is monotone, so lower <= upper still holds. Only
+    finiteness is checked, as a shift can overflow.
+    """
     t = np.asarray(t, dtype=float)
     if isinstance(P, Box):
-        return Box(P.lower - t, P.upper - t)
+        shifted = object.__new__(Box)
+        shifted.lower = _frozen_finite(P.lower - t, "box bounds")
+        shifted.upper = _frozen_finite(P.upper - t, "box bounds")
+        return shifted
     if isinstance(P, VRep):
-        return VRep(P.points - t)
+        shifted = object.__new__(VRep)
+        shifted.points = _frozen_finite(P.points - t, "vertices")
+        return shifted
     raise TypeError(f"unsupported polytope type {type(P).__name__}")
+
+
+def _frozen_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """The fresh array a, made read-only once it is known to be finite."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    a.flags.writeable = False
+    return a
 
 
 def form_values(V: VertexSet, Q: np.ndarray, q: np.ndarray) -> np.ndarray:

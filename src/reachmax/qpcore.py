@@ -41,7 +41,7 @@ class QuadraticObjective:
         Q = np.atleast_2d(np.asarray(self.Qmat, dtype=float))
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
-        asym = float(np.max(np.abs(Q - Q.T)))
+        asym = float(np.abs(Q - Q.T).max())
         if asym > TOL_SYM:
             raise ValueError(f"Q asymmetry {asym:.3e} exceeds {TOL_SYM:.1e}")
         self.Qmat = (Q + Q.T) / 2.0
@@ -49,7 +49,7 @@ class QuadraticObjective:
         if self.qvec.shape != (Q.shape[0],):
             raise ValueError("q length must match Q dimension")
         self.c = float(self.c)
-        if not (np.isfinite(self.Qmat).all() and np.isfinite(self.qvec).all() and np.isfinite(self.c)):
+        if not (np.isfinite(self.Qmat).all() and np.isfinite(self.qvec).all() and math.isfinite(self.c)):
             raise ValueError("objective data must be finite")
 
     @classmethod
@@ -99,7 +99,8 @@ def classify(obj: QuadraticObjective) -> ObjectiveClass:
 def maximize_convex_vertices(f: QuadraticObjective, V: VertexSet) -> tuple[float, np.ndarray]:
     """Maximum of f over a vertex array or a box's corner table, first attaining vertex wins ties."""
     vals = form_values(V, f.Qmat, f.qvec)
-    vals += f.c
+    if f.c:
+        vals += f.c
     i = int(np.argmax(vals))
     return float(vals[i]), V[i].copy()
 

@@ -47,7 +47,7 @@ import numpy as np
 from .bounds import TOL_RANK_BOUND, box_bound, build_spectral_data, corollary_one_holds, k_diag, rank_bound
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
 from .geometry import Box, Polytope, VertexSet, VRep, frozen_array, translate, vertex_set
-from .linalg import eig_decompose, spectral_radius_check
+from .linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shift_cond_bound, spectral_radius_check
 from .qpcore import (
     ObjectiveClass,
     QuadraticObjective,
@@ -148,9 +148,9 @@ class SolveReport:
 
 def _is_origin_only(P: Polytope) -> bool:
     if isinstance(P, Box):
-        return bool(np.all(P.lower == 0.0) and np.all(P.upper == 0.0))
+        return not (P.lower.any() or P.upper.any())
     if isinstance(P, VRep):
-        return bool(np.all(P.points == 0.0))
+        return not P.points.any()
     return False
 
 
@@ -165,10 +165,16 @@ def _bounding_box(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return (lower + upper) / 2.0, (upper - lower) / 2.0
 
 
-def reduce_affine(inst: ProblemInstance) -> ReducedInstance:
-    """Recenter the system at its fixed point; the identity reduction when b = 0."""
+def reduce_affine(inst: ProblemInstance, dec: SpectralDecomposition | None = None) -> ReducedInstance:
+    """Recenter the system at its fixed point; the identity reduction when b = 0.
+
+    Raises SingularShift when cond(I - A) exceeds SHIFT_COND_LIMIT. With the
+    factorization of A at hand, `shift_cond_bound` settles most matrices
+    without an SVD; np.linalg.cond(I - A) decides the rest, so the refused
+    inputs are the same either way.
+    """
     d = inst.dim
-    if not np.any(inst.b):
+    if not inst.b.any():
         return ReducedInstance(
             A=inst.A,
             Qmat=inst.Qmat,
@@ -178,9 +184,10 @@ def reduce_affine(inst: ProblemInstance) -> ReducedInstance:
             b_tilde=np.zeros(d),
         )
     shift = np.eye(d) - inst.A
-    cond = np.linalg.cond(shift)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularShift(f"I - A has condition {cond:.3e}")
+    if dec is None or not shift_cond_bound(dec) <= SHIFT_COND_LIMIT / 4.0:
+        cond = np.linalg.cond(shift)
+        if not np.isfinite(cond) or cond > SHIFT_COND_LIMIT:
+            raise SingularShift(f"I - A has condition {cond:.3e}")
     b_tilde = np.linalg.solve(shift, inst.b)
     return ReducedInstance(
         A=inst.A,
@@ -251,9 +258,15 @@ class _RankEvaluator:
         return maximize_concave_qp(f, self._Xwork, gap_tol=self._qp_gap_tol)
 
 
-def _reduced_parts(inst: ProblemInstance) -> tuple[ReducedInstance, QuadraticObjective, ObjectiveClass]:
-    """The reduced instance, its base objective and the objective's class; no eigenvectors."""
-    red = reduce_affine(inst)
+def _reduced_parts(
+    inst: ProblemInstance, dec: SpectralDecomposition | None = None
+) -> tuple[ReducedInstance, QuadraticObjective, ObjectiveClass]:
+    """The reduced instance, its base objective and the objective's class.
+
+    Nothing here needs eigenvectors; A's factorization dec, when the caller
+    has one, only spares `reduce_affine` its SVD.
+    """
+    red = reduce_affine(inst, dec)
     base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
     klass = classify(base)
     if klass is ObjectiveClass.UNSUPPORTED:
@@ -270,7 +283,7 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     dec = eig_decompose(inst.A)
     if not spectral_radius_check(dec):
         raise NotConvergent(f"spectral radius {dec.rho} is not strictly below 1")
-    red, base, klass = _reduced_parts(inst)
+    red, base, klass = _reduced_parts(inst, dec)
 
     # degenerate screens whose answer is known without any optimization
     concave = klass is ObjectiveClass.STRICTLY_CONCAVE_ND

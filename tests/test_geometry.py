@@ -162,6 +162,30 @@ class TestTranslate:
             vback = translate(translate(VRep(pts), t), -t)
             np.testing.assert_array_equal(vback.points, pts)
 
+    def test_shifted_sets_are_read_only_and_match_the_constructor(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            d = int(rng.integers(1, 6))
+            lower = rng.normal(size=d)
+            box = Box(lower, lower + rng.uniform(0.0, 2.0, size=d))
+            vrep = VRep(rng.normal(size=(5, d)))
+            t = rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0)
+            shifted, moved = translate(box, t), translate(vrep, t)
+            built, rebuilt = Box(box.lower - t, box.upper - t), VRep(vrep.points - t)
+            assert type(shifted) is Box and type(moved) is VRep
+            for a, b in ((shifted.lower, built.lower), (shifted.upper, built.upper), (moved.points, rebuilt.points)):
+                assert not a.flags.writeable
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert np.all(shifted.lower <= shifted.upper)
+
+    def test_a_shift_that_overflows_is_refused(self):
+        t = np.array([-1e308, 0.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="box bounds must be finite"):
+                translate(Box([-1.0, 0.0], [1e308, 1.0]), t)
+            with pytest.raises(ValueError, match="vertices must be finite"):
+                translate(VRep([[1e308, 0.0]]), t)
+
 
 class TestMu:
     """M = max ||U^-1 x||^2 over the vertices x, the maximum of the Gram-inverse form x* (U U*)^-1 x."""

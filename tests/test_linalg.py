@@ -104,6 +104,35 @@ class TestConditioningDecision:
         with pytest.raises(NotDiagonalizable, match="singular"):
             eig_decompose(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("row, message", [(0, "reconstruction"), (1, "inverse check")])
+    def test_a_perturbed_inverse_fails_its_check(self, monkeypatch, row, message):
+        # A = diag(0.5, 0) has U = I; a perturbation of U^-1 in the row of eigenvalue 0
+        # leaves U diag(D) U^-1 = A and shows only in U U^-1 - I
+        original = np.linalg.inv
+
+        def perturbed(M):
+            M_inv = original(M)
+            M_inv[row, 0] += 1e-6
+            return M_inv
+
+        monkeypatch.setattr(np.linalg, "inv", perturbed)
+        with pytest.raises(NotDiagonalizable, match=message):
+            eig_decompose(np.diag([0.5, 0.0]))
+
+    def test_bounds_kept_on_the_decomposition(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            d = int(rng.integers(1, 7))
+            A = rng.uniform(-1.0, 1.0, size=(d, d))
+            dec = eig_decompose(A)
+            frobenius = np.linalg.norm(dec.U) * np.linalg.norm(dec.U_inv)
+            assert dec.cond_bound == pytest.approx(frobenius, rel=1e-12)
+            assert np.linalg.cond(dec.U) <= dec.cond_bound
+            residual = np.linalg.norm(A - (dec.U * dec.D) @ dec.U_inv, 2) + np.linalg.norm(
+                dec.U @ dec.U_inv - np.eye(d), 2
+            )
+            assert residual <= dec.residual < 1e-10
+
     def test_nilpotent_block_is_refused_without_overflow_warnings(self):
         # U^-1 has entries near 1e292, so ||U^-1||_F overflows: the SVD decides instead
         with warnings.catch_warnings():

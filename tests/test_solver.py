@@ -13,6 +13,7 @@ from reachmax.qpcore import ObjectiveClass, QuadraticObjective
 from reachmax.bounds import TOL_RANK_BOUND, box_bound, rank_bound
 from reachmax.seqlab import FiniteC0Sequence, partial_sup
 from reachmax.solver import _RankEvaluator, reduce_affine
+from reachmax.linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shift_cond_bound
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
 from reachmax.errors import (
     DimensionTooLarge,
@@ -80,6 +81,75 @@ class TestReduceAffine:
         inst = ProblemInstance(A=np.eye(2), b=[1.0, 0.0], Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
         with pytest.raises(SingularShift):
             reduce_affine(inst)
+
+
+def shift_near_singular(rng, d):
+    """A real d x d matrix S diag(D) S^-1 with one eigenvalue just below 1 and cond(S) up to 1e3."""
+    Q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    S = Q1 @ np.diag(np.logspace(0.0, -rng.uniform(0.0, 3.0), d)) @ Q2
+    eigenvalues = np.linspace(-0.5, 0.5, d)
+    eigenvalues[0] = 1.0 - 10.0 ** rng.uniform(-11.5, -7.0)
+    return S @ np.diag(eigenvalues) @ np.linalg.inv(S)
+
+
+class TestShiftConditioningDecision:
+    """reduce_affine refuses I - A exactly when np.linalg.cond(I - A) > SHIFT_COND_LIMIT, whether or not it runs the SVD."""
+
+    def test_decision_matches_the_svd_on_either_side_of_the_limit(self):
+        rng = np.random.default_rng(41)
+        sides = collections.Counter()
+        for _ in range(100):
+            d = int(rng.integers(2, 7))
+            inst = ProblemInstance(
+                A=shift_near_singular(rng, d), b=np.ones(d), Qmat=np.eye(d), qvec=np.zeros(d),
+                Xin=Box(-np.ones(d), np.ones(d)),
+            )
+            dec = eig_decompose(inst.A)
+            assert dec.rho < 1.0 - 1e-12
+            cond = np.linalg.cond(np.eye(d) - inst.A)
+            within = bool(cond <= SHIFT_COND_LIMIT)
+            try:
+                reduce_affine(inst, dec)
+                refused = False
+            except SingularShift:
+                refused = True
+            assert refused is not within
+            bound = shift_cond_bound(dec)
+            assert cond <= bound
+            sides[within, bool(bound <= SHIFT_COND_LIMIT / 4.0)] += 1
+        # accepted without the SVD, accepted by it, refused by it
+        assert min(sides[True, True], sides[True, False], sides[False, False]) >= 10
+
+    def test_well_conditioned_affine_solves_need_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the solve computed a condition number")
+
+        affine_box = ProblemInstance(A=OSC_A, b=[0.05, 0.02], Qmat=np.eye(2), qvec=[0.5, -0.25], Xin=osc_box())
+        specs = [
+            BenchSpec(4, SystemKind.AFFINE, ObjectiveKind.CXNH, "vertices", 20, 3, 7),
+            BenchSpec(3, SystemKind.AFFINE, ObjectiveKind.CANH, "box", None, 3, 8),
+        ]
+        instances = [OSC_VERTEX_LIST, affine_box] + [
+            random_instance(spec, index) for spec, index in itertools.product(specs, range(3))
+        ]
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        for inst in instances:
+            assert np.any(inst.b)
+            solve(inst)
+
+    def test_a_decomposition_without_bounds_leaves_the_decision_to_the_svd(self, monkeypatch):
+        inst = ProblemInstance(A=OSC_A, b=[0.05, 0.02], Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
+        svd_calls = []
+        original = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda M: svd_calls.append(M) or original(M))
+        dec = eig_decompose(inst.A)
+        by_hand = SpectralDecomposition(U=dec.U, D=dec.D, U_inv=dec.U_inv, rho=dec.rho)
+        assert shift_cond_bound(by_hand) == np.inf
+        reduced = [reduce_affine(inst, dec), reduce_affine(inst, by_hand), reduce_affine(inst)]
+        assert len(svd_calls) == 2
+        for red in reduced[1:]:
+            np.testing.assert_array_equal(red.b_tilde, reduced[0].b_tilde)
 
 
 class TestNuAt:
@@ -713,7 +783,7 @@ class TestRankBoundScreen:
         stacked = []
 
         def recording(Q, *args):
-            stacked.append(Q.ndim == 3)
+            stacked.append(Q.shape[0] > 1)
             return box_bound(Q, *args)
 
         monkeypatch.setattr(solver_module._RankEvaluator, "maximize", maximize)
@@ -724,7 +794,7 @@ class TestRankBoundScreen:
             screened.append(solve(inst))
             blocked.append(any(stacked))
         # the compared solves include a Failed one, where every rank comes before k_pos, and one
-        # with k_pos >= 1, both with their scan ranks screened in blocks
+        # with k_pos >= 1, both with scan ranks screened in blocks of more than one rank
         assert any(b and rep.status is SolveStatus.FAILED for rep, b in zip(screened, blocked))
         assert any(b and rep.k_pos is not None and rep.k_pos >= 1 for rep, b in zip(screened, blocked))
         # both screens off: every bound is inf, for one rank or a block
