@@ -57,7 +57,8 @@ same squared products, row by row: the m_i are their row maxima, M the
 largest column sum. For a large box, handed over as a `BoxCorners` table,
 M comes from the table's split evaluation of the form x^T Re(U^-* U^-1) x,
 and each m_i from the at most 2d vertices of the zonogon
-{(U^-1 x)_i : x a corner} (see `_zonogon_maxima`), so neither builds the
+{(U^-1 x)_i : x a corner}, walked along its d edges in angular order in
+O(d^2 log d) for all modes (see `_zonogon_maxima`), so neither builds the
 2^d x d corner array.
 
 Both members bound every rank from the envelope data alone. `box_bound`
@@ -160,26 +161,31 @@ def _vertex_maxima(U_inv: np.ndarray, V: VertexSet) -> tuple[float, np.ndarray]:
 
 
 def _zonogon_maxima(U_inv: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """max over the corners x of the box [lower, upper] of |(U_inv x)_i|^2 for each i, from O(d^3) work.
+    """max over the corners x of the box [lower, upper] of |(U_inv x)_i|^2 for each i, from O(d^2 log d) work.
 
     Mode i maps corner x = lower + t (upper - lower), t in {0,1}^d, to the
     complex number c_i + sum_j t_j g_ij, with c = U_inv lower and
-    g_ij = U_inv_ij (upper_j - lower_j): the corner images span a zonogon.
-    |z|^2 is convex, so its maximum over them sits at a vertex of the
-    zonogon. For a direction u, the corner maximizing Re(conj(u) z) takes
-    t_j = 1 exactly when Re(conj(u) g_ij) > 0, and that choice only changes
-    where u crosses a normal of some g_ij. One direction inside each of the
-    2d arcs between consecutive normals therefore meets every vertex.
+    g_ij = U_inv_ij (upper_j - lower_j): the corner images span a zonogon,
+    the Minkowski sum of c_i and the segments [0, g_ij]. |z|^2 is convex, so
+    its maximum over them sits at a vertex of the zonogon. An edge at an
+    angle in [pi, 2 pi) is replaced by -g and the base moved by g, since
+    c + t g = (c + g) + (1 - t)(-g); every edge then has an angle in
+    [0, pi). Walking from the base through the edges in angular order traces
+    one chain of the boundary, base + each prefix sum, and the opposite
+    chain is base + total - each prefix sum, so the two chains hold every
+    vertex. Zero edges, from collapsed coordinates, may sort anywhere: they
+    add nothing to a sum.
     """
     G = U_inv * (upper - lower)
-    # the normals of g, in (-pi, pi]: the angles of i g and -i g (multiplying by +-i is exact)
-    normals = np.sort(np.angle(np.concatenate([1j * G, -1j * G], axis=1)), axis=1)
-    mid = (normals + np.roll(normals, -1, axis=1)) / 2.0
-    mid[:, -1] += np.pi  # the arc that wraps around past pi
-    # t[i, k, j]: whether the corner for mode i, direction k, takes coordinate j at its upper bound
-    t = (np.exp(-1j * mid)[:, :, None] * G[:, None, :]).real > 0.0
-    z = (U_inv @ lower)[:, None] + (t * G[:, None, :]).sum(axis=2)
-    return np.max(z.real**2 + z.imag**2, axis=1)
+    flip = (G.imag < 0.0) | ((G.imag == 0.0) & (G.real < 0.0))
+    base = U_inv @ lower + (G * flip).sum(axis=1)
+    np.negative(G, out=G, where=flip)
+    order = np.argsort(np.arctan2(G.imag, G.real), axis=1)
+    chain = G[np.arange(len(G))[:, None], order].cumsum(axis=1)
+    # the second chain ends at the base itself, the first at base + total
+    z = np.concatenate([chain, chain[:, -1:] - chain], axis=1)
+    z += base[:, None]
+    return np.max(np.abs(z), axis=1) ** 2
 
 
 def rank_bound(sd: SpectralData, k: int | np.ndarray) -> float | np.ndarray:

@@ -136,9 +136,19 @@ class BoxCorners:
     are the corner arrays of the two half boxes. A quadratic form splits as
     f(x) = f_A(x_A) + f_B(x_B) + 2 x_A^T Q_AB x_B, so its values at all
     corners, in `vertices` order, are the row-major flattening of
-    f_A(head)[:, None] + f_B(tail)[None, :] + (head @ 2 Q_AB) @ tail^T:
-    one 2^a x a x b and one 2^a x b x 2^b product instead of 2^d x d x d.
-    Memory is O(2^d) floats for the values, against 2^d x d for the array.
+
+        [head @ 2 Q_AB, f_A(head), 1] @ [tail^T; 1; f_B(tail)]:
+
+    one 2^a x a x b and one 2^a x (b + 2) x 2^b product instead of
+    2^d x d x d. Memory is O(2^d) floats for the values, against 2^d x d
+    for the array. Each value is one dot product that adds the cross term
+    first, then f_A and then f_B, each times an exact 1. Where the BLAS
+    kernel accumulates a dot product in order, as the Haswell kernel of
+    OpenBLAS 0.3.31 does, the values are bit for bit those of the
+    cross-term product followed by two broadcast additions, without the two
+    passes over the 2^d values. `right` holds tail^T, C-contiguous, over two
+    rows of ones, made once per table; tail itself serves `__getitem__` and
+    f_B.
     """
 
     def __init__(self, box: Box):
@@ -147,6 +157,8 @@ class BoxCorners:
         a = self.split = box.dim // 2
         self.head = _box_corners(box.lower[:a], box.upper[:a])
         self.tail = _box_corners(box.lower[a:], box.upper[a:])
+        # each product copies this and fills its last row with f_B(tail)
+        self.right = np.vstack([self.tail.T, np.ones((2, len(self.tail)))])
 
     def __len__(self) -> int:
         return len(self.head) * len(self.tail)
@@ -159,12 +171,14 @@ class BoxCorners:
     def form_values(self, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
         """x^T Q x + q^T x at every corner x, in `vertices` order; Q must be exactly symmetric."""
         a, H, T = self.split, self.head, self.tail
-        fH = np.einsum("ij,ij->i", H @ Q[:a, :a] + q[:a], H)
-        fT = np.einsum("ij,ij->i", T @ Q[a:, a:] + q[a:], T)
-        vals = (H @ (2.0 * Q[:a, a:])) @ T.T
-        vals += fH[:, None]
-        vals += fT
-        return vals.ravel()
+        b = T.shape[1]
+        left = np.empty((len(H), b + 2))
+        left[:, :b] = H @ (2.0 * Q[:a, a:])
+        left[:, b] = np.einsum("ij,ij->i", H @ Q[:a, :a] + q[:a], H)
+        left[:, b + 1] = 1.0
+        right = self.right.copy()
+        right[b + 1] = np.einsum("ij,ij->i", T @ Q[a:, a:] + q[a:], T)
+        return (left @ right).ravel()
 
 
 # What the maximizers take as the vertices of a polytope: see `vertex_set`.

@@ -54,12 +54,14 @@ class QuadraticObjective:
 
     @classmethod
     def from_symmetric(cls, Qmat: np.ndarray, qvec: np.ndarray) -> QuadraticObjective:
-        """Wrap an exactly symmetric float Qmat and a matching float qvec, with c = 0.
+        """Wrap an exactly symmetric, finite float Qmat and a matching float qvec, with c = 0.
 
-        Only finiteness is checked; shapes, symmetry and dtypes are the caller's.
+        Nothing is checked; shapes, symmetry, finiteness and dtypes are the
+        caller's. Every caller (`solve`, `brute_force` and the tests' support
+        code) passes a row of a block from `_RankEvaluator.objectives`, which
+        has checked the whole block for finiteness, or the base objective,
+        checked on construction.
         """
-        if not (np.isfinite(Qmat).all() and np.isfinite(qvec).all()):
-            raise ValueError("objective data must be finite")
         obj = object.__new__(cls)
         obj.Qmat, obj.qvec, obj.c = Qmat, qvec, 0.0
         return obj

@@ -235,7 +235,10 @@ class _RankEvaluator:
 
         The power steps through the n ranks by one product A @ A^j each, and
         the matrices come from one stacked P^T Q P, symmetrized as
-        (M + M^T)/2; k and the power end at rank k+n.
+        (M + M^T)/2; k and the power end at rank k+n. A non-finite entry
+        anywhere in the block raises ValueError: this is the one finiteness
+        check of a rank objective, as `QuadraticObjective.from_symmetric`
+        checks nothing.
         """
         Ps = np.empty((n,) + self.power.shape)
         prev = self.power

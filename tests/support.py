@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from reachmax import Box
+from reachmax.bounds import _zonogon_maxima
 from reachmax.geometry import CORNER_TABLE_MIN_DIM, vertices
 from reachmax.qpcore import (
     ObjectiveClass,
@@ -168,6 +169,14 @@ def corner_table_boxes(seed: int):
         collapsed = rng.choice(d, size=2, replace=False)
         upper[collapsed] = lower[collapsed]
         yield rng, Box(lower, upper)
+
+
+def assert_zonogon_maxima_match(U_inv: np.ndarray, box: Box) -> None:
+    """`bounds._zonogon_maxima` gives max |(U_inv x)_i|^2 over the corner array within 4 (d + 2) eps relative."""
+    got = _zonogon_maxima(U_inv, box.lower, box.upper)
+    Y = vertices(box) @ U_inv.T
+    ref = (Y.real**2 + Y.imag**2).max(axis=0)
+    assert np.all(np.abs(got - ref) <= 4 * (box.dim + 2) * np.finfo(float).eps * ref), (got, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from reachmax.solver import _bounding_box, reduce_affine
 
 from support import (
     OSC_A,
+    assert_zonogon_maxima_match,
     concave_box_max_kkt,
     corner_table_boxes,
     diagonal_instance,
@@ -479,3 +480,48 @@ class TestCornerTableEnvelope:
             assert got.mu_gram == pytest.approx(ref.mu_gram, rel=1e-12)
             np.testing.assert_allclose(got.mode_max, ref.mode_max, rtol=1e-12)
             assert (got.lmax, got.v_diag) == (ref.lmax, ref.v_diag)
+
+
+class TestZonogonMaxima:
+    """The mode maxima from the zonogon's sorted edges against enumerating every corner."""
+
+    def test_matches_corner_enumeration(self):
+        rng = np.random.default_rng(71)
+        for d in range(1, 17):
+            for collapsed in (0, min(2, d)):
+                dec = eig_decompose(rng.uniform(-1.0, 1.0, size=(d, d)))
+                lower = rng.uniform(-2.0, 1.0, size=d)
+                upper = lower + rng.uniform(0.1, 3.0, size=d)
+                cols = rng.choice(d, size=collapsed, replace=False)
+                upper[cols] = lower[cols]
+                assert_zonogon_maxima_match(dec.U_inv, Box(lower, upper))
+
+    def test_real_spectrum(self):
+        """A real spectrum puts every edge on the real line, with imaginary parts of +0, -0 or rounding size."""
+        rng = np.random.default_rng(72)
+        for d in (1, 3, 8, 12):
+            S = rng.normal(size=(d, d))
+            dec = eig_decompose(S @ np.diag(rng.uniform(-0.9, 0.9, size=d)) @ np.linalg.inv(S))
+            assert np.all(dec.D.imag == 0.0)
+            lower = rng.uniform(-2.0, 1.0, size=d)
+            assert_zonogon_maxima_match(dec.U_inv, Box(lower, lower + rng.uniform(0.1, 3.0, size=d)))
+
+    def test_parallel_edges(self):
+        """Two proportional columns of U_inv give parallel edges, in the same and in opposite directions."""
+        rng = np.random.default_rng(73)
+        for d, scale in ((2, 2.5), (5, -0.75), (9, -1.0), (13, 3.0)):
+            U_inv = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            U_inv[:, -1] = scale * U_inv[:, 0]
+            lower = rng.uniform(-2.0, 1.0, size=d)
+            assert_zonogon_maxima_match(U_inv, Box(lower, lower + rng.uniform(0.1, 3.0, size=d)))
+
+    def test_edges_with_signed_zero_parts(self):
+        """Edges on the axes, with every sign of zero in either part, and zero edges from collapsed coordinates."""
+        re = np.array([1.0, -1.0, 0.0, -0.0, 0.0, -0.0, 2.0, -0.0])
+        im = np.array([0.0, -0.0, 1.0, -1.0, -0.0, 0.0, -0.0, -3.0])
+        U_inv = np.empty((len(re), len(re)), dtype=complex)
+        for i in range(len(re)):
+            U_inv[i].real, U_inv[i].imag = np.roll(re, i), np.roll(im, i)
+        lower = np.array([-1.0, 0.5, -0.25, 1.5, -2.0, 0.0, 0.75, -0.5])
+        for width in (np.full(8, 1.5), np.array([1.0, 0.0, 2.0, 0.0, 0.5, 0.0, 1.0, 0.0])):
+            assert_zonogon_maxima_match(U_inv, Box(lower, lower + width))

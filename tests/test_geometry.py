@@ -91,6 +91,21 @@ class TestBoxCorners:
             assert np.all(np.abs(got - ref) <= 4 * (d + 2) * eps * scale)
             assert int(np.argmax(got)) == int(np.argmax(ref))
 
+    def test_values_are_bitwise_the_cross_term_product_plus_two_broadcast_sums(self):
+        """The one product gives, bit for bit, (head @ 2 Q_AB) @ tail.T + f_A(head)[:, None] + f_B(tail)."""
+        rng = np.random.default_rng(34)
+        for d in range(CORNER_TABLE_MIN_DIM, 17):
+            lower = rng.uniform(-2.0, 1.0, size=d)
+            table = BoxCorners(Box(lower, lower + rng.uniform(0.1, 3.0, size=d)))
+            a, H, T = table.split, table.head, table.tail
+            for _ in range(3):
+                M = rng.normal(size=(d, d))
+                Q, q = (M + M.T) / 2.0, rng.normal(size=d)
+                ref = (H @ (2.0 * Q[:a, a:])) @ T.T
+                ref += np.einsum("ij,ij->i", H @ Q[:a, :a] + q[:a], H)[:, None]
+                ref += np.einsum("ij,ij->i", T @ Q[a:, a:] + q[a:], T)
+                assert table.form_values(Q, q).tobytes() == ref.ravel().tobytes()
+
     def test_exact_tie_of_opposite_corners_goes_to_the_first(self):
         rng = np.random.default_rng(33)
         for d in range(CORNER_TABLE_MIN_DIM, 17):

@@ -190,6 +190,45 @@ class TestRankEvaluator:
             ev.objectives(2)
 
 
+def underflow_instance(N: int) -> ProblemInstance:
+    """A d = 3 affine box instance whose every rank value is negative; the values rise toward 0 and underflow.
+
+    In exact arithmetic no rank reaches the supremum, the offset. Past rank
+    about 870 the computed rank values are subnormal, and at rank 876 one
+    rounds to a positive number near 1e-323.
+    """
+    h = np.vectorize(float.fromhex)
+    A = h([
+        ["0x1.ca1d5cc785f60p-3", "0x1.cf68d7a2bfb6bp-4", "0x1.8f02d4c7d353ap-2"],
+        ["0x1.b494117058219p-4", "-0x1.0f0a93dc5ccc7p-3", "-0x1.963998edb54bbp-2"],
+        ["0x1.2264846fe038fp-2", "0x1.a4d2033314514p-2", "0x1.ac100d23777b6p-4"],
+    ])
+    Q = h([
+        ["0x1.22ca35796efcap-1", "0x1.6b9264b6c92abp-3", "0x1.0da883f469837p-2"],
+        ["0x1.6b9264b6c92abp-3", "0x1.54273f5f404fcp-1", "0x1.7d691823397c0p-2"],
+        ["0x1.0da883f469837p-2", "0x1.7d691823397c0p-2", "0x1.0b4a036ca3cb5p+0"],
+    ])
+    b = h(["-0x1.f9a8f515b735cp-1", "0x1.5327635509af8p-3", "-0x1.80bdf13169beap-1"])
+    q = h(["-0x1.e5c32ccf102f8p-1", "0x1.c318edd2233a0p-3", "0x1.4b462541ea6e0p-4"])
+    lower = h(["-0x1.7f2f1c08de823p+0", "-0x1.5992666b32beap-2", "-0x1.3d0fd0fbda812p-1"])
+    upper = h(["0x1.e9bd5f05c3334p-2", "0x1.7b9df885c9a1ep+0", "-0x1.6339c2ff0651ap-3"])
+    return ProblemInstance(A=A, b=b, Qmat=Q, qvec=q, Xin=Box(lower, upper), N=N)
+
+
+class TestUnderflowedRankValue:
+    """A rank value that is positive only by underflow must not become k_pos (ROADMAP item 1)."""
+
+    def test_fails_at_a_short_scan_cap(self):
+        rep = solve(underflow_instance(20))
+        assert rep.status is SolveStatus.FAILED
+        assert rep.iterations == 21
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the scan takes the underflowed value at rank 876 as k_pos")
+    def test_no_rank_attains_the_supremum_at_a_long_scan_cap(self):
+        rep = solve(underflow_instance(20000))
+        assert rep.k_pos is None and rep.k_opt is None
+
+
 class TestSolveGoldens:
     def test_oscillator_norm_square(self):
         rep = solve(osc_instance(np.eye(2)))
