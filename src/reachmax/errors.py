@@ -17,6 +17,10 @@ class NotConcave(ReachmaxError):
     """A strictly concave objective was expected."""
 
 
+class QPNotConverged(ReachmaxError):
+    """The concave QP's answer fails its optimality certificate, so it may be far from the maximum."""
+
+
 class AssumptionViolated(ReachmaxError):
     """A solvability precondition on the problem data does not hold."""
 

@@ -280,8 +280,8 @@ def _reduced_parts(
 def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     """Exact optimal value and maximizer over the reachable values set."""
     if not 0.0 < qp_gap_tol < math.inf:
-        # the barrier QP stops once its duality measure is below qp_gap_tol: a target
-        # of 0 or less is never met, and an infinite one stops after the first stage
+        # the concave QP stops once its duality measure is below qp_gap_tol: a target
+        # of 0 or less is never met, and an infinite one bounds nothing
         raise ValueError("qp_gap_tol must be a finite positive number")
     dec = eig_decompose(inst.A)
     if not spectral_radius_check(dec):

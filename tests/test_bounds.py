@@ -197,7 +197,7 @@ class TestEnvelopeProperties:
 def mixed_instances():
     """Convex and concave objectives, boxes and vertex lists, linear and affine systems, d = 1..4.
 
-    Fewer concave instances: each of their ranks is a barrier QP.
+    Fewer concave instances: each of their ranks is an interior-point QP.
     """
     for kind, set_kind, count, per_spec in (
         (ObjectiveKind.CXH, "box", None, 3),

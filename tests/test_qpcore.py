@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from reachmax import Box, VRep
-from reachmax.errors import NotConcave
+from reachmax import Box, VRep, qpcore
+from reachmax.errors import NotConcave, QPNotConverged
 from reachmax.geometry import vertices
 from reachmax.qpcore import (
     ObjectiveClass,
@@ -191,10 +191,45 @@ class TestMaximizeConcaveQP:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_gap_tol_must_be_finite_and_positive(self, tol):
-        # a target of 0, -1 or nan is never met and used to loop forever; inf stopped after one stage
+        # a duality measure target of 0, -1 or nan is never met, and inf bounds nothing
         s = QuadraticObjective(-np.eye(2), [1.0, 1.0])
         with pytest.raises(ValueError, match="gap_tol must be a finite positive number"):
             maximize_concave_qp(s, Box([-1.0, -1.0], [1.0, 1.0]), gap_tol=tol)
+
+    @staticmethod
+    def _rank_objective_d6():
+        """A fixed d = 6 rank-2 concave objective whose maximum has coordinates at both bounds and free."""
+        rng = np.random.default_rng(5)
+        M = rng.uniform(-1.0, 1.0, size=(6, 6))
+        obj = QuadraticObjective(-(M.T @ M) - 1e-3 * np.eye(6), rng.uniform(-2.0, 2.0, size=6))
+        return composed(obj, rng.uniform(-1.0, 1.0, size=(6, 6)) * 0.3, 2), Box(-np.ones(6), np.ones(6))
+
+    def test_gap_tol_bounds_the_distance_from_the_maximum(self):
+        # the benchmark self-test stops the QP at gap_tol = 1e-2 and needs an answer that its
+        # 1e-7 oracle flags: a loose target must be met, not over-solved
+        s, box = self._rank_objective_d6()
+        best = concave_box_max_kkt(s, box.lower, box.upper)
+        loose, _ = maximize_concave_qp(s, box, gap_tol=1e-2)
+        assert 1e-7 < best - loose <= 1e-2
+        val, _ = maximize_concave_qp(s, box)
+        assert abs(best - val) <= 1e-9
+
+    def test_step_cap_ends_in_a_named_error(self, monkeypatch):
+        s, box = self._rank_objective_d6()
+        monkeypatch.setattr(qpcore, "QP_MAX_STEPS", 1)
+        with pytest.raises(QPNotConverged, match="Frank-Wolfe gap"):
+            maximize_concave_qp(s, box)
+
+    def test_badly_scaled_objective_meets_its_certificate(self):
+        # curvatures from 1e-6 to 1e6, a box centre near 1e3 and widths from 1e-4 to 1e2: from
+        # multipliers of 1, rather than 1 plus the centre gradient's parts, the steps crept to the cap
+        rng = np.random.default_rng(7)
+        M = rng.normal(size=(12, 12)) * 10.0 ** rng.uniform(-3, 3, size=12)
+        c = rng.normal(size=12) * 1e3
+        w = 10.0 ** rng.uniform(-4, 2, size=12)
+        s = QuadraticObjective(-(M.T @ M), rng.normal(size=12))
+        _, arg = maximize_concave_qp(s, Box(c - w, c + w))
+        assert np.all(arg >= c - w) and np.all(arg <= c + w)
 
     def test_degenerate_box_coordinates_pinned(self):
         s = QuadraticObjective(-np.eye(2), [1.0, 1.0])

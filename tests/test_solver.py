@@ -351,7 +351,7 @@ class TestSolveValidation:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_qp_gap_tol_must_be_finite_and_positive(self, tol, monkeypatch):
-        # 0, -1 and nan made the barrier QP loop forever; inf stopped it after one stage
+        # the concave QP never meets a duality measure target of 0, -1 or nan, and inf bounds nothing
         def no_work(A):
             raise AssertionError("solve factorized A before checking qp_gap_tol")
 
