@@ -6,9 +6,11 @@ vertex list, or a box below CORNER_TABLE_MIN_DIM, as the (m, dim) array of
 `vertices`; a larger box as a `BoxCorners` table, which evaluates a form at
 all 2^dim corners from two half-box corner tables and never builds the
 2^dim x dim array. Both give the corners in the same order, so the first
-maximizing corner is the same one up to rounding of the values. The
-envelope constant M = max ||U^-1 x||^2 is such a maximum too; `bounds`
-takes it from the same pass over the vertex set as the per-mode maxima m_i.
+maximizing corner is the same one up to rounding of the values.
+`form_values` evaluates a form at every vertex, and on a vertex array a
+whole stack of forms in one pass. The envelope constant
+M = max ||U^-1 x||^2 is such a maximum too; `bounds` takes it from the same
+pass over the vertex set as the per-mode maxima m_i.
 """
 
 from __future__ import annotations
@@ -216,8 +218,12 @@ def _frozen_finite(a: np.ndarray, what: str) -> np.ndarray:
 def form_values(V: VertexSet, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     """x^T Q x + q^T x at every vertex x of V, in vertex order; Q must be exactly symmetric.
 
-    A vertex array is evaluated row by row, a BoxCorners table by its split sums.
+    A vertex array is evaluated row by row, a BoxCorners table by its split
+    sums. On a vertex array, Q and q may also be (n, d, d) and (n, d) stacks
+    of forms, giving an (n, m) array: each stacked product runs the same
+    BLAS call per form as a single form does, so row j is bit for bit the
+    values of form j alone.
     """
     if isinstance(V, BoxCorners):
         return V.form_values(Q, q)
-    return np.einsum("ij,ij->i", V @ Q, V) + V @ q
+    return np.einsum("...ij,ij->...i", V @ Q, V) + (V @ q[..., None])[..., 0]

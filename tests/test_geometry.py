@@ -8,7 +8,7 @@ import pytest
 from reachmax import Box, VRep
 from reachmax.bounds import _vertex_maxima
 from reachmax.errors import DimensionTooLarge
-from reachmax.geometry import CORNER_TABLE_MIN_DIM, BoxCorners, translate, vertex_set, vertices
+from reachmax.geometry import CORNER_TABLE_MIN_DIM, BoxCorners, form_values, translate, vertex_set, vertices
 from reachmax.qpcore import QuadraticObjective, maximize_convex_vertices
 
 from support import corner_table_boxes, osc_eigvec_basis
@@ -121,6 +121,36 @@ class TestBoxCorners:
             assert x.tobytes() == ref_x.tobytes()
             assert int(np.argmax(vals)) < len(table) // 2
             assert nu == pytest.approx(ref_nu, rel=1e-13)
+
+
+class TestStackedFormValues:
+    """A stack of forms on a vertex array: one pass, bit for bit the values of each form alone."""
+
+    def test_rows_are_the_single_form_values_and_maxima_bit_for_bit(self):
+        rng = np.random.default_rng(35)
+        ties = 0
+        for _ in range(400):
+            d, m, n = (int(v) for v in rng.integers(1, (7, 65, 9)))
+            V = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0)
+            S = rng.normal(size=(n, d, d))
+            S = S.transpose(0, 2, 1) @ S
+            Qs, qs = (S + S.transpose(0, 2, 1)) / 2.0, rng.normal(size=(n, d))
+            if m % 2 == 0 and rng.uniform() < 0.5:
+                # x and -x have bitwise equal values under a form without a linear part, so the
+                # maximizer's vertex tells which of a tied pair it took: the first one
+                V[m // 2 :] = -V[: m // 2]
+                qs[:] = 0.0
+                ties += 1
+            vals = form_values(V, Qs, qs)
+            assert vals.shape == (n, m)
+            for Q, q, row in zip(Qs, qs, vals, strict=True):
+                assert row.tobytes() == form_values(V, Q, q).tobytes()
+                nu, x = maximize_convex_vertices(QuadraticObjective.from_symmetric(Q, q), V)
+                i = int(np.argmax(row))
+                assert nu == row[i] and x.tobytes() == V[i].tobytes()
+                if not qs.any():
+                    assert i < m // 2
+        assert ties >= 100
 
 
 class TestInputCopies:

@@ -473,7 +473,10 @@ class TestSingleEnumeration:
 
 
 class TestMaximizerCalls:
-    """One maximizer call per evaluated rank, looked up in the solver module with a fixed call shape.
+    """One maximizer call per rank evaluated alone, looked up in the solver module with a fixed call shape.
+
+    The ranks of a short block over a small vertex array are evaluated
+    together instead, by `geometry.form_values`, with no maximizer call.
 
     The evaluated ranks increase but need not be consecutive: a rank whose
     box bound is at most the incumbent, 0 before k_pos, is settled without a
@@ -562,8 +565,10 @@ class TestMaximizerCalls:
         assert (len(calls), rep.iterations) == (1, 10)
         self.assert_rank_objectives(calls, inst, [0])
 
-    def test_box_screen_leaves_gaps_in_the_evaluated_ranks(self, calls):
-        # ranks 1 and 2 are settled by their box bounds, rank 3 then beats nu_0
+    def test_box_screen_leaves_gaps_in_the_evaluated_ranks(self, calls, monkeypatch):
+        # ranks 1 and 2 are settled by their box bounds, rank 3 then beats nu_0; the 4 corners would
+        # otherwise take the exact block pass, which screens no rank
+        monkeypatch.setattr(solver_module, "EXACT_BLOCK_MAX_ROWS", 0)
         inst = random_instance(BenchSpec(2, SystemKind.AFFINE, ObjectiveKind.CXH, "box", None, 1, 608, 100), 0)
         rep = solve(inst)
         assert (rep.status, rep.k_opt, rep.K_trace) == (SolveStatus.K_DIAG, 3, [(0, 7), (3, 6)])
@@ -727,9 +732,24 @@ class TestScanBlocks:
 
     def test_no_rank_objective_after_rank_zero_when_the_rank_bound_settles_rank_one(self, monkeypatch):
         blocks, _ = self.recorded_blocks(monkeypatch)
+        # the rank bound screens only blocks that are not evaluated whole
+        monkeypatch.setattr(solver_module, "EXACT_BLOCK_MAX_ROWS", 0)
         rep = solve(diagonal_instance())
         assert (rep.status, rep.k_opt, rep.iterations) == (SolveStatus.K_DIAG, 0, 10)
         assert blocks == []
+
+    def test_one_short_block_before_the_rank_bound_ends_a_long_scan(self, monkeypatch):
+        blocks, _ = self.recorded_blocks(monkeypatch)
+        # nu_0 = 1.000001 at (1, 1), and the rank bound settles rank 1 under K = 34658
+        inst = ProblemInstance(A=np.diag([0.5, 0.99999]), b=np.zeros(2), Qmat=np.diag([1.0, 1e-6]),
+                               qvec=np.zeros(2), Xin=Box([0.5, 0.5], [1.0, 1.0]))
+        rep = solve(inst)
+        assert (rep.status, rep.k_opt, rep.K_trace, rep.iterations) == (SolveStatus.K_DIAG, 0, [(0, 34658)], 34659)
+        # the first block is evaluated whole, unscreened; the second block's rank bound ends the scan
+        assert blocks == [(0, solver_module.SCAN_BLOCK_MIN)]
+        blocks.clear()
+        monkeypatch.setattr(solver_module, "EXACT_BLOCK_MAX_ROWS", 0)
+        assert solve(inst).K_trace == rep.K_trace and blocks == []
 
     def test_blocks_after_k_pos_end_before_the_rank_bound_settles(self, monkeypatch):
         blocks, envelopes = self.recorded_blocks(monkeypatch)
@@ -764,6 +784,8 @@ class TestRankBoundScreen:
     """Ranks settled without a maximizer call, by the rank bound or by their own box bound."""
 
     def test_settled_ranks_cannot_beat_the_incumbent(self, monkeypatch):
+        # every block goes through the screens, none through the exact block pass
+        monkeypatch.setattr(solver_module, "EXACT_BLOCK_MAX_ROWS", 0)
         evaluated, ranks = [], []
         original = solver_module._RankEvaluator.maximize
 
@@ -847,6 +869,89 @@ class TestRankBoundScreen:
             assert (rep.x_opt is None and ref.x_opt is None) or np.array_equal(rep.x_opt, ref.x_opt)
         # the screen settled ranks that the unscreened solves evaluate
         assert calls[True] < calls[False]
+
+
+class TestExactBlocks:
+    """Short blocks over small vertex arrays are evaluated whole, with the reports of the screened blocks."""
+
+    @staticmethod
+    def tiny_instances():
+        """Convex instances on boxes with d <= 4 and on lists of 1 to 16 points, at N = 20."""
+        for dim, kind, system, (set_kind, points) in itertools.product(
+            (1, 2, 3, 4),
+            (ObjectiveKind.CXH, ObjectiveKind.CXNH),
+            (SystemKind.LINEAR, SystemKind.AFFINE),
+            (("box", None), ("vertices", 1), ("vertices", 5), ("vertices", 16)),
+        ):
+            spec = BenchSpec(dim, system, kind, set_kind, points, 1, 900 + dim, 20)
+            for index in range(3):
+                yield random_instance(spec, index)
+
+    def test_reports_match_the_screened_solves_and_the_oracles(self, monkeypatch):
+        stacked = []
+        form_values = solver_module.form_values
+
+        def recording(V, Q, q):
+            stacked.append(Q.shape[0])
+            return form_values(V, Q, q)
+
+        monkeypatch.setattr(solver_module, "form_values", recording)
+        checked = collections.Counter()
+        for inst in self.tiny_instances():
+            stacked.clear()
+            rep = solve(inst)
+            if not stacked:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(solver_module, "EXACT_BLOCK_MAX_ROWS", 0)
+                ref = solve(inst)
+            assert (rep.status, rep.nu_opt, rep.k_opt, rep.k_pos) == (ref.status, ref.nu_opt, ref.k_opt, ref.k_pos)
+            assert (rep.K_trace, rep.iterations) == (ref.K_trace, ref.iterations)
+            assert (rep.x_opt is None and ref.x_opt is None) or rep.x_opt.tobytes() == ref.x_opt.tobytes()
+            assert max(stacked) <= solver_module.SCAN_BLOCK_MIN
+            checked["exact"] += 1
+            if rep.status is SolveStatus.FAILED:
+                nus, _ = nu_prefix(inst, inst.N)
+                assert np.all(nus <= 0.0) and rep.iterations == inst.N + 1
+                checked["failed"] += 1
+                continue
+            horizon = rep.iterations - 1
+            nus, offset = nu_prefix(inst, horizon)
+            assert np.max(nus) + offset == rep.nu_opt and int(np.argmax(nus)) == rep.k_opt
+            assert rep.nu_opt == pytest.approx(trajectory_max(inst, 4 * horizon), rel=1e-12, abs=1e-12)
+            checked["k_pos > 0"] += rep.k_pos > 0
+            # an improvement inside the first block lowers K
+            trace = rep.K_trace
+            checked["K shrinks"] += any(
+                k <= solver_module.SCAN_BLOCK_MIN and K < earlier for (k, K), (_, earlier) in zip(trace[1:], trace)
+            )
+        assert checked["exact"] >= 150 and checked["failed"] >= 5
+        assert checked["k_pos > 0"] >= 2 and checked["K shrinks"] >= 15
+
+    def test_no_rank_past_the_current_K_counts(self, monkeypatch):
+        # the first improvement keeps K at N, every later one sets K = 1: that ends the first
+        # block at the second improvement, though a later rank in it may beat the incumbent
+        improvements = []
+
+        def k_diag(sd, nu):
+            improvements.append(nu)
+            return 20 if len(improvements) == 1 else 1
+
+        monkeypatch.setattr(solver_module, "k_diag", k_diag)
+        cut = 0
+        for inst in self.tiny_instances():
+            improvements.clear()
+            rep = solve(inst)
+            with monkeypatch.context() as m:
+                m.setattr(solver_module, "EXACT_BLOCK_MAX_ROWS", 0)
+                improvements.clear()
+                ref = solve(inst)
+            assert (rep.status, rep.nu_opt, rep.k_opt, rep.K_trace, rep.iterations) == (
+                ref.status, ref.nu_opt, ref.k_opt, ref.K_trace, ref.iterations)
+            if len(rep.K_trace) == 2:
+                nus, offset = nu_prefix(inst, solver_module.SCAN_BLOCK_MIN)
+                cut += np.max(nus) + offset > rep.nu_opt
+        assert cut >= 5
 
 
 class TestDegenerateScreens:
