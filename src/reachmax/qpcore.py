@@ -33,11 +33,10 @@ class ObjectiveClass(enum.Enum):
 
 @dataclass(eq=False)
 class QuadraticObjective:
-    """value(x) = x^T Qmat x + qvec^T x + c, with Qmat symmetrized on construction."""
+    """value(x) = x^T Qmat x + qvec^T x, with Qmat symmetrized on construction."""
 
     Qmat: np.ndarray
     qvec: np.ndarray
-    c: float = 0.0
 
     def __post_init__(self):
         Q = np.atleast_2d(np.asarray(self.Qmat, dtype=float))
@@ -50,13 +49,12 @@ class QuadraticObjective:
         self.qvec = np.atleast_1d(np.asarray(self.qvec, dtype=float))
         if self.qvec.shape != (Q.shape[0],):
             raise ValueError("q length must match Q dimension")
-        self.c = float(self.c)
-        if not (np.isfinite(self.Qmat).all() and np.isfinite(self.qvec).all() and math.isfinite(self.c)):
+        if not (np.isfinite(self.Qmat).all() and np.isfinite(self.qvec).all()):
             raise ValueError("objective data must be finite")
 
     @classmethod
     def from_symmetric(cls, Qmat: np.ndarray, qvec: np.ndarray) -> QuadraticObjective:
-        """Wrap an exactly symmetric, finite float Qmat and a matching float qvec, with c = 0.
+        """Wrap an exactly symmetric, finite float Qmat and a matching float qvec.
 
         Nothing is checked; shapes, symmetry, finiteness and dtypes are the
         caller's. Every caller (`solve`, `brute_force` and the tests' support
@@ -65,7 +63,7 @@ class QuadraticObjective:
         checked on construction.
         """
         obj = object.__new__(cls)
-        obj.Qmat, obj.qvec, obj.c = Qmat, qvec, 0.0
+        obj.Qmat, obj.qvec = Qmat, qvec
         return obj
 
     @property
@@ -74,12 +72,12 @@ class QuadraticObjective:
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(x @ self.Qmat @ x + self.qvec @ x + self.c)
+        return float(x @ self.Qmat @ x + self.qvec @ x)
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         """Evaluate on every row of X."""
         W = X @ self.Qmat
-        return np.einsum("ij,ij->i", W, X) + X @ self.qvec + self.c
+        return np.einsum("ij,ij->i", W, X) + X @ self.qvec
 
 
 def classify(obj: QuadraticObjective) -> ObjectiveClass:
@@ -103,8 +101,6 @@ def classify(obj: QuadraticObjective) -> ObjectiveClass:
 def maximize_convex_vertices(f: QuadraticObjective, V: VertexSet) -> tuple[float, np.ndarray]:
     """Maximum of f over a vertex array or a box's corner table, first attaining vertex wins ties."""
     vals = form_values(V, f.Qmat, f.qvec)
-    if f.c:
-        vals += f.c
     i = int(np.argmax(vals))
     return float(vals[i]), V[i].copy()
 

@@ -16,40 +16,40 @@ the solve fails. Once the incumbent is positive, the loop ends early when
 the per-mode rank bound of `bounds.rank_bound` is at most the incumbent:
 the bound does not grow with the rank, so no rank up to K is left.
 
-Every rank after 0 is settled either exactly or by a screen. A block of at
-most SCAN_BLOCK_MIN ranks over a vertex array of at most EXACT_BLOCK_MAX_ROWS
-rows in all is evaluated whole: one stacked `geometry.form_values` pass gives
-every rank's value at every vertex, bit for bit the values of a per-rank
-`maximize_convex_vertices` call, and the ranks are walked in order under the
-incumbent and K. Such a block asks no bound, as its ranks cost less than
-the screens that would spare them. Every other block (a longer one, a box's
-`BoxCorners` table, a concave box) is screened: each rank is bounded by
-`bounds.box_bound`, an O(d^2) bound on its own objective over the working
-set's bounding box (the box itself, or a vertex list's coordinate range),
-taken from the first screened block on. When that bound, plus a rounding
-margin, is at most the incumbent, the rank is settled without a maximizer
-call; before k_pos that settles it as nu_k <= 0. A rank settled either way
-has a computed value of at most the incumbent, and the incumbent moves only
-when a rank strictly beats it, so the report is the same as if every rank
-up to K had been evaluated.
-
 After rank 0 the loop forms the rank objectives a block at a time, in one
-stacked product per block. Block lengths double from SCAN_BLOCK_MIN to
-SCAN_BLOCK_MAX, capped at K. A screened block gets one stacked `box_bound`,
-and only the ranks whose box bound is above the incumbent are maximized.
-Once the incumbent is positive, one call of `rank_bound` over a screened
-block's ranks ends the block before the first rank it settles, and the loop
-with it, so no rank past the stop is formed; an improvement inside a block
-bounds the rest of the block again. The exact blocks are all short, so the
-rank bound still ends every long scan, at most SCAN_BLOCK_MIN ranks later
-than if every block were screened. The stacked objectives are bit for bit
-the ones a plain rank-by-rank loop forms.
+stacked product per block, by the same products as a plain rank-by-rank
+loop. Block lengths double from SCAN_BLOCK_MIN to SCAN_BLOCK_MAX, capped at
+K. `_RankEvaluator.block` picks how a block is settled and gives each rank a
+screen, at least the rank's maximum. A block of at most SCAN_BLOCK_MIN ranks
+over a vertex array of at most EXACT_BLOCK_MAX_ROWS rows in all is evaluated
+whole: one stacked `geometry.form_values` pass gives every rank's value at
+every vertex, bit for bit the values of a per-rank `maximize_convex_vertices`
+call, and a rank's screen is its maximum. Every other block (a longer one, a
+box's `BoxCorners` table, a concave box) is screened by `bounds.box_bound`,
+an O(d^2) bound on each rank's objective over the working set's bounding box
+(the box itself, or a vertex list's coordinate range), plus a rounding
+margin; its ranks are maximized one at a time.
+
+Every block is then walked the same way, rank by rank: the walk goes to the
+next rank whose screen is above the incumbent and evaluates it. A rank it
+passes over has a computed value of at most the incumbent, and before k_pos
+that settles it as nu_k <= 0. The incumbent moves only when a rank strictly
+beats it, so the report is the same as if every rank up to K had been
+evaluated. The block kind matters to the walk in one place: once the
+incumbent is positive, the rank bound over a block too long to be evaluated
+whole cuts it before the first rank the bound settles, from the walk's
+current rank on, and the loop ends with the cut block; no rank past the stop
+is formed. A block short enough asks no bound, as its ranks cost less than
+the bound would. Such blocks hold at most SCAN_BLOCK_MIN ranks, so the rank
+bound still ends every long scan, at most SCAN_BLOCK_MIN ranks later than if
+every block were screened.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,6 +227,13 @@ class _RankEvaluator:
     ranks only move forward, one product A @ A^k per rank, so a run over ranks
     0..K costs K products and identical inputs give bit-identical value
     sequences.
+
+    It also picks how `block` settles a block of ranks. exact_ranks is the
+    most ranks of a block that one stacked pass evaluates whole: for a
+    convex objective over a vertex array, up to SCAN_BLOCK_MIN as
+    EXACT_BLOCK_MAX_ROWS allows, and otherwise 0. Every longer block is
+    screened by its box bounds over the working set's bounding box, taken
+    at the first screened block.
     """
 
     def __init__(
@@ -241,6 +248,7 @@ class _RankEvaluator:
         self._A = red.A
         self._Xwork = red.Xwork
         self._qp_gap_tol = qp_gap_tol
+        self._box = None
         self.k = 0
         self.power = np.eye(self._base.dim)
         if klass is ObjectiveClass.CONVEX_PSD:
@@ -249,6 +257,9 @@ class _RankEvaluator:
             self._verts = None
         else:
             raise UnsupportedObjective("a strictly concave objective needs a box initial set")
+        self.exact_ranks = 0
+        if isinstance(self._verts, np.ndarray):
+            self.exact_ranks = min(SCAN_BLOCK_MIN, EXACT_BLOCK_MAX_ROWS // len(self._verts))
 
     def objectives(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The objectives y -> f(A^j y) of the next n ranks, j = k+1..k+n, as (n, d, d) and (n, d) stacks.
@@ -274,6 +285,28 @@ class _RankEvaluator:
             raise ValueError("objective data must be finite")
         return Qs, qs
 
+    def block(self, n: int) -> tuple[np.ndarray, Callable[[int], tuple[float, np.ndarray]]]:
+        """Form the next n ranks: their screens, each at least its rank's maximum, and a function evaluating rank i.
+
+        Evaluating gives the rank's maximum and a maximizing point, bit for
+        bit those of `maximize` on the rank's objective. A block of at most
+        exact_ranks ranks is evaluated whole by one stacked `form_values`
+        pass: a rank's screen is its maximum, and evaluating it reads the
+        pass. Any other block's screens are its box bounds plus their
+        TOL_RANK_BOUND * sigma rounding margin, and evaluating a rank calls
+        `maximize`.
+        """
+        Qs, qs = self.objectives(n)
+        if n <= self.exact_ranks:
+            vals = form_values(self._verts, Qs, qs)
+            best = vals.argmax(axis=1)
+            screen = vals[np.arange(n), best]
+            return screen, lambda i: (float(screen[i]), self._verts[best[i]].copy())
+        if self._box is None:
+            self._box = _bounding_box(self._Xwork)
+        beta, sigma = box_bound(Qs, qs, *self._box)
+        return beta + TOL_RANK_BOUND * sigma, lambda i: self.maximize(QuadraticObjective.from_symmetric(Qs[i], qs[i]))
+
     def maximize(self, f: QuadraticObjective) -> tuple[float, np.ndarray]:
         """The maximum of a rank objective over the working set, and a maximizing point."""
         if self._verts is not None:
@@ -290,7 +323,7 @@ def _reduced_parts(
     has one, only spares `reduce_affine` its SVD.
     """
     red = reduce_affine(inst, dec)
-    base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
+    base = QuadraticObjective(red.Qmat, red.qvec_reduced)
     klass = classify(base)
     if klass is ObjectiveClass.UNSUPPORTED:
         raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
@@ -346,58 +379,41 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     if nu_opt < nu_k:
         nu_opt, y_opt, k_opt, k_pos, K = nu_k, y_k, 0, 0, k_diag(sd, nu_k)
         K_trace.append((0, K))
-    # a short block over a small vertex array is evaluated whole: see EXACT_BLOCK_MAX_ROWS
-    exact_ranks = 0
-    if klass is ObjectiveClass.CONVEX_PSD and isinstance(verts, np.ndarray):
-        exact_ranks = min(SCAN_BLOCK_MIN, EXACT_BLOCK_MAX_ROWS // len(verts))
-    box = None
-    k, length, settled = 0, SCAN_BLOCK_MIN, False
-    while k < K and not settled:
-        # the block holds ranks k+1..k+n; it ends before the first rank that the rank bound settles
-        n = min(length, K - k)
+    k, length = 0, SCAN_BLOCK_MIN
+    while k < K:
+        # the block holds ranks k+1..k+n, walked in order from index i; an improvement cuts it at
+        # the new K, the rank bound before the first rank it settles, and a cut block ends the loop
+        planned = n = min(length, K - k)
         length = min(2 * length, SCAN_BLOCK_MAX)
-        ranks, rank_bounds, exact = np.arange(k + 1, k + n + 1), None, n <= exact_ranks
-        if nu_opt > 0.0 and not exact:
-            rank_bounds = (1.0 + TOL_RANK_BOUND) * rank_bound(sd, ranks)
-            n, settled = _open_ranks(rank_bounds, 0, n, nu_opt)
-            if n == 0:
+        bounds, screen, i = None, None, 0
+        while True:
+            if nu_opt > 0.0 and planned > ev.exact_ranks:
+                # the rank bound does not grow with the rank: no rank from the first one it settles
+                # up to K beats nu_opt, and none of them is formed
+                if bounds is None:
+                    bounds = (1.0 + TOL_RANK_BOUND) * rank_bound(sd, np.arange(k + 1, k + planned + 1))
+                settles = (bounds[i:n] <= nu_opt).nonzero()[0]
+                if settles.size:
+                    n = i + int(settles[0])
+            if screen is None and n > 0:
+                screen, evaluate = ev.block(n)
+            # a rank whose screen is at most nu_opt is settled unevaluated, its nu_k at most nu_opt
+            while i < n and screen[i] <= nu_opt:
+                i += 1
+            if i == n:
                 break
-        Qs, qs = ev.objectives(n)
-        if exact:
-            # every rank's value at every vertex in one stacked pass: each rank's maximum is its
-            # screen, and a rank whose maximum is at most nu_opt does not improve it
-            vals = form_values(verts, Qs, qs)
-            best = vals.argmax(axis=1)
-            screen = vals[np.arange(n), best]
-        else:
-            if box is None:
-                box = _bounding_box(red.Xwork)
-            beta, sigma = box_bound(Qs, qs, *box)
-            # a rank whose box bound is at most nu_opt is settled unevaluated, and nu_k stays at
-            # most nu_opt; before k_pos that settles it as nu_k <= 0
-            screen = beta + TOL_RANK_BOUND * sigma
-        for i in (screen > nu_opt).nonzero()[0].tolist():
-            if i >= n:
-                break
-            if screen[i] <= nu_opt:
-                continue
-            if exact:
-                nu_k, y_k = float(screen[i]), verts[best[i]].copy()
-            else:
-                nu_k, y_k = ev.maximize(QuadraticObjective.from_symmetric(Qs[i], qs[i]))
+            nu_k, y_k = evaluate(i)
+            i += 1
             if nu_opt < nu_k:
-                k_opt = k + 1 + i
+                k_opt = k + i
                 k_pos = k_opt if k_pos is None else k_pos
                 nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
                 K_trace.append((k_opt, K))
-                # the ranks after k_opt up to the new K stay open, unless the rank bound settles one
-                n = max(i + 1, min(n, K - k))
-                if not exact:
-                    if rank_bounds is None:
-                        # k_pos inside a screened block: bound the rest of the block from here on
-                        rank_bounds = (1.0 + TOL_RANK_BOUND) * rank_bound(sd, ranks)
-                    n, settled = _open_ranks(rank_bounds, i + 1, n, nu_opt)
+                # the ranks after k_opt up to the new K stay open
+                n = max(i, min(n, K - k))
         k += n
+        if n < planned:
+            break
 
     if k_pos is None:
         return SolveReport(SolveStatus.FAILED, nu_opt=None, x_opt=None, k_opt=None, k_pos=None, iterations=K + 1)
@@ -411,20 +427,6 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
         K_trace=K_trace,
         iterations=max(K, k_opt) + 1,
     )
-
-
-def _open_ranks(rank_bounds: np.ndarray, start: int, n: int, nu_opt: float) -> tuple[int, bool]:
-    """How many of a block's first n ranks stay open, and whether the rank bound settles one of them.
-
-    rank_bounds holds the rank bounds of the block's ranks, with their margin.
-    A rank from index start on whose bound is at most nu_opt settles the
-    rest: the bound does not grow with the rank, so no later rank up to K can
-    beat nu_opt.
-    """
-    settles = (rank_bounds[start:n] <= nu_opt).nonzero()[0]
-    if settles.size:
-        return start + int(settles[0]), True
-    return n, False
 
 
 def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.ndarray]:

@@ -240,13 +240,13 @@ def rank_objectives(inst, kmax: int):
     order, so they are bit-identical to the solver's.
     """
     red = reduce_affine(inst)
-    base = QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)
+    base = QuadraticObjective(red.Qmat, red.qvec_reduced)
     P = np.eye(base.dim)
     for k in range(kmax + 1):
         if k > 0:
             P = red.A @ P
         M = P.T @ base.Qmat @ P
-        yield QuadraticObjective((M + M.T) / 2.0, P.T @ base.qvec, 0.0)
+        yield QuadraticObjective((M + M.T) / 2.0, P.T @ base.qvec)
 
 
 def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
@@ -257,7 +257,7 @@ def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
     table, whose values can differ from these in their last bits.
     """
     red = reduce_affine(inst)
-    convex = classify(QuadraticObjective(red.Qmat, red.qvec_reduced, 0.0)) is ObjectiveClass.CONVEX_PSD
+    convex = classify(QuadraticObjective(red.Qmat, red.qvec_reduced)) is ObjectiveClass.CONVEX_PSD
     V = vertices(red.Xwork) if convex else None
     out = np.empty(kmax + 1)
     for k, f in enumerate(rank_objectives(inst, kmax)):
@@ -269,14 +269,14 @@ def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
 
 
 def rank_evaluator(obj: QuadraticObjective, A) -> _RankEvaluator:
-    """The solver's rank evaluator for obj, its constant left out, under x -> A x over the unit box."""
+    """The solver's rank evaluator for obj under x -> A x over the unit box."""
     d = obj.dim
     inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=obj.Qmat, qvec=obj.qvec, Xin=Box(-np.ones(d), np.ones(d)))
     return _RankEvaluator(reduce_affine(inst), obj, ObjectiveClass.CONVEX_PSD)
 
 
 def stepped_objective(ev: _RankEvaluator, k: int) -> QuadraticObjective:
-    """The rank-k objective of a rank evaluator, its constant left out, for k = 0 or k past the evaluator's rank.
+    """The rank-k objective of a rank evaluator, for k = 0 or k past the evaluator's rank.
 
     Rank 0 is the base objective's form, as `solve` maximizes it; a later rank
     is the last of one block `objectives(k - ev.k)`, which steps the evaluator
@@ -291,7 +291,7 @@ def stepped_objective(ev: _RankEvaluator, k: int) -> QuadraticObjective:
 def composed(obj: QuadraticObjective, A, k: int) -> QuadraticObjective:
     """x -> obj(A^k x) as a plain objective, from a direct matrix power."""
     P = np.linalg.matrix_power(np.asarray(A, dtype=float), k)
-    return QuadraticObjective(P.T @ obj.Qmat @ P, P.T @ obj.qvec, obj.c)
+    return QuadraticObjective(P.T @ obj.Qmat @ P, P.T @ obj.qvec)
 
 
 def concave_box_max_kkt(obj: QuadraticObjective, lower, upper) -> float:

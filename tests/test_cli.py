@@ -2,9 +2,12 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import reachmax
 from reachmax.cli import main
 
 from support import hump_seq, plateau_seq
@@ -214,10 +217,14 @@ class TestBenchCommand:
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = write_json(tmp_path / "osc.json", oscillator_doc())
+        # the child imports the package these tests import, installed or not
+        src = str(Path(reachmax.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "reachmax.cli", "solve", str(path), "--json"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "KDiag"

@@ -19,8 +19,8 @@ from support import OSC_A, composed, concave_box_max_kkt, grid_max, rank_evaluat
 
 class TestQuadraticObjective:
     def test_value(self):
-        obj = QuadraticObjective([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0], 3.0)
-        assert obj.value([1.0, 1.0]) == pytest.approx(1.0 + 2.0 + 1.0 - 1.0 + 3.0)
+        obj = QuadraticObjective([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
+        assert obj.value([1.0, 1.0]) == pytest.approx(1.0 + 2.0 + 1.0 - 1.0)
 
     def test_symmetrized_on_construction(self):
         obj = QuadraticObjective([[1.0, 1e-10], [0.0, 1.0]], [0.0, 0.0])
@@ -59,10 +59,10 @@ class TestStep:
     """The rank-k objectives x -> f(A^k x) of the solver's rank evaluator."""
 
     def test_step_zero_is_the_objective_itself(self):
-        obj = QuadraticObjective(np.eye(2), [1.0, 2.0], 0.5)
+        obj = QuadraticObjective(np.eye(2), [1.0, 2.0])
         f = stepped_objective(rank_evaluator(obj, OSC_A), 0)
         x = np.array([0.3, -0.7])
-        assert f.value(x) + obj.c == pytest.approx(obj.value(x), abs=0.0)
+        assert f.value(x) == pytest.approx(obj.value(x), abs=0.0)
 
     def test_one_dimensional_contraction(self):
         # Q=1, q=-1, A=1/2, k=2: value is x^2/16 - x/4
@@ -80,7 +80,7 @@ class TestStep:
             d = int(rng.integers(1, 5))
             A = rng.uniform(-1.0, 1.0, size=(d, d)) * 0.6
             M = rng.uniform(-1.0, 1.0, size=(d, d))
-            obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d), rng.normal())
+            obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d))
             k = int(rng.integers(0, 9))
             direct = composed(obj, A, k)
             ev = rank_evaluator(obj, A)
@@ -88,7 +88,7 @@ class TestStep:
                 f = stepped_objective(ev, j)
             x = rng.uniform(-1.0, 1.0, size=d)
             scale = 1.0 + abs(direct.value(x))
-            assert abs(f.value(x) + obj.c - direct.value(x)) <= 1e-9 * scale
+            assert abs(f.value(x) - direct.value(x)) <= 1e-9 * scale
 
     def test_agrees_with_naive_composition(self):
         rng = np.random.default_rng(32)
@@ -96,7 +96,7 @@ class TestStep:
             d = int(rng.integers(1, 5))
             A = rng.uniform(-1.0, 1.0, size=(d, d)) * 0.8
             M = rng.uniform(-1.0, 1.0, size=(d, d))
-            obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d), 0.0)
+            obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d))
             k = int(rng.integers(0, 7))
             f = stepped_objective(rank_evaluator(obj, A), k)
             x = rng.uniform(-1.0, 1.0, size=d)
@@ -135,7 +135,7 @@ class TestMaximizeConvexVertices:
         for _ in range(30):
             d = int(rng.integers(1, 5))
             M = rng.uniform(-1.0, 1.0, size=(d, d))
-            obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d), rng.normal())
+            obj = QuadraticObjective(M.T @ M, rng.uniform(-1.0, 1.0, size=d))
             A = rng.uniform(-1.0, 1.0, size=(d, d)) * 0.7
             s = composed(obj, A, int(rng.integers(0, 4)))
             center = rng.uniform(-1.0, 1.0, size=d)
@@ -243,7 +243,7 @@ class TestMaximizeConcaveQP:
             d = int(rng.integers(1, 4))
             M = rng.uniform(-1.0, 1.0, size=(d, d))
             Q = -(M.T @ M) - 1e-3 * np.eye(d)
-            obj = QuadraticObjective(Q, rng.uniform(-1.0, 1.0, size=d), rng.normal())
+            obj = QuadraticObjective(Q, rng.uniform(-1.0, 1.0, size=d))
             A = rng.uniform(-1.0, 1.0, size=(d, d)) * 0.7
             s = composed(obj, A, int(rng.integers(0, 3)))
             center = rng.uniform(-1.0, 1.0, size=d)
@@ -261,7 +261,7 @@ class TestMaximizeConcaveQP:
         for _ in range(20):
             d = int(rng.integers(1, 4))
             M = rng.uniform(-1.0, 1.0, size=(d, d))
-            obj = QuadraticObjective(-(M.T @ M) - 1e-3 * np.eye(d), np.zeros(d), 0.0)
+            obj = QuadraticObjective(-(M.T @ M) - 1e-3 * np.eye(d), np.zeros(d))
             A = rng.uniform(-1.0, 1.0, size=(d, d)) * 0.7
             s = composed(obj, A, int(rng.integers(0, 4)))
             center = rng.uniform(-1.0, 1.0, size=d)

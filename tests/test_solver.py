@@ -9,7 +9,7 @@ import pytest
 
 from reachmax import Box, ProblemInstance, SolveStatus, VRep, brute_force, geometry, solve
 from reachmax import solver as solver_module
-from reachmax.qpcore import ObjectiveClass, QuadraticObjective
+from reachmax.qpcore import ObjectiveClass, QuadraticObjective, maximize_convex_vertices
 from reachmax.bounds import TOL_RANK_BOUND, box_bound, rank_bound
 from reachmax.seqlab import FiniteC0Sequence, partial_sup
 from reachmax.solver import _RankEvaluator, reduce_affine
@@ -188,6 +188,60 @@ class TestRankEvaluator:
         ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
             ev.objectives(2)
+
+    @staticmethod
+    def instance_on(rng, Xin, concave=False, linear=True):
+        """A linear instance on Xin with spectral radius 0.9, a convex or strictly concave objective."""
+        d = Xin.dim
+        A, M = rng.uniform(-1.0, 1.0, size=(d, d)), rng.normal(size=(d, d))
+        Q = -(M.T @ M) - 1e-3 * np.eye(d) if concave else M.T @ M
+        return ProblemInstance(A=0.9 * A / np.max(np.abs(np.linalg.eigvals(A))), b=np.zeros(d), Qmat=Q,
+                               qvec=rng.normal(size=d) if linear else np.zeros(d), Xin=Xin)
+
+    def test_exact_block_screens_and_evaluations_are_the_rank_maxima_bit_for_bit(self):
+        rng = np.random.default_rng(45)
+        ties = 0
+        for _ in range(300):
+            d, m, n = (int(v) for v in rng.integers(1, (7, 65, 9)))
+            V = rng.normal(size=(m, d))
+            tied = m % 2 == 0 and rng.uniform() < 0.5
+            if tied:
+                # x and -x tie under a form without a linear part: the first of the pair must win
+                V[m // 2 :] = -V[: m // 2]
+            inst = self.instance_on(rng, VRep(V), linear=not tied)
+            ties += tied
+            ev = convex_evaluator(inst)
+            assert ev.exact_ranks >= n
+            screen, evaluate = ev.block(n)
+            for i, f in enumerate(itertools.islice(rank_objectives(inst, n), 1, None)):
+                nu, x = maximize_convex_vertices(f, V)
+                got_nu, got_x = evaluate(i)
+                assert np.array([screen[i], got_nu]).tobytes() == np.array([nu, nu]).tobytes()
+                assert got_x.tobytes() == x.tobytes()
+        assert ties >= 50
+
+    def test_screened_block_screens_bound_the_rank_maxima(self):
+        rng = np.random.default_rng(46)
+        n = 2 * solver_module.SCAN_BLOCK_MIN
+        for Xin, concave in (
+            (VRep(rng.normal(size=(40, 3))), False),
+            (Box(-rng.uniform(0.1, 1.0, size=11), rng.uniform(0.1, 1.0, size=11)), False),
+            (Box(-rng.uniform(0.1, 1.0, size=3), rng.uniform(0.1, 1.0, size=3)), True),
+        ):
+            for _ in range(3):
+                inst = self.instance_on(rng, Xin, concave)
+                red = reduce_affine(inst)
+                klass = ObjectiveClass.STRICTLY_CONCAVE_ND if concave else ObjectiveClass.CONVEX_PSD
+                ev = _RankEvaluator(red, QuadraticObjective(red.Qmat, red.qvec_reduced), klass)
+                assert ev.exact_ranks < n
+                assert isinstance(ev._verts, geometry.BoxCorners) == (Xin.dim == 11)
+                screen, evaluate = ev.block(n)
+                for i, f in enumerate(itertools.islice(rank_objectives(inst, n), 1, None)):
+                    nu, x = ev.maximize(f)
+                    got_nu, got_x = evaluate(i)
+                    assert screen[i] >= nu
+                    assert np.float64(got_nu).tobytes() == np.float64(nu).tobytes()
+                    assert got_x.tobytes() == x.tobytes()
 
 
 def underflow_instance(N: int) -> ProblemInstance:
