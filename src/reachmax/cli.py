@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -146,37 +147,42 @@ def cmd_bench(args) -> int:
         print(f"InvalidBenchSpec: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    stats, records = run_bench(spec)
-
-    agg_header = [
-        "obj_type", "dim", "vertex_count", "status_c_k_f",
-        "avg_time_s", "avg_mem_mib", "avg_k_pos", "max_k_pos",
-        "avg_iter", "max_iter", "avg_gap", "max_gap", "errors",
-    ]
-    agg_row = [
-        spec.objective_kind.name,
-        spec.dim,
-        vertex_count_of(spec),
-        f"{stats.count_c}/{stats.count_k}/{stats.count_f}",
-        f"{stats.avg_time_s:.6f}",
-        "" if stats.avg_mem_mib is None else f"{stats.avg_mem_mib:.3f}",
-        "" if stats.avg_k_pos is None else f"{stats.avg_k_pos:.2f}",
-        "" if stats.max_k_pos is None else stats.max_k_pos,
-        "" if stats.avg_iter is None else f"{stats.avg_iter:.2f}",
-        "" if stats.max_iter is None else stats.max_iter,
-        "" if stats.avg_gap is None else f"{stats.avg_gap:.2f}",
-        "" if stats.max_gap is None else stats.max_gap,
-        stats.count_error,
-    ]
-
     out = Path(args.out)
     per_instance = out.with_name(out.stem + ".instances" + (out.suffix or ".csv"))
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
+    with ExitStack() as files:
+        # both outputs are opened before the batch runs, so an unwritable path costs no solves
+        try:
+            agg_fh = files.enter_context(out.open("w", newline="", encoding="utf-8"))
+            inst_fh = files.enter_context(per_instance.open("w", newline="", encoding="utf-8"))
+        except OSError as exc:
+            print(f"{type(exc).__name__}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_ERROR
+        stats, records = run_bench(spec)
+
+        agg_header = [
+            "obj_type", "dim", "vertex_count", "status_c_k_f",
+            "avg_time_s", "avg_mem_mib", "avg_k_pos", "max_k_pos",
+            "avg_iter", "max_iter", "avg_gap", "max_gap", "errors",
+        ]
+        agg_row = [
+            spec.objective_kind.name,
+            spec.dim,
+            vertex_count_of(spec),
+            f"{stats.count_c}/{stats.count_k}/{stats.count_f}",
+            f"{stats.avg_time_s:.6f}",
+            "" if stats.avg_mem_mib is None else f"{stats.avg_mem_mib:.3f}",
+            "" if stats.avg_k_pos is None else f"{stats.avg_k_pos:.2f}",
+            "" if stats.max_k_pos is None else stats.max_k_pos,
+            "" if stats.avg_iter is None else f"{stats.avg_iter:.2f}",
+            "" if stats.max_iter is None else stats.max_iter,
+            "" if stats.avg_gap is None else f"{stats.avg_gap:.2f}",
+            "" if stats.max_gap is None else stats.max_gap,
+            stats.count_error,
+        ]
+        w = csv.writer(agg_fh)
         w.writerow(agg_header)
         w.writerow(agg_row)
-    with per_instance.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(inst_fh)
         w.writerow(["index", "status", "nu_opt", "k_opt", "k_pos", "K_init", "K_final", "iterations", "time_s"])
         for r in records:
             w.writerow([

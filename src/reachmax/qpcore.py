@@ -74,11 +74,6 @@ class QuadraticObjective:
         x = np.asarray(x, dtype=float)
         return float(x @ self.Qmat @ x + self.qvec @ x)
 
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on every row of X."""
-        W = X @ self.Qmat
-        return np.einsum("ij,ij->i", W, X) + X @ self.qvec
-
 
 def classify(obj: QuadraticObjective) -> ObjectiveClass:
     """Sign class of the quadratic part.

@@ -57,10 +57,6 @@ class FiniteC0Sequence:
     def __len__(self) -> int:
         return self.terms.size
 
-    def term(self, k: int) -> float:
-        """u_k under zero extension."""
-        return float(self.terms[k]) if k < self.terms.size else 0.0
-
 
 @dataclass(eq=False)
 class RankProfile:

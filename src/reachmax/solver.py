@@ -30,19 +30,19 @@ an O(d^2) bound on each rank's objective over the working set's bounding box
 (the box itself, or a vertex list's coordinate range), plus a rounding
 margin; its ranks are maximized one at a time.
 
-Every block is then walked the same way, rank by rank: the walk goes to the
-next rank whose screen is above the incumbent and evaluates it. A rank it
-passes over has a computed value of at most the incumbent, and before k_pos
-that settles it as nu_k <= 0. The incumbent moves only when a rank strictly
-beats it, so the report is the same as if every rank up to K had been
-evaluated. The block kind matters to the walk in one place: once the
-incumbent is positive, the rank bound over a block too long to be evaluated
-whole cuts it before the first rank the bound settles, from the walk's
-current rank on, and the loop ends with the cut block; no rank past the stop
-is formed. A block short enough asks no bound, as its ranks cost less than
-the bound would. Such blocks hold at most SCAN_BLOCK_MIN ranks, so the rank
-bound still ends every long scan, at most SCAN_BLOCK_MIN ranks later than if
-every block were screened.
+Each block takes three steps. Once the incumbent is positive, a block too
+long to be evaluated whole first asks the rank bound, once, over the ranks
+it would hold, and is cut before the first rank the bound settles; a cut
+block is the last one, and no rank past the cut is formed. A block short
+enough asks no bound, as its ranks cost less than the bound would. The
+block is then formed, and walked in order up to the current K: a rank whose
+screen is at most the incumbent is passed over, its computed value at most
+the incumbent, which before k_pos settles it as nu_k <= 0, and every other
+rank is evaluated. The incumbent moves only when a rank strictly beats it,
+so the report is the same as if every rank up to K had been evaluated. An
+improvement inside a block asks no new bound: the rest of the block is
+walked under its screens. So the rank bound ends every long scan at most
+one block later than a bound asked at every rank would.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 
 from .bounds import TOL_RANK_BOUND, box_bound, build_spectral_data, corollary_one_holds, k_diag, rank_bound
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
-from .geometry import Box, Polytope, VertexSet, VRep, form_values, frozen_array, translate, vertex_set
+from .geometry import Box, Polytope, VertexSet, form_values, frozen_array, translate, vertex_set
 from .linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shift_cond_bound, spectral_radius_check
 from .qpcore import (
     ObjectiveClass,
@@ -167,22 +167,12 @@ class SolveReport:
 
 
 def _is_origin_only(P: Polytope) -> bool:
-    if isinstance(P, Box):
-        return not (P.lower.any() or P.upper.any())
-    if isinstance(P, VRep):
-        return not P.points.any()
-    return False
+    return not (P.lower.any() or P.upper.any())
 
 
 def _bounding_box(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and half-widths of the smallest box holding P: P itself, or a vertex list's coordinate range."""
-    if isinstance(P, Box):
-        lower, upper = P.lower, P.upper
-    else:
-        # reducing along contiguous rows of the transpose is 5x faster than along axis 0
-        T = P.points.T.copy()
-        lower, upper = T.min(axis=1), T.max(axis=1)
-    return (lower + upper) / 2.0, (upper - lower) / 2.0
+    """Centre and half-widths of the smallest box holding P, from its coordinate range."""
+    return (P.lower + P.upper) / 2.0, (P.upper - P.lower) / 2.0
 
 
 def reduce_affine(inst: ProblemInstance, dec: SpectralDecomposition | None = None) -> ReducedInstance:
@@ -379,41 +369,32 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     if nu_opt < nu_k:
         nu_opt, y_opt, k_opt, k_pos, K = nu_k, y_k, 0, 0, k_diag(sd, nu_k)
         K_trace.append((0, K))
-    k, length = 0, SCAN_BLOCK_MIN
-    while k < K:
-        # the block holds ranks k+1..k+n, walked in order from index i; an improvement cuts it at
-        # the new K, the rank bound before the first rank it settles, and a cut block ends the loop
-        planned = n = min(length, K - k)
+    k, length, cut = 0, SCAN_BLOCK_MIN, False
+    while k < K and not cut:
+        # the block holds ranks k+1..k+n
+        n = min(length, K - k)
         length = min(2 * length, SCAN_BLOCK_MAX)
-        bounds, screen, i = None, None, 0
-        while True:
-            if nu_opt > 0.0 and planned > ev.exact_ranks:
-                # the rank bound does not grow with the rank: no rank from the first one it settles
-                # up to K beats nu_opt, and none of them is formed
-                if bounds is None:
-                    bounds = (1.0 + TOL_RANK_BOUND) * rank_bound(sd, np.arange(k + 1, k + planned + 1))
-                settles = (bounds[i:n] <= nu_opt).nonzero()[0]
-                if settles.size:
-                    n = i + int(settles[0])
-            if screen is None and n > 0:
-                screen, evaluate = ev.block(n)
-            # a rank whose screen is at most nu_opt is settled unevaluated, its nu_k at most nu_opt
-            while i < n and screen[i] <= nu_opt:
-                i += 1
-            if i == n:
+        if nu_opt > 0.0 and n > ev.exact_ranks:
+            # the rank bound does not grow with the rank: no rank from the first one it settles
+            # up to K beats nu_opt, none of them is formed, and the cut block is the last one
+            settles = ((1.0 + TOL_RANK_BOUND) * rank_bound(sd, np.arange(k + 1, k + n + 1)) <= nu_opt).nonzero()[0]
+            if settles.size:
+                n, cut = int(settles[0]), True
+        if n > 0:
+            screen, evaluate = ev.block(n)
+        for i in range(n):
+            if k + i >= K:
                 break
+            # a rank whose screen is at most nu_opt is settled unevaluated, its nu_k at most nu_opt
+            if screen[i] <= nu_opt:
+                continue
             nu_k, y_k = evaluate(i)
-            i += 1
             if nu_opt < nu_k:
-                k_opt = k + i
+                k_opt = k + i + 1
                 k_pos = k_opt if k_pos is None else k_pos
                 nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
                 K_trace.append((k_opt, K))
-                # the ranks after k_opt up to the new K stay open
-                n = max(i, min(n, K - k))
         k += n
-        if n < planned:
-            break
 
     if k_pos is None:
         return SolveReport(SolveStatus.FAILED, nu_opt=None, x_opt=None, k_opt=None, k_pos=None, iterations=K + 1)

@@ -8,7 +8,7 @@ import numpy as np
 
 from reachmax import Box
 from reachmax.bounds import _zonogon_maxima
-from reachmax.geometry import CORNER_TABLE_MIN_DIM, vertices
+from reachmax.geometry import CORNER_TABLE_MIN_DIM, form_values, vertices
 from reachmax.qpcore import (
     ObjectiveClass,
     QuadraticObjective,
@@ -189,13 +189,13 @@ def grid_points(lower, upper, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def grid_max(value_many, lower, upper, per_axis: int = 33) -> float:
-    """Plain dense grid maximum; exact for convex objectives (corners included)."""
-    return float(np.max(value_many(grid_points(lower, upper, per_axis))))
+def grid_max(f: QuadraticObjective, lower, upper, per_axis: int = 33) -> float:
+    """Plain dense grid maximum of f; exact for convex objectives (corners included)."""
+    return float(np.max(form_values(grid_points(lower, upper, per_axis), f.Qmat, f.qvec)))
 
 
-def refined_grid_max(value_many, lower, upper, per_axis: int = 41, stages: int = 4) -> float:
-    """Grid maximum with successive window refinement around the incumbent.
+def refined_grid_max(f: QuadraticObjective, lower, upper, per_axis: int = 41, stages: int = 4) -> float:
+    """Grid maximum of f with successive window refinement around the incumbent.
 
     Sound for concave objectives: the maximizer of a concave function lies
     within one cell of the grid argmax, so shrinking the window keeps it.
@@ -206,7 +206,7 @@ def refined_grid_max(value_many, lower, upper, per_axis: int = 41, stages: int =
     best = -np.inf
     for _ in range(stages):
         pts = grid_points(lo, up, per_axis)
-        vals = value_many(pts)
+        vals = form_values(pts, f.Qmat, f.qvec)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         h = (up - lo) / (per_axis - 1)

@@ -201,6 +201,24 @@ class TestBenchCommand:
         assert rc == 1
         assert "box" in capsys.readouterr().err
 
+    def test_unwritable_output_exits_one_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_batch(spec):
+            raise AssertionError("the batch ran before its outputs were opened")
+
+        monkeypatch.setattr("reachmax.cli.run_bench", no_batch)
+        # a missing directory for the aggregate CSV, then a directory in place of the per-instance CSV
+        (tmp_path / "agg.instances.csv").mkdir()
+        for out, named in ((tmp_path / "missing" / "x.csv", "x.csv"), (tmp_path / "agg.csv", "agg.instances.csv")):
+            rc = main([
+                "bench", "--dim", "2", "--kind", "linear", "--objective", "cxh",
+                "--count", "2", "--seed", "1", "--out", str(out),
+            ])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.strip()
+            assert "\n" not in err and "cannot write" in err and str(out.with_name(named)) in err
+
     def test_determinism_excluding_wall_clock(self, tmp_path, capsys):
         def run(name):
             out = tmp_path / name

@@ -52,6 +52,21 @@ class TestVertices:
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
 
+    def test_vrep_range_is_the_coordinate_range_and_checks_every_point(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            pts = rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 7))))
+            P = VRep(pts)
+            for got, ref in ((P.lower, pts.min(axis=0)), (P.upper, pts.max(axis=0))):
+                assert not got.flags.writeable and got.tobytes() == ref.tobytes()
+            assert P.dim == pts.shape[1]
+            # one non-finite coordinate anywhere, the last row included, is refused
+            for bad in (np.nan, np.inf, -np.inf):
+                broken = pts.copy()
+                broken[rng.integers(len(pts)), rng.integers(pts.shape[1])] = bad
+                with pytest.raises(ValueError, match="vertices must be finite"):
+                    VRep(broken)
+
 
 def random_convex_objective(rng, d: int, linear: bool = True) -> QuadraticObjective:
     M = rng.normal(size=(d, d))
@@ -84,7 +99,7 @@ class TestBoxCorners:
             f = random_convex_objective(rng, d)
             V = vertices(box)
             got = BoxCorners(box).form_values(f.Qmat, f.qvec)
-            ref = f.value_many(V)
+            ref = form_values(V, f.Qmat, f.qvec)
             # each value is a sum of at most d^2 + d products, summed in two different orders;
             # both stay within (2d + 2) eps of the sum of the products' magnitudes
             scale = np.einsum("ij,jk,ik->i", np.abs(V), np.abs(f.Qmat), np.abs(V)) + np.abs(V) @ np.abs(f.qvec)
@@ -218,7 +233,10 @@ class TestTranslate:
             shifted, moved = translate(box, t), translate(vrep, t)
             built, rebuilt = Box(box.lower - t, box.upper - t), VRep(vrep.points - t)
             assert type(shifted) is Box and type(moved) is VRep
-            for a, b in ((shifted.lower, built.lower), (shifted.upper, built.upper), (moved.points, rebuilt.points)):
+            pairs = [(shifted.lower, built.lower), (shifted.upper, built.upper)]
+            # rounding is monotone, so the shifted range is the range of the shifted points
+            pairs += [(moved.points, rebuilt.points), (moved.lower, rebuilt.lower), (moved.upper, rebuilt.upper)]
+            for a, b in pairs:
                 assert not a.flags.writeable
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
             assert np.all(shifted.lower <= shifted.upper)

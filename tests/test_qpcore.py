@@ -5,7 +5,7 @@ import pytest
 
 from reachmax import Box, VRep, qpcore
 from reachmax.errors import NotConcave, QPNotConverged
-from reachmax.geometry import vertices
+from reachmax.geometry import form_values, vertices
 from reachmax.qpcore import (
     ObjectiveClass,
     QuadraticObjective,
@@ -142,7 +142,7 @@ class TestMaximizeConvexVertices:
             radius = rng.uniform(0.1, 1.0, size=d)
             box = Box(center - radius, center + radius)
             val, _ = maximize_convex_vertices(s, vertices(box))
-            ref = grid_max(s.value_many, box.lower, box.upper, per_axis=5)
+            ref = grid_max(s, box.lower, box.upper, per_axis=5)
             assert val == pytest.approx(ref, rel=1e-6)
 
 
@@ -167,7 +167,7 @@ class TestMaximizeConcaveQP:
             [m.ravel() for m in np.meshgrid(*(np.arange(-1.0, 1.0 + 1e-9, 1e-3),) * 2, indexing="ij")],
             axis=1,
         )
-        ref = float(np.max(s.value_many(pts)))
+        ref = float(np.max(form_values(pts, s.Qmat, s.qvec)))
         assert ref == pytest.approx(1.0, abs=1e-5)
         assert val == pytest.approx(1.0, abs=1e-8)
         np.testing.assert_allclose(arg, [1.0, 0.0], atol=1e-5)
@@ -250,7 +250,7 @@ class TestMaximizeConcaveQP:
             radius = rng.uniform(0.1, 1.0, size=d)
             box = Box(center - radius, center + radius)
             val, arg = maximize_concave_qp(s, box)
-            ref = refined_grid_max(s.value_many, box.lower, box.upper)
+            ref = refined_grid_max(s, box.lower, box.upper)
             assert val == pytest.approx(ref, abs=1e-5)
             kkt = concave_box_max_kkt(s, box.lower, box.upper)
             assert val == pytest.approx(kkt, abs=1e-7)
