@@ -16,39 +16,32 @@ guarantees nu_k <= nu_j for every k >= K(j), so the search can stop there.
 
 The envelope lets the dominant mode stand in for every mode. The rank bound
 keeps the modes apart. With y = U^-1 x, the rank-k state is A^k x = U z for
-z_i = lambda_i^k y_i, so, with l = lambda_max(U* Q U) taken with its sign
-and c = ||U* q|| = 2 sqrt(L) V,
+z_i = lambda_i^k y_i, so, with G = U* Q U and e = U* q,
 
-    f(A^k x) = z* (U* Q U) z + (U* q)* z <= l s + c sqrt(s),
-    s = ||z||^2 = sum_i |lambda_i|^(2k) |y_i|^2.
+    f(A^k x) = z* G z + e* z.
 
 |y_i|^2 is a convex form in x, so its maximum m_i over the working set is
-attained at a vertex, and s <= S_k = min(sum_i |lambda_i|^(2k) m_i,
-rho^(2k) M) for every x in the set. Hence
+attained at a vertex, and every rank-k state has |z_i| <= a_i(k) =
+|lambda_i|^k sqrt(m_i). G is Hermitian, so each G_ii is real, and the
+triangle inequality on the terms off the diagonal gives
 
-    nu_k <= B_k = max over 0 <= s <= S_k of (l s + c sqrt(s)),
+    f(A^k x) <= sum_(i != j) |G_ij| |z_i| |z_j| + sum_i (G_ii |z_i|^2 + |e_i| |z_i|)
+             <= P_k = sum_(i != j) |G_ij| a_i a_j + sum_i max over 0 <= t <= a_i of (G_ii t^2 + |e_i| t).
 
-attained at S_k for l > 0 and at min(S_k, c^2 / (4 l^2)) for l < 0. The
-bound holds for convex and concave objectives alike. It never exceeds the
-envelope at rank k, since S_k <= rho^(2k) M and l s <= L s. S_k does not
-grow with k because every |lambda_i| < 1, and B_k is a maximum over
-[0, S_k], so B_k does not grow either.
-
-B_k still charges every mode with the largest curvature l. The polydisc
-bound charges each pair of modes with its own entry of G = U* Q U. With
-e = U* q and a_i(k) = |lambda_i|^k sqrt(m_i), every rank-k state has
-|z_i| <= a_i(k), so by the triangle inequality
-
-    f(A^k x) = z* G z + e* z <= P_k = sum_ij |G_ij| a_i a_j + sum_i |e_i| a_i.
-
-P_k holds for any Hermitian G, so for convex and concave objectives alike.
-Every coefficient is non-negative and every a_i shrinks with k, so P_k
-does not grow either. It is exact for a diagonal A, a diagonal Q >= 0,
-q = 0 and a box: U is then a permutation, z_i is lambda_i^k x_i up to
-order, and every term Q_ii lambda_i^(2k) x_i^2 peaks at the same corner,
-where x_i^2 = m_i. The rank bound is min(B_k, P_k), and S_k above is
-sum_i a_i(k)^2 capped by rho^(2k) M: once it is at most the incumbent, no
-rank from k on can beat it.
+Mode i's own terms depend on |z_i| <= a_i alone, so their maximum over
+[0, a_i] bounds them for either sign of G_ii: it is at t = a_i for
+G_ii >= 0, and for G_ii < 0, a concave parabola, at t = min(a_i,
+|e_i| / (2 |G_ii|)). So P_k bounds convex and concave objectives alike. It
+does not grow with k: every |lambda_i| < 1, so every a_i shrinks, the
+off-diagonal coefficients are non-negative, and each mode's maximum is
+taken over a shrinking interval. Once P_k is at most the incumbent, no rank
+from k on can beat it. For a convex objective every G_ii >= 0, and P_k is
+a^T |G| a + |e|^T a. It is exact for a diagonal A, a diagonal Q >= 0, q = 0
+and a box: U is then a permutation, z_i is lambda_i^k x_i up to order, and
+every term Q_ii lambda_i^(2k) x_i^2 peaks at the same corner, where
+x_i^2 = m_i. P_k does not use the single curvature L of the envelope, and at
+some ranks it lies above the envelope; the scan never passes K, so there
+the stopping rank, not P_k, ends it.
 
 M = max ||U^-1 x||^2 = max sum_i |y_i|^2 and the m_i are maxima over the
 vertex set that `geometry.vertex_set` gives, taken together in one pass
@@ -61,9 +54,9 @@ and each m_i from the at most 2d vertices of the zonogon
 O(d^2 log d) for all modes (see `_zonogon_maxima`), so neither builds the
 2^d x d corner array.
 
-Both members bound every rank from the envelope data alone. `box_bound`
-instead bounds one rank's own objective f_k over the bounding box of the
-working set, in O(d^2) and with no vertex pass: the solver forms f_k before
+P_k bounds every rank from the envelope data alone. `box_bound` instead
+bounds one rank's own objective f_k over the bounding box of the working
+set, in O(d^2) and with no vertex pass: the solver forms f_k before
 maximizing it anyway, so a bound at most the incumbent settles that rank
 without the maximization. It does not shrink monotonically with k, so it
 settles one rank at a time.
@@ -81,7 +74,7 @@ from .linalg import SpectralDecomposition
 
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
 TOL_LMAX_ZERO = 1e-12
-# A rank counts as settled by its bound only when (1 + TOL_RANK_BOUND) B_k <= incumbent,
+# A rank counts as settled by its bound only when (1 + TOL_RANK_BOUND) P_k <= incumbent,
 # a margin for the rounding in U^-1, the mode maxima and the bound itself; by its box
 # bound only when beta + TOL_RANK_BOUND sigma <= incumbent (see `box_bound`).
 TOL_RANK_BOUND = 1e-9
@@ -99,11 +92,10 @@ class SpectralData:
     lmax_abs: float
     v_diag: float
     envelope: float
-    lmax: float  # lambda_max(U* Q U) with its sign
     mode_max: np.ndarray  # m_i, the maximum of |(U^-1 x)_i|^2 over the vertices
     mode_root: np.ndarray  # sqrt(m_i), the polydisc radii at rank 0
     decay: np.ndarray  # |lambda_i|, the rate at which each radius shrinks
-    gram_abs: np.ndarray  # |U* Q U| entrywise
+    gram_abs: np.ndarray  # |U* Q U| off the diagonal, the real diagonal of U* Q U (with its sign) on it
     lin_abs: np.ndarray  # |U* q| entrywise
 
 
@@ -115,10 +107,12 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
 
     G = Ustar @ Q @ dec.U
     # G is Hermitian up to rounding for a symmetric Q: averaging removes the rounding
-    lmax = float(np.linalg.eigvalsh((G + G.conj().T) / 2.0)[-1])
-    if abs(lmax) <= TOL_LMAX_ZERO:
+    H = (G + G.conj().T) / 2.0
+    lmax_abs = abs(float(np.linalg.eigvalsh(H)[-1]))
+    if lmax_abs <= TOL_LMAX_ZERO:
         raise AssumptionViolated("largest eigenvalue of U* Q U is numerically zero")
-    lmax_abs = abs(lmax)
+    gram_abs = np.abs(G)
+    gram_abs.flat[:: len(G) + 1] = H.real.diagonal()
 
     mu_gram, mode_max = _vertex_maxima(dec.U_inv, V)
     e = Ustar @ q
@@ -131,11 +125,10 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
         lmax_abs=lmax_abs,
         v_diag=v_diag,
         envelope=envelope,
-        lmax=lmax,
         mode_max=mode_max,
         mode_root=np.sqrt(mode_max),
         decay=np.abs(dec.D),
-        gram_abs=np.abs(G),
+        gram_abs=gram_abs,
         lin_abs=np.abs(e),
     )
 
@@ -189,20 +182,20 @@ def _zonogon_maxima(U_inv: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
 
 
 def rank_bound(sd: SpectralData, k: int | np.ndarray) -> float | np.ndarray:
-    """min(B_k, P_k), an upper bound on nu_k from every mode's decay rate; nonincreasing in k.
+    """P_k, an upper bound on nu_k from every mode's decay rate; nonincreasing in k.
 
-    See the module docstring: B_k = max of l s + c sqrt(s) over 0 <= s <= S_k,
-    and P_k = a^T |G| a + |e|^T a over the polydisc |z_i| <= a_i(k). k is a
-    rank or an array of ranks, and the result has its shape.
+    See the module docstring: P_k = sum_(i != j) |G_ij| a_i a_j plus, for
+    each mode, the maximum of G_ii t^2 + |e_i| t over 0 <= t <= a_i(k). k is
+    a rank or an array of ranks, and the result has its shape.
     """
     k = np.asarray(k)
     a = sd.decay ** k[..., None] * sd.mode_root
-    s = np.minimum((a * a).sum(axis=-1), sd.dec.rho ** (2 * k) * sd.mu_gram)
-    c = 2.0 * math.sqrt(sd.lmax_abs) * sd.v_diag
-    if sd.lmax < 0.0:
-        # a concave parabola in sqrt(s), peaking at s = c^2 / (4 l^2)
-        s = np.minimum(s, (c / (2.0 * sd.lmax)) ** 2)
-    return np.minimum(sd.lmax * s + c * np.sqrt(s), ((a @ sd.gram_abs.T + sd.lin_abs) * a).sum(axis=-1))
+    # a G_ii >= 0 stays in the product, its mode's own terms peaking at t = a_i; a mode with
+    # G_ii < 0 peaks at the parabola's vertex |e_i| / (2|G_ii|) if that comes first. Every
+    # term below is non-negative, so none cancels another
+    g = np.minimum(sd.gram_abs.diagonal(), 0.0)
+    t = np.minimum(a, np.divide(sd.lin_abs, -2.0 * g, out=np.full_like(g, np.inf), where=g < 0.0))
+    return ((a @ np.maximum(sd.gram_abs, 0.0).T) * a + (g * t + sd.lin_abs) * t).sum(axis=-1)
 
 
 def box_bound(Q: np.ndarray, q: np.ndarray, centre: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -418,7 +418,7 @@ def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.nda
     with the offset included and the maximizer in original coordinates. A
     need not be diagonalizable or convergent.
     """
-    if horizon < 0:
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 0:
         raise ValueError("horizon must be a natural number")
     red, base, klass = _reduced_parts(inst)
     ev = _RankEvaluator(red, base, klass)

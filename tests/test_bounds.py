@@ -74,7 +74,7 @@ class TestBuildSpectralData:
         assert sd.envelope == pytest.approx(1.0, abs=1e-12)
 
     def test_lmax_dominates_every_rayleigh_quotient(self):
-        assert osc_spectral_data(np.diag([1.0, 0.0]), np.zeros(2)).lmax == pytest.approx(2.0, abs=1e-9)
+        assert osc_spectral_data(np.diag([1.0, 0.0]), np.zeros(2)).lmax_abs == pytest.approx(2.0, abs=1e-9)
         rng = np.random.default_rng(11)
         for _ in range(20):
             A = rng.normal(size=(5, 5))
@@ -84,7 +84,7 @@ class TestBuildSpectralData:
             G = dec.U.conj().T @ (M + M.T) @ dec.U
             X = rng.normal(size=(5, 100)) + 1j * rng.normal(size=(5, 100))
             rq = np.real(np.einsum("ij,ij->j", X.conj(), G @ X)) / np.real(np.einsum("ij,ij->j", X.conj(), X))
-            assert np.all(sd.lmax - rq >= -1e-9 * (1.0 + np.max(np.abs(G))))
+            assert np.all(sd.lmax_abs - rq >= -1e-9 * (1.0 + np.max(np.abs(G))))
 
     def test_zero_curvature_rejected(self):
         dec = eig_decompose(0.5 * np.eye(2))
@@ -217,27 +217,29 @@ def reduced_spectral_data(inst):
     return build_spectral_data(dec, red.Qmat, red.qvec_reduced, vertices(red.Xwork))
 
 
-def ball_and_polydisc_bounds(inst, ks):
-    """B_k and P_k, the two members of the rank bound, from their definitions in the bounds docstring."""
+def polydisc_bounds(inst, ks):
+    """P_k from its definition in the bounds docstring, and whether some mode's own terms peak below a_i(k)."""
     sd, red = reduced_spectral_data(inst), reduce_affine(inst)
     dec = sd.dec
     G = dec.U.conj().T @ red.Qmat @ dec.U
-    e = dec.U.conj().T @ red.qvec_reduced
-    l, c = float(np.linalg.eigvalsh((G + G.conj().T) / 2.0)[-1]), float(np.linalg.norm(e))
-    B, P = [], []
+    e = np.abs(dec.U.conj().T @ red.qvec_reduced)
+    P, clamped = [], False
     for k in ks:
-        S = min(float(np.sum(np.abs(dec.D) ** (2 * k) * sd.mode_max)), dec.rho ** (2 * k) * sd.mu_gram)
-        s = S if l > 0.0 else min(S, c**2 / (4.0 * l**2))
-        B.append(l * s + c * np.sqrt(s))
         a = np.abs(dec.D) ** k * np.sqrt(sd.mode_max)
-        P.append(float(np.sum(np.abs(G) * np.outer(a, a)) + np.sum(np.abs(e) * a)))
-    return np.array(B), np.array(P)
+        total = sum(abs(G[i, j]) * a[i] * a[j] for i in range(len(a)) for j in range(len(a)) if i != j)
+        for i in range(len(a)):
+            g, t = G[i, i].real, a[i]
+            if g < 0.0 and e[i] / (-2.0 * g) < a[i]:
+                t, clamped = e[i] / (-2.0 * g), True
+            total += g * t * t + e[i] * t
+        P.append(total)
+    return np.array(P), clamped
 
 
 class TestRankBound:
     def test_bounds_every_rank_and_never_grows(self):
         seen = collections.Counter()
-        tighter = set()  # (convex, vertex list) kinds on which P_k < B_k at some rank
+        clamped = False  # whether a concave mode's own terms peak inside its disc at some rank
         for inst in mixed_instances():
             rep = solve(inst)
             if rep.status is not SolveStatus.K_DIAG or not rep.K_trace:
@@ -246,21 +248,18 @@ class TestRankBound:
             sd = reduced_spectral_data(inst)
             nus, _ = nu_prefix(inst, horizon)
             B = np.array([rank_bound(sd, k) for k in range(horizon + 1)])
-            ball, polydisc = ball_and_polydisc_bounds(inst, range(horizon + 1))
-            np.testing.assert_allclose(B, np.minimum(ball, polydisc), rtol=1e-12, atol=1e-300)
-            if np.any(polydisc < ball):
-                tighter.add((sd.lmax > 0.0, isinstance(inst.Xin, VRep)))
+            ref, peaked = polydisc_bounds(inst, range(horizon + 1))
+            np.testing.assert_allclose(B, ref, rtol=1e-12, atol=1e-300)
+            convex = np.linalg.eigvalsh(inst.Qmat)[-1] > 0.0
+            clamped |= peaked and not convex
             # with the margin the solver allows before it settles a rank by its bound
             assert np.all((1.0 + TOL_RANK_BOUND) * B >= nus)
             assert np.all(np.diff(B) <= 0.0)
-            rho_k = sd.dec.rho ** np.arange(horizon + 1)
-            envelope = (rho_k * np.sqrt(sd.lmax_abs * sd.mu_gram) + sd.v_diag) ** 2 - sd.v_diag**2
-            assert np.all(B <= envelope * (1.0 + 1e-12))
-            seen[sd.lmax > 0.0, isinstance(inst.Xin, VRep), bool(np.any(sd.dec.D.imag))] += 1
+            seen[convex, isinstance(inst.Xin, VRep), bool(np.any(sd.dec.D.imag))] += 1
         # convex box, convex vertex list and concave box, each with real and with complex spectra
         assert len(seen) == 6 and min(seen.values()) >= 4
-        # the sweep above covers the polydisc member, not only B_k
-        assert {(True, False), (True, True)} <= tighter
+        # the sweep above covers the peak of a concave mode's own terms, not only t = a_i
+        assert clamped
 
     def test_an_array_of_ranks_agrees_with_one_rank_at_a_time(self):
         eps = np.finfo(float).eps
@@ -479,7 +478,7 @@ class TestCornerTableEnvelope:
             assert np.any(dec.D.imag != 0.0)
             assert got.mu_gram == pytest.approx(ref.mu_gram, rel=1e-12)
             np.testing.assert_allclose(got.mode_max, ref.mode_max, rtol=1e-12)
-            assert (got.lmax, got.v_diag) == (ref.lmax, ref.v_diag)
+            assert (got.lmax_abs, got.v_diag) == (ref.lmax_abs, ref.v_diag)
 
 
 class TestZonogonMaxima:

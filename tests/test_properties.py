@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachmax import Box, ProblemInstance, SolveStatus, VRep, solve
+from reachmax.bounds import TOL_RANK_BOUND, build_spectral_data, rank_bound
+from reachmax.geometry import vertices
 from reachmax.linalg import eig_decompose
+from reachmax.solver import reduce_affine
 
 from support import assert_zonogon_maxima_match, nu_prefix
 
@@ -78,3 +81,46 @@ def test_long_scans_report_the_prefix_optimum_bit_for_bit(d, seed, rho, rotating
     assert rep.nu_opt == nus[k_opt] + offset
     assert rep.k_opt == k_opt
     assert rep.k_pos == int(np.flatnonzero(nus > 0.0)[0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.3, 0.999),
+    convex=st.booleans(),
+    box=st.booleans(),
+    q_scale=st.sampled_from([0.0, 1.0, 30.0]),
+)
+def test_rank_bound_holds_on_singular_and_linear_dominated_objectives(d, seed, rho, convex, box, q_scale):
+    """rank_bound(k), with the solver's margin, is at least nu_k at every rank, and it never grows with k.
+
+    The objective is M^T M for a rank-deficient M, or -M^T M - 1e-3 I, so the
+    curvature of U* Q U vanishes or is small in some modes; q scaled by 30
+    makes V much larger than sqrt(L M), so the linear terms dominate and the
+    concave modes' own terms peak inside their discs. Concave objectives take
+    boxes; convex ones take boxes or lists of 2 to 12 points.
+    """
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-1.0, 1.0, size=d)
+    U = np.eye(d) + 0.5 * rng.uniform(-1.0, 1.0, size=(d, d))
+    M = rng.uniform(-1.0, 1.0, size=(max(d - 1, 1), d))
+    Q = M.T @ M if convex else -M.T @ M - 1e-3 * np.eye(d)
+    if box or not convex:
+        lower = rng.uniform(-1.0, 0.5, size=d)
+        Xin = Box(lower, lower + rng.uniform(0.1, 2.0, size=d))
+    else:
+        Xin = VRep(rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 13)), d)))
+    inst = ProblemInstance(
+        A=U @ np.diag(rho * lam / np.max(np.abs(lam))) @ np.linalg.inv(U),
+        b=np.zeros(d),
+        Qmat=Q,
+        qvec=q_scale * rng.uniform(-1.0, 1.0, size=d),
+        Xin=Xin,
+    )
+    red = reduce_affine(inst)
+    sd = build_spectral_data(eig_decompose(inst.A), red.Qmat, red.qvec_reduced, vertices(red.Xwork))
+    nus, _ = nu_prefix(inst, 30)
+    bound = rank_bound(sd, np.arange(31))
+    assert np.all((1.0 + TOL_RANK_BOUND) * bound >= nus)
+    assert np.all(np.diff(bound) <= 0.0)

@@ -1060,6 +1060,22 @@ class TestBruteForce:
         assert k == 0
         assert val == 1.0
 
+    def test_an_integer_horizon_of_either_kind(self):
+        inst = osc_instance(np.diag([1.0, 0.0]))
+        (val, k, x), (ref_val, ref_k, ref_x) = brute_force(inst, np.int64(7)), brute_force(inst, 7)
+        assert (val, k) == (ref_val, ref_k)
+        np.testing.assert_array_equal(x, ref_x)
+
+    @pytest.mark.parametrize("horizon", [-1, float("inf"), float("nan"), 2.5, 3.0, "3", None, True, False])
+    def test_horizon_rejects_anything_but_a_natural_number(self, horizon, monkeypatch):
+        # an infinite horizon never ends the scan, so the check comes before any work
+        def no_work(inst):
+            raise AssertionError("brute_force reduced the instance before checking the horizon")
+
+        monkeypatch.setattr(solver_module, "_reduced_parts", no_work)
+        with pytest.raises(ValueError, match="horizon must be a natural number"):
+            brute_force(osc_instance(np.eye(2)), horizon)
+
     def test_runs_on_a_jordan_block_without_a_factorization(self, monkeypatch):
         def no_factorization(A):
             raise AssertionError("brute_force factorized A")
