@@ -38,18 +38,25 @@ def _parse_initial_set(node) -> Polytope:
     raise InvalidInstanceFile(f"unknown initial_set type {kind!r}")
 
 
-def load_instance(path: str, n_override: int | None = None) -> ProblemInstance:
-    """Parse a JSON instance file into a ProblemInstance."""
+def _read_json(path: str):
+    """The parsed contents of a UTF-8 JSON file; any failure to read or parse it is InvalidInstanceFile."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidInstanceFile(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInstanceFile(f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInstanceFile(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+
+
+def load_instance(path: str, n_override: int | None = None) -> ProblemInstance:
+    """Parse a JSON instance file into a ProblemInstance."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise InvalidInstanceFile("instance file must contain a JSON object")
     for key in ("A", "Q", "initial_set"):
@@ -103,7 +110,7 @@ def _print_report_pretty(report: SolveReport, n_cap: int) -> None:
 def cmd_solve(args) -> int:
     try:
         inst = load_instance(args.path, args.n)
-        report = solve(inst, qp_gap_tol=args.tol_qp)
+        report = solve(inst)
     except (ReachmaxError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -202,22 +209,11 @@ def cmd_bench(args) -> int:
 
 def cmd_analyze_seq(args) -> int:
     try:
-        doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"InvalidInstanceFile: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except json.JSONDecodeError as exc:
-        print(
-            f"InvalidInstanceFile: malformed JSON: {exc.msg} at line {exc.lineno} column {exc.colno}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    if not isinstance(doc, list) or not doc:
-        print("InvalidInstanceFile: expected a nonempty JSON array of numbers", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+        doc = _read_json(args.path)
+        if not isinstance(doc, list) or not doc:
+            raise InvalidInstanceFile("expected a nonempty JSON array of numbers")
         seq = FiniteC0Sequence(np.asarray(doc, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (InvalidInstanceFile, TypeError, ValueError) as exc:
         print(f"InvalidInstanceFile: {exc}", file=sys.stderr)
         return EXIT_ERROR
     profile = rank_profile(seq)
@@ -243,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--json", action="store_true", help="machine-readable single-line output")
     group.add_argument("--pretty", action="store_true", help="human-readable output (default)")
     p_solve.add_argument("--n", type=int, default=None, help="override the positivity-search cap")
-    p_solve.add_argument("--tol-qp", type=float, default=1e-10, dest="tol_qp",
-                         help="duality-measure target of the concave QP solver, a finite positive number")
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a randomized benchmark batch")

@@ -49,7 +49,9 @@ class FiniteC0Sequence:
 
     def __post_init__(self):
         self.terms = np.atleast_1d(np.asarray(self.terms, dtype=float))
-        if self.terms.ndim != 1 or self.terms.size == 0:
+        if self.terms.ndim != 1:
+            raise ValueError("sequence must be a flat array of numbers")
+        if self.terms.size == 0:
             raise ValueError("sequence needs at least one stored term")
         if not np.all(np.isfinite(self.terms)):
             raise ValueError("sequence terms must be finite")

@@ -48,7 +48,6 @@ one block later than a bound asked at every rank would.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -231,13 +230,11 @@ class _RankEvaluator:
         red: ReducedInstance,
         base: QuadraticObjective,
         klass: ObjectiveClass,
-        qp_gap_tol: float = 1e-10,
         verts: VertexSet | None = None,
     ):
         self._base = base
         self._A = red.A
         self._Xwork = red.Xwork
-        self._qp_gap_tol = qp_gap_tol
         self._box = None
         self.k = 0
         self.power = np.eye(self._base.dim)
@@ -301,7 +298,7 @@ class _RankEvaluator:
         """The maximum of a rank objective over the working set, and a maximizing point."""
         if self._verts is not None:
             return maximize_convex_vertices(f, self._verts)
-        return maximize_concave_qp(f, self._Xwork, gap_tol=self._qp_gap_tol)
+        return maximize_concave_qp(f, self._Xwork)
 
 
 def _reduced_parts(
@@ -320,12 +317,8 @@ def _reduced_parts(
     return red, base, klass
 
 
-def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
+def solve(inst: ProblemInstance) -> SolveReport:
     """Exact optimal value and maximizer over the reachable values set."""
-    if not 0.0 < qp_gap_tol < math.inf:
-        # the concave QP stops once its duality measure is below qp_gap_tol: a target
-        # of 0 or less is never met, and an infinite one bounds nothing
-        raise ValueError("qp_gap_tol must be a finite positive number")
     dec = eig_decompose(inst.A)
     if not spectral_radius_check(dec):
         raise NotConvergent(f"spectral radius {dec.rho} is not strictly below 1")
@@ -348,7 +341,7 @@ def solve(inst: ProblemInstance, *, qp_gap_tol: float = 1e-10) -> SolveReport:
     # one vertex set per solve: it fixes M and the m_i in the envelope and, for a
     # convex objective, it is the whole input of every per-rank maximization
     verts = vertex_set(red.Xwork)
-    ev = _RankEvaluator(red, base, klass, qp_gap_tol, verts)
+    ev = _RankEvaluator(red, base, klass, verts)
     sd = build_spectral_data(dec, base.Qmat, base.qvec, verts)
 
     nu_k, y_k = ev.maximize(base)

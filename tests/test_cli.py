@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import reachmax
 from reachmax.cli import main
 
@@ -126,20 +128,28 @@ class TestSolveCommand:
         assert main(["solve", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["nu_opt"] == 2.0
 
-    def test_qp_tolerance_flag(self, tmp_path, capsys):
+    def test_concave_instance(self, tmp_path, capsys):
         path = write_json(tmp_path / "concave.json", CONCAVE_DOC)
-        assert main(["solve", path, "--json", "--tol-qp", "1e-8"]) == 0
+        assert main(["solve", path, "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["status"] in ("KDiag", "CorollaryOne")
 
-
-    def test_qp_tolerance_must_be_finite_and_positive(self, tmp_path, capsys):
+    def test_qp_tolerance_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the concave QP's duality-measure target is set in one place, qpcore.maximize_concave_qp
         path = write_json(tmp_path / "concave.json", CONCAVE_DOC)
-        for tol in ("0", "-1", "nan", "inf"):
-            assert main(["solve", path, "--json", "--tol-qp", tol]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "ValueError: qp_gap_tol must be a finite positive number\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--tol-qp", "1e-8"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --tol-qp 1e-8" in captured.err
+
+    def test_non_utf8_file_is_an_invalid_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        assert main(["solve", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("InvalidInstanceFile:") and str(path) in captured.err
 
 
 class TestAnalyzeSeqCommand:
@@ -173,6 +183,30 @@ class TestAnalyzeSeqCommand:
     def test_empty_array_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path / "empty.json", [])
         assert main(["analyze-seq", path]) == 1
+
+    def test_nested_array_rejected_as_not_flat(self, tmp_path, capsys):
+        path = write_json(tmp_path / "nested.json", [[1, 2], [3, 4]])
+        assert main(["analyze-seq", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "InvalidInstanceFile: sequence must be a flat array of numbers\n"
+
+    def test_non_utf8_file_is_an_invalid_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff[1.0]")
+        assert main(["analyze-seq", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("InvalidInstanceFile:") and str(path) in captured.err
+
+    def test_malformed_json_reports_path_and_position(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1.0, 2.0", encoding="utf-8")
+        assert main(["analyze-seq", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"InvalidInstanceFile: malformed JSON in {path}: ")
+        assert "line 1 column" in captured.err
 
 
 class TestBenchCommand:

@@ -41,14 +41,24 @@ def test_zonogon_maxima_match_corner_enumeration(d, seed, collapsed):
     rotating=st.booleans(),
     box=st.booleans(),
     N=st.integers(1, 300),
+    collapsed=st.integers(0, 2),
+    repeated=st.booleans(),
+    singular=st.booleans(),
+    q_scale=st.sampled_from([0.0, 1.0, 30.0]),
 )
-def test_long_scans_report_the_prefix_optimum_bit_for_bit(d, seed, rho, rotating, box, N):
+def test_long_scans_report_the_prefix_optimum_bit_for_bit(
+    d, seed, rho, rotating, box, N, collapsed, repeated, singular, q_scale
+):
     """A convex solve reports the maximum, its first rank and the first positive rank of nu_0..nu_max(K, k_opt).
 
     With the spectral radius near 1, and a slow rotation of the dominant
     modes, the values keep rising past the first block, so improvements land
-    inside screened blocks and move K there. The working set is a box or a
-    list of 2 to 12 points, so every rank value is the oracle's bit for bit.
+    inside screened blocks and move K there. The working set is a box, with
+    up to 2 (and at most d - 1) coordinates collapsed to a point, or a list
+    of 2 to 12 points, maybe resampled with repeats to 3 more rows: both
+    small, so every rank value is the oracle's bit for bit. Q = M^T M is
+    singular PSD when M has d - 1 rows, and q scaled by 30 makes V much
+    larger than sqrt(L M).
     """
     rng = np.random.default_rng(seed)
     lam = rng.uniform(-1.0, 1.0, size=d)
@@ -57,17 +67,23 @@ def test_long_scans_report_the_prefix_optimum_bit_for_bit(d, seed, rho, rotating
         theta = rng.uniform(0.01, 0.3)
         B[:2, :2] = rho * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     U = np.eye(d) + 0.5 * rng.uniform(-1.0, 1.0, size=(d, d))
-    M = rng.uniform(-1.0, 1.0, size=(d, d))
+    M = rng.uniform(-1.0, 1.0, size=(max(d - 1, 1) if singular else d, d))
     if box:
         lower = rng.uniform(-1.0, 0.5, size=d)
-        Xin = Box(lower, lower + rng.uniform(0.1, 2.0, size=d))
+        upper = lower + rng.uniform(0.1, 2.0, size=d)
+        cols = rng.choice(d, size=min(collapsed, d - 1), replace=False)
+        upper[cols] = lower[cols]
+        Xin = Box(lower, upper)
     else:
-        Xin = VRep(rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 13)), d)))
+        points = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 13)), d))
+        if repeated:
+            points = points[rng.integers(0, len(points), size=len(points) + 3)]
+        Xin = VRep(points)
     inst = ProblemInstance(
         A=U @ B @ np.linalg.inv(U),
         b=rng.uniform(-1.0, 1.0, size=d) * rng.integers(0, 2),
         Qmat=M.T @ M,
-        qvec=rng.uniform(-1.0, 1.0, size=d) * (rng.random() < 0.3),
+        qvec=q_scale * rng.uniform(-1.0, 1.0, size=d),
         Xin=Xin,
         N=N,
     )

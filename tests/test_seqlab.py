@@ -23,6 +23,16 @@ from support import (
 )
 
 
+class TestFiniteC0Sequence:
+    def test_nested_array_is_not_a_sequence(self):
+        with pytest.raises(ValueError, match="sequence must be a flat array of numbers"):
+            FiniteC0Sequence([[1.0, 2.0], [3.0, 4.0]])
+
+    def test_empty_array_has_no_stored_term(self):
+        with pytest.raises(ValueError, match="sequence needs at least one stored term"):
+            FiniteC0Sequence([])
+
+
 class TestPartialSup:
     def test_all_negative_tail_is_zero(self):
         u = FiniteC0Sequence([-1.0, -2.0, -3.0])

@@ -283,6 +283,18 @@ class TestUnderflowedRankValue:
         assert rep.k_pos is None and rep.k_opt is None
 
 
+class TestSupremumOnlyInTheLimit:
+    """The concave screen for a zero reduced linear part must not report an attained maximum (ROADMAP item 1)."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the screen reports k_opt = 0 and x_opt = b~ = 2, outside X_in")
+    def test_fixed_point_outside_the_initial_set(self):
+        # b~ = 2 and f(x) = -x^2 + 4x peaks at 2; from [0, 1], x_k = 2 - 2^-k x'_0 with x'_0 in [1, 2]
+        # never reaches 2, so nu_k = 4 - 4^-k < 4 at every rank and the supremum 4 is only a limit
+        inst = ProblemInstance(A=[[0.5]], b=[1.0], Qmat=[[-1.0]], qvec=[4.0], Xin=Box([0.0], [1.0]))
+        rep = solve(inst)
+        assert rep.nu_opt == 4.0 and rep.k_opt is None
+
+
 class TestSolveGoldens:
     def test_oscillator_norm_square(self):
         rep = solve(osc_instance(np.eye(2)))
@@ -403,18 +415,13 @@ class TestSolveValidation:
         with pytest.raises(ValueError, match="N must be a positive integer"):
             osc_instance(np.eye(2), N=N)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_qp_gap_tol_must_be_finite_and_positive(self, tol, monkeypatch):
-        # the concave QP never meets a duality measure target of 0, -1 or nan, and inf bounds nothing
-        def no_work(A):
-            raise AssertionError("solve factorized A before checking qp_gap_tol")
-
-        monkeypatch.setattr(solver_module, "eig_decompose", no_work)
+    def test_solve_takes_only_the_instance(self):
+        # the concave QP's duality-measure target is set in one place, qpcore.maximize_concave_qp
         inst = ProblemInstance(
             A=0.5 * np.eye(2), b=np.zeros(2), Qmat=-np.eye(2), qvec=[1.0, 0.5], Xin=osc_box()
         )
-        with pytest.raises(ValueError, match="qp_gap_tol must be a finite positive number"):
-            solve(inst, qp_gap_tol=tol)
+        with pytest.raises(TypeError):
+            solve(inst, qp_gap_tol=1e-8)
 
 
 def near_jordan_instance(eps):
@@ -606,7 +613,7 @@ class TestMaximizerCalls:
         # ranks 2 and 3 are settled by the rank bound
         assert (len(calls), rep.iterations) == (2, 4)
         for name, args, kwargs in calls:
-            assert name == "maximize_concave_qp" and set(kwargs) == {"gap_tol"}
+            assert name == "maximize_concave_qp" and kwargs == {}
             f, P = args
             assert isinstance(f, QuadraticObjective) and isinstance(P, Box)
         self.assert_rank_objectives(calls, inst, [0, 1])
