@@ -39,7 +39,11 @@ def _parse_initial_set(node) -> Polytope:
 
 
 def _read_json(path: str):
-    """The parsed contents of a UTF-8 JSON file; any failure to read or parse it is InvalidInstanceFile."""
+    """The parsed contents of a UTF-8 JSON file; any failure to read or parse it is InvalidInstanceFile.
+
+    No field of an instance or sequence file is boolean, and numpy reads true
+    and false as 1 and 0, so a boolean anywhere in the document is refused.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -47,11 +51,21 @@ def _read_json(path: str):
     except UnicodeDecodeError as exc:
         raise InvalidInstanceFile(f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInstanceFile(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    nodes = [doc]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, bool):
+            raise InvalidInstanceFile(f"{path} holds a boolean, and no field of the file is boolean")
+        if isinstance(node, dict):
+            nodes.extend(node.values())
+        elif isinstance(node, list):
+            nodes.extend(node)
+    return doc
 
 
 def load_instance(path: str, n_override: int | None = None) -> ProblemInstance:

@@ -57,15 +57,10 @@ from .bounds import TOL_RANK_BOUND, box_bound, build_spectral_data, corollary_on
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
 from .geometry import Box, Polytope, VertexSet, form_values, frozen_array, translate, vertex_set
 from .linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shift_cond_bound, spectral_radius_check
-from .qpcore import (
-    ObjectiveClass,
-    QuadraticObjective,
-    classify,
-    maximize_concave_qp,
-    maximize_convex_vertices,
-)
+from .qpcore import ObjectiveClass, classify, maximize_concave_qp, maximize_convex_vertices
 
 DEFAULT_N = 100
+TOL_SYM = 1e-9  # largest asymmetry |Q - Q^T| of an accepted Q
 # Ranks per block of rank objectives: the first block, and the most that any block
 # holds, which bounds the loop's memory for any N.
 SCAN_BLOCK_MIN = 8
@@ -92,6 +87,7 @@ class ProblemInstance:
     """Problem data: dynamics (A, b), objective (Qmat, qvec), initial set, scan cap N.
 
     The arrays are kept as read-only copies, so the validated data cannot change.
+    Qmat must be symmetric within TOL_SYM and is kept as (Qmat + Qmat^T)/2.
     """
 
     A: np.ndarray
@@ -118,6 +114,12 @@ class ProblemInstance:
         for arr in (self.A, self.b, self.Qmat, self.qvec):
             if not np.isfinite(arr).all():
                 raise ValueError("problem data must be finite")
+        asym = float(np.abs(self.Qmat - self.Qmat.T).max())
+        if asym > TOL_SYM:
+            raise ValueError(f"Q asymmetry {asym:.3e} exceeds {TOL_SYM:.1e}")
+        self.Qmat = frozen_array((self.Qmat + self.Qmat.T) / 2.0)
+        if not np.isfinite(self.Qmat).all():
+            raise ValueError("problem data must be finite")
         N = self.N
         if isinstance(N, (float, np.floating)) and np.isfinite(N) and N == int(N):
             N = int(N)
@@ -225,19 +227,13 @@ class _RankEvaluator:
     at the first screened block.
     """
 
-    def __init__(
-        self,
-        red: ReducedInstance,
-        base: QuadraticObjective,
-        klass: ObjectiveClass,
-        verts: VertexSet | None = None,
-    ):
-        self._base = base
+    def __init__(self, red: ReducedInstance, klass: ObjectiveClass, verts: VertexSet | None = None):
+        self._Q, self._q = red.Qmat, red.qvec_reduced
         self._A = red.A
         self._Xwork = red.Xwork
         self._box = None
         self.k = 0
-        self.power = np.eye(self._base.dim)
+        self.power = np.eye(red.A.shape[0])
         if klass is ObjectiveClass.CONVEX_PSD:
             self._verts = vertex_set(red.Xwork) if verts is None else verts
         elif isinstance(red.Xwork, Box):
@@ -255,8 +251,7 @@ class _RankEvaluator:
         the matrices come from one stacked P^T Q P, symmetrized as
         (M + M^T)/2; k and the power end at rank k+n. A non-finite entry
         anywhere in the block raises ValueError: this is the one finiteness
-        check of a rank objective, as `QuadraticObjective.from_symmetric`
-        checks nothing.
+        check of a rank objective, as the maximizers check nothing.
         """
         Ps = np.empty((n,) + self.power.shape)
         prev = self.power
@@ -266,8 +261,8 @@ class _RankEvaluator:
         self.power = prev
         self.k += n
         PT = Ps.transpose(0, 2, 1)
-        M = PT @ self._base.Qmat @ Ps
-        Qs, qs = (M + M.transpose(0, 2, 1)) / 2.0, PT @ self._base.qvec
+        M = PT @ self._Q @ Ps
+        Qs, qs = (M + M.transpose(0, 2, 1)) / 2.0, PT @ self._q
         if not (np.isfinite(Qs).all() and np.isfinite(qs).all()):
             raise ValueError("objective data must be finite")
         return Qs, qs
@@ -292,29 +287,30 @@ class _RankEvaluator:
         if self._box is None:
             self._box = _bounding_box(self._Xwork)
         beta, sigma = box_bound(Qs, qs, *self._box)
-        return beta + TOL_RANK_BOUND * sigma, lambda i: self.maximize(QuadraticObjective.from_symmetric(Qs[i], qs[i]))
+        return beta + TOL_RANK_BOUND * sigma, lambda i: self.maximize((Qs[i], qs[i]))
 
-    def maximize(self, f: QuadraticObjective) -> tuple[float, np.ndarray]:
-        """The maximum of a rank objective over the working set, and a maximizing point."""
+    def maximize(self, form: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
+        """The maximum of a rank objective (Q, q) over the working set, and a maximizing point."""
         if self._verts is not None:
-            return maximize_convex_vertices(f, self._verts)
-        return maximize_concave_qp(f, self._Xwork)
+            return maximize_convex_vertices(form, self._verts)
+        return maximize_concave_qp(form, self._Xwork)
 
 
 def _reduced_parts(
     inst: ProblemInstance, dec: SpectralDecomposition | None = None
-) -> tuple[ReducedInstance, QuadraticObjective, ObjectiveClass]:
-    """The reduced instance, its base objective and the objective's class.
+) -> tuple[ReducedInstance, ObjectiveClass]:
+    """The reduced instance and its objective's class.
 
     Nothing here needs eigenvectors; A's factorization dec, when the caller
     has one, only spares `reduce_affine` its SVD.
     """
     red = reduce_affine(inst, dec)
-    base = QuadraticObjective(red.Qmat, red.qvec_reduced)
-    klass = classify(base)
+    if not np.isfinite(red.qvec_reduced).all():
+        raise ValueError("objective data must be finite")
+    klass = classify(red.Qmat)
     if klass is ObjectiveClass.UNSUPPORTED:
         raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
-    return red, base, klass
+    return red, klass
 
 
 def solve(inst: ProblemInstance) -> SolveReport:
@@ -322,7 +318,7 @@ def solve(inst: ProblemInstance) -> SolveReport:
     dec = eig_decompose(inst.A)
     if not spectral_radius_check(dec):
         raise NotConvergent(f"spectral radius {dec.rho} is not strictly below 1")
-    red, base, klass = _reduced_parts(inst, dec)
+    red, klass = _reduced_parts(inst, dec)
 
     # degenerate screens whose answer is known without any optimization
     concave = klass is ObjectiveClass.STRICTLY_CONCAVE_ND
@@ -341,10 +337,10 @@ def solve(inst: ProblemInstance) -> SolveReport:
     # one vertex set per solve: it fixes M and the m_i in the envelope and, for a
     # convex objective, it is the whole input of every per-rank maximization
     verts = vertex_set(red.Xwork)
-    ev = _RankEvaluator(red, base, klass, verts)
-    sd = build_spectral_data(dec, base.Qmat, base.qvec, verts)
+    ev = _RankEvaluator(red, klass, verts)
+    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
 
-    nu_k, y_k = ev.maximize(base)
+    nu_k, y_k = ev.maximize((red.Qmat, red.qvec_reduced))
     if corollary_one_holds(sd, nu_k):
         return SolveReport(
             status=SolveStatus.COROLLARY_ONE,
@@ -413,15 +409,15 @@ def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.nda
     """
     if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 0:
         raise ValueError("horizon must be a natural number")
-    red, base, klass = _reduced_parts(inst)
-    ev = _RankEvaluator(red, base, klass)
-    best_val, best_y = ev.maximize(base)
+    red, klass = _reduced_parts(inst)
+    ev = _RankEvaluator(red, klass)
+    best_val, best_y = ev.maximize((red.Qmat, red.qvec_reduced))
     best_k = 0
     while ev.k < horizon:
         first = ev.k + 1
         Qs, qs = ev.objectives(min(SCAN_BLOCK_MAX, horizon - ev.k))
-        for j, (Q, q) in enumerate(zip(Qs, qs), start=first):
-            val, y = ev.maximize(QuadraticObjective.from_symmetric(Q, q))
+        for j, form in enumerate(zip(Qs, qs), start=first):
+            val, y = ev.maximize(form)
             if val > best_val:
                 best_val, best_y, best_k = val, y, j
     return best_val + red.offset, best_k, best_y + red.b_tilde

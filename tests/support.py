@@ -6,16 +6,11 @@ import math
 
 import numpy as np
 
-from reachmax import Box
-from reachmax.bounds import _zonogon_maxima
-from reachmax.geometry import CORNER_TABLE_MIN_DIM, form_values, vertices
-from reachmax.qpcore import (
-    ObjectiveClass,
-    QuadraticObjective,
-    classify,
-    maximize_concave_qp,
-    maximize_convex_vertices,
-)
+from reachmax import Box, SolveStatus
+from reachmax.bounds import _zonogon_maxima, build_spectral_data, corollary_one_holds, k_diag
+from reachmax.geometry import CORNER_TABLE_MIN_DIM, form_values, vertex_set, vertices
+from reachmax.linalg import eig_decompose
+from reachmax.qpcore import ObjectiveClass, classify, maximize_concave_qp, maximize_convex_vertices
 from reachmax.seqlab import BEYOND_PREFIX, INFINITE, FiniteC0Sequence, partial_sup, rank_profile
 from reachmax.solver import ProblemInstance, _RankEvaluator, reduce_affine
 
@@ -180,7 +175,20 @@ def assert_zonogon_maxima_match(U_inv: np.ndarray, box: Box) -> None:
 
 
 # ---------------------------------------------------------------------------
-# brute-force optimization oracles
+# objectives as pairs (Q, q), and brute-force optimization oracles
+
+
+def form(Q, q) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (Q, q) as float arrays, Q symmetrized as (Q + Q^T)/2, as `ProblemInstance` keeps it."""
+    Q = np.asarray(Q, dtype=float)
+    return (Q + Q.T) / 2.0, np.asarray(q, dtype=float)
+
+
+def form_value(f, x) -> float:
+    """x^T Q x + q^T x for the pair f = (Q, q)."""
+    Q, q = f
+    x = np.asarray(x, dtype=float)
+    return float(x @ Q @ x + q @ x)
 
 
 def grid_points(lower, upper, per_axis: int) -> np.ndarray:
@@ -189,13 +197,13 @@ def grid_points(lower, upper, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def grid_max(f: QuadraticObjective, lower, upper, per_axis: int = 33) -> float:
-    """Plain dense grid maximum of f; exact for convex objectives (corners included)."""
-    return float(np.max(form_values(grid_points(lower, upper, per_axis), f.Qmat, f.qvec)))
+def grid_max(f, lower, upper, per_axis: int = 33) -> float:
+    """Plain dense grid maximum of the pair f; exact for convex objectives (corners included)."""
+    return float(np.max(form_values(grid_points(lower, upper, per_axis), *f)))
 
 
-def refined_grid_max(f: QuadraticObjective, lower, upper, per_axis: int = 41, stages: int = 4) -> float:
-    """Grid maximum of f with successive window refinement around the incumbent.
+def refined_grid_max(f, lower, upper, per_axis: int = 41, stages: int = 4) -> float:
+    """Grid maximum of the pair f with successive window refinement around the incumbent.
 
     Sound for concave objectives: the maximizer of a concave function lies
     within one cell of the grid argmax, so shrinking the window keeps it.
@@ -206,7 +214,7 @@ def refined_grid_max(f: QuadraticObjective, lower, upper, per_axis: int = 41, st
     best = -np.inf
     for _ in range(stages):
         pts = grid_points(lo, up, per_axis)
-        vals = form_values(pts, f.Qmat, f.qvec)
+        vals = form_values(pts, *f)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         h = (up - lo) / (per_axis - 1)
@@ -233,20 +241,19 @@ def trajectory_max(inst, horizon: int) -> float:
 
 
 def rank_objectives(inst, kmax: int):
-    """The rank-k objectives y -> f(A^k y) in reduced coordinates, for k = 0..kmax.
+    """The rank-k objectives y -> f(A^k y) in reduced coordinates, as pairs (Q_k, q_k), for k = 0..kmax.
 
     Its own power loop, P <- A @ P, sharing no code with the solver's rank
     evaluator but forming each objective by the same products in the same
     order, so they are bit-identical to the solver's.
     """
     red = reduce_affine(inst)
-    base = QuadraticObjective(red.Qmat, red.qvec_reduced)
-    P = np.eye(base.dim)
+    P = np.eye(inst.dim)
     for k in range(kmax + 1):
         if k > 0:
             P = red.A @ P
-        M = P.T @ base.Qmat @ P
-        yield QuadraticObjective((M + M.T) / 2.0, P.T @ base.qvec)
+        M = P.T @ red.Qmat @ P
+        yield (M + M.T) / 2.0, P.T @ red.qvec_reduced
 
 
 def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
@@ -257,7 +264,7 @@ def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
     table, whose values can differ from these in their last bits.
     """
     red = reduce_affine(inst)
-    convex = classify(QuadraticObjective(red.Qmat, red.qvec_reduced)) is ObjectiveClass.CONVEX_PSD
+    convex = classify(red.Qmat) is ObjectiveClass.CONVEX_PSD
     V = vertices(red.Xwork) if convex else None
     out = np.empty(kmax + 1)
     for k, f in enumerate(rank_objectives(inst, kmax)):
@@ -268,14 +275,55 @@ def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
     return out, red.offset
 
 
-def rank_evaluator(obj: QuadraticObjective, A) -> _RankEvaluator:
-    """The solver's rank evaluator for obj under x -> A x over the unit box."""
-    d = obj.dim
-    inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=obj.Qmat, qvec=obj.qvec, Xin=Box(-np.ones(d), np.ones(d)))
-    return _RankEvaluator(reduce_affine(inst), obj, ObjectiveClass.CONVEX_PSD)
+def paper_loop(inst) -> tuple:
+    """The answer key of the paper's loop, rank by rank, outside `solve`'s degenerate screens.
+
+    Those screens answer without a rank: a working set of one point, or a
+    concave objective without a linear part.
+
+    Rank 0 is maximized and tested against the Corollary-1 envelope. Then
+    every rank up to the current stopping rank K, at first the scan cap N,
+    is maximized in turn from `rank_objectives`, and each strict improvement
+    on the incumbent, which starts at 0, sets K = k_diag(nu): no screen, no
+    block and no rank bound. The key is `answer_key`'s.
+    """
+    dec = eig_decompose(inst.A)
+    red = reduce_affine(inst)
+    V = vertex_set(red.Xwork)
+    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, V)
+    convex = classify(red.Qmat) is ObjectiveClass.CONVEX_PSD
+    nu_opt, y_opt, k_opt, k_pos, K, trace = 0.0, None, None, None, inst.N, []
+    for k, f in enumerate(rank_objectives(inst, 10**9)):
+        if k > K:
+            break
+        nu, y = maximize_convex_vertices(f, V) if convex else maximize_concave_qp(f, red.Xwork)
+        if k == 0 and corollary_one_holds(sd, nu):
+            return SolveStatus.COROLLARY_ONE, nu + red.offset, (y + red.b_tilde).tobytes(), 0, 0, (), 1
+        if nu_opt < nu:
+            nu_opt, y_opt, k_opt, K = nu, y, k, k_diag(sd, nu)
+            k_pos = k if k_pos is None else k_pos
+            trace.append((k, K))
+    if k_pos is None:
+        return SolveStatus.FAILED, None, None, None, None, (), K + 1
+    x_opt = (y_opt + red.b_tilde).tobytes()
+    return SolveStatus.K_DIAG, nu_opt + red.offset, x_opt, k_opt, k_pos, tuple(trace), max(K, k_opt) + 1
 
 
-def stepped_objective(ev: _RankEvaluator, k: int) -> QuadraticObjective:
+def answer_key(rep) -> tuple:
+    """Everything a report says, in a form that compares bit for bit."""
+    x = None if rep.x_opt is None else rep.x_opt.tobytes()
+    return rep.status, rep.nu_opt, x, rep.k_opt, rep.k_pos, tuple(rep.K_trace), rep.iterations
+
+
+def rank_evaluator(f, A) -> _RankEvaluator:
+    """The solver's rank evaluator for the pair f = (Q, q) under x -> A x over the unit box."""
+    Q, q = f
+    d = len(q)
+    inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=Q, qvec=q, Xin=Box(-np.ones(d), np.ones(d)))
+    return _RankEvaluator(reduce_affine(inst), ObjectiveClass.CONVEX_PSD)
+
+
+def stepped_objective(ev: _RankEvaluator, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The rank-k objective of a rank evaluator, for k = 0 or k past the evaluator's rank.
 
     Rank 0 is the base objective's form, as `solve` maximizes it; a later rank
@@ -283,24 +331,27 @@ def stepped_objective(ev: _RankEvaluator, k: int) -> QuadraticObjective:
     to rank k.
     """
     if k == 0:
-        return QuadraticObjective.from_symmetric(ev._base.Qmat, ev._base.qvec)
+        return ev._Q, ev._q
     Qs, qs = ev.objectives(k - ev.k)
-    return QuadraticObjective.from_symmetric(Qs[-1], qs[-1])
+    return Qs[-1], qs[-1]
 
 
-def composed(obj: QuadraticObjective, A, k: int) -> QuadraticObjective:
-    """x -> obj(A^k x) as a plain objective, from a direct matrix power."""
+def composed(f, A, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """x -> f(A^k x) for the pair f = (Q, q), from a direct matrix power, with its Q symmetrized."""
+    Q, q = f
     P = np.linalg.matrix_power(np.asarray(A, dtype=float), k)
-    return QuadraticObjective(P.T @ obj.Qmat @ P, P.T @ obj.qvec)
+    M = P.T @ Q @ P
+    return (M + M.T) / 2.0, P.T @ q
 
 
-def concave_box_max_kkt(obj: QuadraticObjective, lower, upper) -> float:
-    """Exact maximum of a concave quadratic over a box by stationarity patterns.
+def concave_box_max_kkt(f, lower, upper) -> float:
+    """Exact maximum of a concave pair f = (Q, q) over a box by stationarity patterns.
 
     Enumerates every lower/upper/free activity pattern, solves the free-block
     stationarity system, keeps feasible candidates. Exact up to linear solves
     for negative definite curvature (all patterns have a unique candidate).
     """
+    Q, q = f
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     d = lower.size
@@ -315,13 +366,13 @@ def concave_box_max_kkt(obj: QuadraticObjective, lower, upper) -> float:
         x = np.where(pattern == 0, lower, upper).astype(float)
         free = pattern == 2
         if np.any(free):
-            Qff = obj.Qmat[np.ix_(free, free)]
-            rhs = -(obj.qvec[free] + 2.0 * obj.Qmat[np.ix_(free, ~free)] @ x[~free])
+            Qff = Q[np.ix_(free, free)]
+            rhs = -(q[free] + 2.0 * Q[np.ix_(free, ~free)] @ x[~free])
             try:
                 x[free] = np.linalg.solve(2.0 * Qff, rhs)
             except np.linalg.LinAlgError:
                 continue
             if np.any(x[free] < lower[free] - 1e-12) or np.any(x[free] > upper[free] + 1e-12):
                 continue
-        best = max(best, obj.value(x))
+        best = max(best, form_value(f, x))
     return best

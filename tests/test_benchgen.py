@@ -5,7 +5,7 @@ import pytest
 
 from reachmax import Box, SolveStatus, VRep, solve
 from reachmax.linalg import eig_decompose, spectral_radius_check
-from reachmax.qpcore import ObjectiveClass, QuadraticObjective, classify
+from reachmax.qpcore import ObjectiveClass, classify
 from reachmax.benchgen import (
     BenchSpec,
     ObjectiveKind,
@@ -53,7 +53,7 @@ class TestRandomInstance:
                 dec = eig_decompose(inst.A)
                 assert spectral_radius_check(dec)
                 assert 0.3 - 1e-9 <= dec.rho <= 0.97 + 1e-9
-                klass = classify(QuadraticObjective(inst.Qmat, inst.qvec))
+                klass = classify(inst.Qmat)
                 if kind.convex:
                     assert klass is ObjectiveClass.CONVEX_PSD
                 else:
@@ -76,7 +76,7 @@ class TestRandomInstance:
         spec = spec_of(objective=ObjectiveKind.CAH, dim=3, seed=3)
         for i in range(100):
             inst = random_instance(spec, i)
-            assert classify(QuadraticObjective(inst.Qmat, inst.qvec)) is ObjectiveClass.STRICTLY_CONCAVE_ND
+            assert classify(inst.Qmat) is ObjectiveClass.STRICTLY_CONCAVE_ND
 
     def test_deterministic_under_seed_and_index(self):
         spec = spec_of(seed=99)

@@ -20,7 +20,6 @@ from reachmax.bounds import (
 from reachmax.errors import AssumptionViolated, NonPositiveNu, NotDiagonalizable
 from reachmax.geometry import BoxCorners, vertices
 from reachmax.linalg import SpectralDecomposition, eig_decompose
-from reachmax.qpcore import QuadraticObjective
 from reachmax.solver import _bounding_box, reduce_affine
 
 from support import (
@@ -29,6 +28,7 @@ from support import (
     concave_box_max_kkt,
     corner_table_boxes,
     diagonal_instance,
+    form,
     nu_prefix,
     osc_box,
     osc_eigvec_basis,
@@ -366,10 +366,10 @@ class TestBoxBound:
         for _ in range(60):
             d = int(rng.integers(2, 5))
             M = rng.normal(size=(d - 1, d))  # rank d - 1 at most: singular
-            obj = QuadraticObjective(-(M.T @ M), rng.normal(size=d))
+            obj = form(-(M.T @ M), rng.normal(size=d))
             lower = rng.uniform(-2.0, 1.0, size=d)
             upper = lower + rng.uniform(0.1, 2.0, size=d)
-            beta, sigma = box_bound(obj.Qmat, obj.qvec, *_bounding_box(Box(lower, upper)))
+            beta, sigma = box_bound(*obj, *_bounding_box(Box(lower, upper)))
             assert beta + TOL_RANK_BOUND * sigma >= concave_box_max_kkt(obj, lower, upper)
 
     def test_exact_for_a_diagonal_psd_form_on_a_centred_box(self):
@@ -394,17 +394,17 @@ class TestBoxBound:
             for index in range(3):
                 inst = random_instance(spec, index)
                 objectives = list(rank_objectives(inst, 40))
-                Qs = np.stack([f.Qmat for f in objectives])
-                qs = np.stack([f.qvec for f in objectives])
+                Qs = np.stack([Q for Q, _ in objectives])
+                qs = np.stack([q for _, q in objectives])
                 centre, radius = _bounding_box(reduce_affine(inst).Xwork)
                 betas, sigmas = box_bound(Qs, qs, centre, radius)
                 assert betas.shape == sigmas.shape == (len(objectives),)
                 corners = vertices(Box(centre - radius, centre + radius))
                 for f, beta, sigma in zip(objectives, betas, sigmas, strict=True):
-                    one_beta, one_sigma = box_bound(f.Qmat, f.qvec, centre, radius)
+                    one_beta, one_sigma = box_bound(*f, centre, radius)
                     assert abs(beta - one_beta) <= 4.0 * eps * sigma
                     assert abs(sigma - one_sigma) <= 4.0 * eps * sigma
-                    assert beta + TOL_RANK_BOUND * sigma >= brute_max(f.Qmat, f.qvec, corners)
+                    assert beta + TOL_RANK_BOUND * sigma >= brute_max(*f, corners)
                 stacks += 1
         assert stacks == 12
 

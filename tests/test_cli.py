@@ -151,6 +151,28 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("InvalidInstanceFile:") and str(path) in captured.err
 
+    def test_boolean_entry_is_an_invalid_instance_file(self, tmp_path, capsys):
+        # numpy reads true as 1.0: A = [[1.0]] is not convergent, and would fail with NotConvergent
+        path = write_json(tmp_path / "bool.json", dict(DECAYING_DOC, A=[[True]]))
+        assert main(["solve", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"InvalidInstanceFile: {path} holds a boolean, and no field of the file is boolean\n"
+
+    def test_boolean_in_the_initial_set_is_an_invalid_instance_file(self, tmp_path, capsys):
+        # read as numbers, the bounds would give the box [0, 1]^2, and the solve would exit 0
+        doc = dict(oscillator_doc(), initial_set={"type": "box", "lower": [False, False], "upper": [True, True]})
+        assert main(["solve", write_json(tmp_path / "bool_set.json", doc), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("InvalidInstanceFile:") and "boolean" in captured.err
+
+    def test_asymmetric_Q_is_an_invalid_instance_file(self, tmp_path, capsys):
+        path = write_json(tmp_path / "asym.json", oscillator_doc(Q=((1.0, 0.5), (0.0, 1.0))))
+        assert main(["solve", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "InvalidInstanceFile: Q asymmetry 5.000e-01 exceeds 1.0e-09\n"
+
 
 class TestAnalyzeSeqCommand:
     def test_hump_profile(self, tmp_path, capsys):
@@ -207,6 +229,14 @@ class TestAnalyzeSeqCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"InvalidInstanceFile: malformed JSON in {path}: ")
         assert "line 1 column" in captured.err
+
+    def test_boolean_entry_is_an_invalid_instance_file(self, tmp_path, capsys):
+        # read as numbers, [true, false, 0.5] would report sup_value 1.0 and exit 0
+        path = write_json(tmp_path / "bool.json", [True, False, 0.5])
+        assert main(["analyze-seq", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"InvalidInstanceFile: {path} holds a boolean, and no field of the file is boolean\n"
 
 
 class TestBenchCommand:

@@ -9,9 +9,9 @@ from reachmax import Box, VRep
 from reachmax.bounds import _vertex_maxima
 from reachmax.errors import DimensionTooLarge
 from reachmax.geometry import CORNER_TABLE_MIN_DIM, BoxCorners, form_values, translate, vertex_set, vertices
-from reachmax.qpcore import QuadraticObjective, maximize_convex_vertices
+from reachmax.qpcore import maximize_convex_vertices
 
-from support import corner_table_boxes, osc_eigvec_basis
+from support import corner_table_boxes, form, osc_eigvec_basis
 
 
 class TestVertices:
@@ -68,9 +68,9 @@ class TestVertices:
                     VRep(broken)
 
 
-def random_convex_objective(rng, d: int, linear: bool = True) -> QuadraticObjective:
+def random_convex_objective(rng, d: int, linear: bool = True) -> tuple[np.ndarray, np.ndarray]:
     M = rng.normal(size=(d, d))
-    return QuadraticObjective(M.T @ M, rng.normal(size=d) if linear else np.zeros(d))
+    return form(M.T @ M, rng.normal(size=d) if linear else np.zeros(d))
 
 
 class TestBoxCorners:
@@ -98,11 +98,11 @@ class TestBoxCorners:
             d = box.dim
             f = random_convex_objective(rng, d)
             V = vertices(box)
-            got = BoxCorners(box).form_values(f.Qmat, f.qvec)
-            ref = form_values(V, f.Qmat, f.qvec)
+            got = BoxCorners(box).form_values(*f)
+            ref = form_values(V, *f)
             # each value is a sum of at most d^2 + d products, summed in two different orders;
             # both stay within (2d + 2) eps of the sum of the products' magnitudes
-            scale = np.einsum("ij,jk,ik->i", np.abs(V), np.abs(f.Qmat), np.abs(V)) + np.abs(V) @ np.abs(f.qvec)
+            scale = np.einsum("ij,jk,ik->i", np.abs(V), np.abs(f[0]), np.abs(V)) + np.abs(V) @ np.abs(f[1])
             assert np.all(np.abs(got - ref) <= 4 * (d + 2) * eps * scale)
             assert int(np.argmax(got)) == int(np.argmax(ref))
 
@@ -128,7 +128,7 @@ class TestBoxCorners:
             box = Box(-radius, radius)
             f = random_convex_objective(rng, d, linear=False)
             table = BoxCorners(box)
-            vals = table.form_values(f.Qmat, f.qvec)
+            vals = table.form_values(*f)
             # corner 2^d - 1 - i is minus corner i, and f(x) = f(-x) without rounding
             np.testing.assert_array_equal(vals, vals[::-1])
             nu, x = maximize_convex_vertices(f, table)
@@ -160,7 +160,7 @@ class TestStackedFormValues:
             assert vals.shape == (n, m)
             for Q, q, row in zip(Qs, qs, vals, strict=True):
                 assert row.tobytes() == form_values(V, Q, q).tobytes()
-                nu, x = maximize_convex_vertices(QuadraticObjective.from_symmetric(Q, q), V)
+                nu, x = maximize_convex_vertices((Q, q), V)
                 i = int(np.argmax(row))
                 assert nu == row[i] and x.tobytes() == V[i].tobytes()
                 if not qs.any():

@@ -13,7 +13,6 @@ from reachmax.linalg import (
     spectral_radius_check,
 )
 from reachmax.errors import NotDiagonalizable
-from reachmax.qpcore import QuadraticObjective
 
 from support import OSC_A, rank_evaluator
 
@@ -158,7 +157,7 @@ class TestSpectralRadiusCheck:
 def powers(A):
     """The solver's rank evaluator under x -> A x, for reading its matrix powers."""
     d = np.shape(A)[0]
-    return rank_evaluator(QuadraticObjective(np.eye(d), np.zeros(d)), A)
+    return rank_evaluator((np.eye(d), np.zeros(d)), A)
 
 
 class TestMatrixPowerStep:

@@ -17,7 +17,7 @@ from reachmax.geometry import vertices
 from reachmax.linalg import eig_decompose
 from reachmax.solver import reduce_affine
 
-from support import assert_zonogon_maxima_match, nu_prefix
+from support import answer_key, assert_zonogon_maxima_match, nu_prefix, paper_loop
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -50,6 +50,9 @@ def test_long_scans_report_the_prefix_optimum_bit_for_bit(
     d, seed, rho, rotating, box, N, collapsed, repeated, singular, q_scale
 ):
     """A convex solve reports the maximum, its first rank and the first positive rank of nu_0..nu_max(K, k_opt).
+
+    Its whole report is that of `paper_loop`, which evaluates every rank up to
+    the stopping rank, bit for bit.
 
     With the spectral radius near 1, and a slow rotation of the dominant
     modes, the values keep rising past the first block, so improvements land
@@ -88,6 +91,8 @@ def test_long_scans_report_the_prefix_optimum_bit_for_bit(
         N=N,
     )
     rep = solve(inst)
+    # the whole report, x_opt, K_trace and iterations included, is the rank-by-rank loop's
+    assert answer_key(rep) == paper_loop(inst)
     # every rank the report counts as settled: 0..max(K, k_opt), or 0..N for a failed scan
     nus, offset = nu_prefix(inst, rep.iterations - 1)
     if rep.status is SolveStatus.FAILED:

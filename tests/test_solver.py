@@ -9,7 +9,7 @@ import pytest
 
 from reachmax import Box, ProblemInstance, SolveStatus, VRep, brute_force, geometry, solve
 from reachmax import solver as solver_module
-from reachmax.qpcore import ObjectiveClass, QuadraticObjective, maximize_convex_vertices
+from reachmax.qpcore import ObjectiveClass, maximize_convex_vertices
 from reachmax.bounds import TOL_RANK_BOUND, box_bound, rank_bound
 from reachmax.seqlab import FiniteC0Sequence, partial_sup
 from reachmax.solver import _RankEvaluator, reduce_affine
@@ -26,6 +26,7 @@ from reachmax.errors import (
 from support import (
     OSC_A,
     diagonal_instance,
+    form,
     nu_prefix,
     osc_box,
     rank_evaluator,
@@ -44,7 +45,7 @@ def osc_instance(Q, q=(0.0, 0.0), N=100):
 def convex_evaluator(inst):
     """The solver's rank evaluator for an instance with a convex objective."""
     red = reduce_affine(inst)
-    return _RankEvaluator(red, QuadraticObjective(red.Qmat, red.qvec_reduced), ObjectiveClass.CONVEX_PSD)
+    return _RankEvaluator(red, ObjectiveClass.CONVEX_PSD)
 
 
 DECAYING_1D = ProblemInstance(
@@ -180,12 +181,12 @@ class TestNuAt:
 
 class TestRankEvaluator:
     def test_rejects_a_non_finite_rank_objective(self):
-        ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
+        ev = rank_evaluator(form([[1.0]], [0.0]), [[1e200]])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
             ev.objectives(1)
 
     def test_rejects_a_block_with_a_non_finite_rank_objective(self):
-        ev = rank_evaluator(QuadraticObjective([[1.0]], [0.0]), [[1e200]])
+        ev = rank_evaluator(form([[1.0]], [0.0]), [[1e200]])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
             ev.objectives(2)
 
@@ -232,7 +233,7 @@ class TestRankEvaluator:
                 inst = self.instance_on(rng, Xin, concave)
                 red = reduce_affine(inst)
                 klass = ObjectiveClass.STRICTLY_CONCAVE_ND if concave else ObjectiveClass.CONVEX_PSD
-                ev = _RankEvaluator(red, QuadraticObjective(red.Qmat, red.qvec_reduced), klass)
+                ev = _RankEvaluator(red, klass)
                 assert ev.exact_ranks < n
                 assert isinstance(ev._verts, geometry.BoxCorners) == (Xin.dim == 11)
                 screen, evaluate = ev.block(n)
@@ -383,6 +384,16 @@ class TestSolveValidation:
         with pytest.raises(ValueError, match="A must be square"):
             ProblemInstance(A=np.ones((2, 3)), b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
 
+    def test_asymmetric_Q_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="Q asymmetry 5.000e-01 exceeds 1.0e-09"):
+            ProblemInstance(A=OSC_A, b=np.zeros(2), Qmat=[[1.0, 0.5], [0.0, 1.0]], qvec=np.zeros(2), Xin=osc_box())
+
+    def test_Q_symmetrized_on_construction(self):
+        Q = np.array([[1.0, 1e-10], [0.0, 1.0]])  # asymmetry 1e-10, within TOL_SYM
+        inst = ProblemInstance(A=OSC_A, b=np.zeros(2), Qmat=Q, qvec=np.zeros(2), Xin=osc_box())
+        assert inst.Qmat.tobytes() == ((Q + Q.T) / 2.0).tobytes()
+        np.testing.assert_array_equal(inst.Qmat, inst.Qmat.T)
+
     def test_nearly_symmetric_Q_that_the_objective_accepts_is_solved(self):
         # Q is symmetric within TOL_SYM, but U* Q U was checked for symmetry again, at 1e-9 (1 + max|U* Q U|):
         # the eigenbasis U of A turns Q's skew part S/2 into entries up to ||S||_2 = 1.73e-9
@@ -392,7 +403,6 @@ class TestSolveValidation:
                              np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)])
         inst = ProblemInstance(A=U @ np.diag([0.5, 0.4, 0.3]) @ U.T, b=np.zeros(3), Qmat=1e-3 * np.eye(3) + S / 2.0,
                                qvec=np.zeros(3), Xin=Box(-np.ones(3), np.ones(3)))
-        QuadraticObjective(inst.Qmat, inst.qvec)  # asymmetry 9.99e-10, within TOL_SYM
         rep = solve(inst)
         val, k, _ = brute_force(inst, 40)
         assert (rep.nu_opt, rep.k_opt) == (val, k)
@@ -564,11 +574,20 @@ class TestMaximizerCalls:
 
     @staticmethod
     def assert_rank_objectives(calls, inst, ranks):
-        """Call i gets the full objective of rank ranks[i], bit for bit."""
+        """Call i gets the full objective of rank ranks[i], bit for bit, as the first of two positional arguments.
+
+        The objective is one argument, the pair (Q, q) of a (d, d) and a (d,)
+        array, and no keyword is passed: the benchmark's trace hooks read the
+        vertex set as the second argument, and its self-test wraps the
+        concave maximizer as (f, P, **kwargs).
+        """
         objectives = list(rank_objectives(inst, ranks[-1]))
-        for (_, args, _), k in zip(calls, ranks, strict=True):
-            g = objectives[k]
-            assert np.array_equal(args[0].Qmat, g.Qmat) and np.array_equal(args[0].qvec, g.qvec)
+        d = inst.dim
+        for (_, args, kwargs), k in zip(calls, ranks, strict=True):
+            assert len(args) == 2 and kwargs == {}
+            f = args[0]
+            assert type(f) is tuple and len(f) == 2 and f[0].shape == (d, d) and f[1].shape == (d,)
+            assert np.array_equal(f[0], objectives[k][0]) and np.array_equal(f[1], objectives[k][1])
 
     def test_convex_box(self, calls):
         inst = osc_instance(np.eye(2))
@@ -576,10 +595,8 @@ class TestMaximizerCalls:
         # every rank from 1 on has a box bound of at most nu_0 = 2: 111 calls before the box screen
         assert (len(calls), rep.iterations) == (1, 112)
         assert rep.K_trace == [(0, 111)]
-        for name, args, kwargs in calls:
-            assert name == "maximize_convex_vertices" and kwargs == {}
-            f, V = args
-            assert isinstance(f, QuadraticObjective) and V.shape == (4, 2)
+        for name, args, _ in calls:
+            assert name == "maximize_convex_vertices" and args[1].shape == (4, 2)
         self.assert_rank_objectives(calls, inst, [0])
 
     def test_convex_vertex_list(self, calls):
@@ -591,10 +608,8 @@ class TestMaximizerCalls:
         # screened, 310 without the box screen
         assert (len(calls), rep.iterations) == (122, 311)
         assert (rep.k_pos, rep.K_trace[0], rep.K_trace[-1]) == (88, (88, 1127), (207, 310))
-        for name, args, kwargs in calls:
-            assert name == "maximize_convex_vertices" and kwargs == {}
-            f, V = args
-            assert isinstance(f, QuadraticObjective) and V.shape == (5, 2)
+        for name, args, _ in calls:
+            assert name == "maximize_convex_vertices" and args[1].shape == (5, 2)
         self.assert_rank_objectives(calls, inst, [0] + list(range(87, 208)))
 
     def test_failed_solve_settles_the_scan_by_box_bounds(self, calls):
@@ -612,10 +627,8 @@ class TestMaximizerCalls:
         assert rep.status is SolveStatus.K_DIAG and rep.K_trace == [(0, 3)]
         # ranks 2 and 3 are settled by the rank bound
         assert (len(calls), rep.iterations) == (2, 4)
-        for name, args, kwargs in calls:
-            assert name == "maximize_concave_qp" and kwargs == {}
-            f, P = args
-            assert isinstance(f, QuadraticObjective) and isinstance(P, Box)
+        for name, args, _ in calls:
+            assert name == "maximize_concave_qp" and isinstance(args[1], Box)
         self.assert_rank_objectives(calls, inst, [0, 1])
 
     def test_diagonal_system_settles_after_rank_zero(self, calls):
@@ -749,8 +762,8 @@ class TestScanBlocks:
             A = rng.uniform(-1.0, 1.0, size=(d, d))
             A *= 0.99 / np.max(np.abs(np.linalg.eigvals(A)))
             M = rng.normal(size=(d, d))
-            obj = QuadraticObjective(M.T @ M, rng.normal(size=d))
-            inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=obj.Qmat, qvec=obj.qvec,
+            obj = form(M.T @ M, rng.normal(size=d))
+            inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=obj[0], qvec=obj[1],
                                    Xin=Box(-np.ones(d), np.ones(d)))
             # the reference: one rank at a time, by a plain loop of its own
             single = list(rank_objectives(inst, 160))
@@ -767,7 +780,7 @@ class TestScanBlocks:
                 Qs, qs = blocked.objectives(n)
                 for j in range(n):
                     f = single[k + 1 + j]
-                    assert np.array_equal(Qs[j], f.Qmat) and np.array_equal(qs[j], f.qvec)
+                    assert np.array_equal(Qs[j], f[0]) and np.array_equal(qs[j], f[1])
                     power = A @ power
                 k += n
                 assert blocked.k == k and np.array_equal(blocked.power, power)
@@ -854,7 +867,7 @@ class TestRankBoundScreen:
             # the evaluator may have formed ranks ahead in a block: the rank is the next one
             # whose objective f is, bit for bit
             for k, g in ranks[0]:
-                if np.array_equal(g.Qmat, f.Qmat) and np.array_equal(g.qvec, f.qvec):
+                if np.array_equal(g[0], f[0]) and np.array_equal(g[1], f[1]):
                     evaluated.append(k)
                     break
             return original(self, f)
