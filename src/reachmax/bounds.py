@@ -93,7 +93,6 @@ class SpectralData:
     v_diag: float
     envelope: float
     mode_max: np.ndarray  # m_i, the maximum of |(U^-1 x)_i|^2 over the vertices
-    mode_root: np.ndarray  # sqrt(m_i), the polydisc radii at rank 0
     decay: np.ndarray  # |lambda_i|, the rate at which each radius shrinks
     gram_abs: np.ndarray  # |U* Q U| off the diagonal, the real diagonal of U* Q U (with its sign) on it
     lin_abs: np.ndarray  # |U* q| entrywise
@@ -126,7 +125,6 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
         v_diag=v_diag,
         envelope=envelope,
         mode_max=mode_max,
-        mode_root=np.sqrt(mode_max),
         decay=np.abs(dec.D),
         gram_abs=gram_abs,
         lin_abs=np.abs(e),
@@ -189,7 +187,7 @@ def rank_bound(sd: SpectralData, k: int | np.ndarray) -> float | np.ndarray:
     a rank or an array of ranks, and the result has its shape.
     """
     k = np.asarray(k)
-    a = sd.decay ** k[..., None] * sd.mode_root
+    a = sd.decay ** k[..., None] * np.sqrt(sd.mode_max)
     # a G_ii >= 0 stays in the product, its mode's own terms peaking at t = a_i; a mode with
     # G_ii < 0 peaks at the parabola's vertex |e_i| / (2|G_ii|) if that comes first. Every
     # term below is non-negative, so none cancels another
@@ -198,15 +196,16 @@ def rank_bound(sd: SpectralData, k: int | np.ndarray) -> float | np.ndarray:
     return ((a @ np.maximum(sd.gram_abs, 0.0).T) * a + (g * t + sd.lin_abs) * t).sum(axis=-1)
 
 
-def box_bound(Q: np.ndarray, q: np.ndarray, centre: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, sigma): an upper bound beta on f(y) = y^T Q y + q^T y over a box, and its rounding scale.
+def box_bound(Q: np.ndarray, q: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, sigma): an upper bound beta on f(y) = y^T Q y + q^T y over the box [lower, upper], and its rounding scale.
 
     Q and q may carry a leading stack axis, (n, d, d) and (n, d), for n
     objectives over one box; beta and sigma then have shape (n,), and shape ()
     for a single (d, d) Q.
 
     Q must be symmetric; the box is {c + r s : s in [-1, 1]^d} for the
-    centre c and the half-widths r >= 0. With g = 2 Q c + q,
+    centre c = (lower + upper)/2 and the half-widths r = (upper - lower)/2,
+    with lower <= upper. With g = 2 Q c + q,
 
         f(c + r s) = f(c) + sum_i r_i g_i s_i + sum_ij Q_ij r_i r_j s_i s_j.
 
@@ -230,6 +229,7 @@ def box_bound(Q: np.ndarray, q: np.ndarray, centre: np.ndarray, radius: np.ndarr
     a caller adds a margin in sigma before comparing beta with a computed
     value.
     """
+    centre, radius = (lower + upper) / 2.0, (upper - lower) / 2.0
     Qc = Q @ centre
     h = Qc + q  # f(c) = h^T c and g = Qc + h
     absQ = np.abs(Q)

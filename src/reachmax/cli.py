@@ -41,8 +41,10 @@ def _parse_initial_set(node) -> Polytope:
 def _read_json(path: str):
     """The parsed contents of a UTF-8 JSON file; any failure to read or parse it is InvalidInstanceFile.
 
-    No field of an instance or sequence file is boolean, and numpy reads true
-    and false as 1 and 0, so a boolean anywhere in the document is refused.
+    json.loads recurses once per level of nesting, so a document nested
+    deeper than the interpreter's recursion limit is refused too. No field of
+    an instance or sequence file is boolean, and numpy reads true and false
+    as 1 and 0, so a boolean anywhere in the document is refused.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -56,6 +58,8 @@ def _read_json(path: str):
         raise InvalidInstanceFile(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise InvalidInstanceFile(f"{path} is nested too deeply to parse") from exc
     nodes = [doc]
     while nodes:
         node = nodes.pop()

@@ -145,6 +145,10 @@ class ReducedInstance:
     offset: float
     b_tilde: np.ndarray
 
+    def original(self, nu: float, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """A value and a point of the reduced problem in original coordinates: (nu + offset, y + b_tilde)."""
+        return nu + self.offset, y + self.b_tilde
+
 
 @dataclass(eq=False)
 class SolveReport:
@@ -169,11 +173,6 @@ class SolveReport:
 
 def _is_origin_only(P: Polytope) -> bool:
     return not (P.lower.any() or P.upper.any())
-
-
-def _bounding_box(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and half-widths of the smallest box holding P, from its coordinate range."""
-    return (P.lower + P.upper) / 2.0, (P.upper - P.lower) / 2.0
 
 
 def reduce_affine(inst: ProblemInstance, dec: SpectralDecomposition | None = None) -> ReducedInstance:
@@ -223,23 +222,17 @@ class _RankEvaluator:
     most ranks of a block that one stacked pass evaluates whole: for a
     convex objective over a vertex array, up to SCAN_BLOCK_MIN as
     EXACT_BLOCK_MAX_ROWS allows, and otherwise 0. Every longer block is
-    screened by its box bounds over the working set's bounding box, taken
-    at the first screened block.
+    screened by its box bounds over the working set's bounding box, its
+    coordinate range `lower`/`upper`.
     """
 
     def __init__(self, red: ReducedInstance, klass: ObjectiveClass, verts: VertexSet | None = None):
-        self._Q, self._q = red.Qmat, red.qvec_reduced
-        self._A = red.A
-        self._Xwork = red.Xwork
-        self._box = None
+        self.red = red
         self.k = 0
         self.power = np.eye(red.A.shape[0])
+        self._verts = None
         if klass is ObjectiveClass.CONVEX_PSD:
             self._verts = vertex_set(red.Xwork) if verts is None else verts
-        elif isinstance(red.Xwork, Box):
-            self._verts = None
-        else:
-            raise UnsupportedObjective("a strictly concave objective needs a box initial set")
         self.exact_ranks = 0
         if isinstance(self._verts, np.ndarray):
             self.exact_ranks = min(SCAN_BLOCK_MIN, EXACT_BLOCK_MAX_ROWS // len(self._verts))
@@ -256,13 +249,13 @@ class _RankEvaluator:
         Ps = np.empty((n,) + self.power.shape)
         prev = self.power
         for P in Ps:
-            np.matmul(self._A, prev, out=P)
+            np.matmul(self.red.A, prev, out=P)
             prev = P
         self.power = prev
         self.k += n
         PT = Ps.transpose(0, 2, 1)
-        M = PT @ self._Q @ Ps
-        Qs, qs = (M + M.transpose(0, 2, 1)) / 2.0, PT @ self._q
+        M = PT @ self.red.Qmat @ Ps
+        Qs, qs = (M + M.transpose(0, 2, 1)) / 2.0, PT @ self.red.qvec_reduced
         if not (np.isfinite(Qs).all() and np.isfinite(qs).all()):
             raise ValueError("objective data must be finite")
         return Qs, qs
@@ -284,25 +277,25 @@ class _RankEvaluator:
             best = vals.argmax(axis=1)
             screen = vals[np.arange(n), best]
             return screen, lambda i: (float(screen[i]), self._verts[best[i]].copy())
-        if self._box is None:
-            self._box = _bounding_box(self._Xwork)
-        beta, sigma = box_bound(Qs, qs, *self._box)
+        beta, sigma = box_bound(Qs, qs, self.red.Xwork.lower, self.red.Xwork.upper)
         return beta + TOL_RANK_BOUND * sigma, lambda i: self.maximize((Qs[i], qs[i]))
 
     def maximize(self, form: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
         """The maximum of a rank objective (Q, q) over the working set, and a maximizing point."""
         if self._verts is not None:
             return maximize_convex_vertices(form, self._verts)
-        return maximize_concave_qp(form, self._Xwork)
+        return maximize_concave_qp(form, self.red.Xwork)
 
 
 def _reduced_parts(
     inst: ProblemInstance, dec: SpectralDecomposition | None = None
 ) -> tuple[ReducedInstance, ObjectiveClass]:
-    """The reduced instance and its objective's class.
+    """The reduced instance and its objective's class, once the solve is known to be supported.
 
-    Nothing here needs eigenvectors; A's factorization dec, when the caller
-    has one, only spares `reduce_affine` its SVD.
+    A solve takes a convex objective over any initial set, or a strictly
+    concave one over a box. Nothing here needs eigenvectors; A's
+    factorization dec, when the caller has one, only spares `reduce_affine`
+    its SVD.
     """
     red = reduce_affine(inst, dec)
     if not np.isfinite(red.qvec_reduced).all():
@@ -310,6 +303,8 @@ def _reduced_parts(
     klass = classify(red.Qmat)
     if klass is ObjectiveClass.UNSUPPORTED:
         raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
+    if klass is ObjectiveClass.STRICTLY_CONCAVE_ND and not isinstance(red.Xwork, Box):
+        raise UnsupportedObjective("a strictly concave objective needs a box initial set")
     return red, klass
 
 
@@ -320,19 +315,18 @@ def solve(inst: ProblemInstance) -> SolveReport:
         raise NotConvergent(f"spectral radius {dec.rho} is not strictly below 1")
     red, klass = _reduced_parts(inst, dec)
 
-    # degenerate screens whose answer is known without any optimization
+    # degenerate screens, answered without a rank: over a working set of one point, or for a
+    # concave objective with no linear part, f <= f(0) at every reduced point. The supremum, the
+    # offset, is attained at rank 0 when the working box holds 0 (b~ in X_in); otherwise no rank
+    # beats the incumbent 0, and the solve fails as a scan up to N would
     concave = klass is ObjectiveClass.STRICTLY_CONCAVE_ND
     if _is_origin_only(red.Xwork) or (concave and not np.any(red.qvec_reduced)):
-        # supremum equals the offset, approached at the fixed point
-        return SolveReport(
-            status=SolveStatus.K_DIAG,
-            nu_opt=red.offset,
-            x_opt=red.b_tilde.copy(),
-            k_opt=0,
-            k_pos=None,
-            K_trace=[],
-            iterations=0,
-        )
+        if (red.Xwork.lower > 0.0).any() or (red.Xwork.upper < 0.0).any():
+            return SolveReport(
+                SolveStatus.FAILED, nu_opt=None, x_opt=None, k_opt=None, k_pos=None, iterations=inst.N + 1
+            )
+        # b_tilde itself, not original(0.0, zeros): 0.0 + (-0.0) is +0.0, which would flip a sign bit of x_opt
+        return SolveReport(SolveStatus.K_DIAG, red.offset, red.b_tilde.copy(), k_opt=0, k_pos=None, iterations=0)
 
     # one vertex set per solve: it fixes M and the m_i in the envelope and, for a
     # convex objective, it is the whole input of every per-rank maximization
@@ -342,21 +336,14 @@ def solve(inst: ProblemInstance) -> SolveReport:
 
     nu_k, y_k = ev.maximize((red.Qmat, red.qvec_reduced))
     if corollary_one_holds(sd, nu_k):
-        return SolveReport(
-            status=SolveStatus.COROLLARY_ONE,
-            nu_opt=nu_k + red.offset,
-            x_opt=y_k + red.b_tilde,
-            k_opt=0,
-            k_pos=0,
-            K_trace=[],
-            iterations=1,
-        )
+        nu_opt, x_opt = red.original(nu_k, y_k)
+        return SolveReport(SolveStatus.COROLLARY_ONE, nu_opt, x_opt, k_opt=0, k_pos=0, K_trace=[], iterations=1)
 
-    # the incumbent starts at 0 and the stopping rank at the scan cap N; the
-    # first rank to beat 0 is k_pos, and every improvement sets K = K(nu_k)
-    nu_opt, y_opt, k_opt, k_pos, K, K_trace = 0.0, None, None, None, inst.N, []
+    # the incumbent starts at 0 and the stopping rank at the scan cap N; every strict improvement
+    # sets K = K(nu_k) and appends (rank, K) to K_trace, so its first rank is k_pos and its last k_opt
+    nu_opt, y_opt, K, K_trace = 0.0, None, inst.N, []
     if nu_opt < nu_k:
-        nu_opt, y_opt, k_opt, k_pos, K = nu_k, y_k, 0, 0, k_diag(sd, nu_k)
+        nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
         K_trace.append((0, K))
     k, length, cut = 0, SCAN_BLOCK_MIN, False
     while k < K and not cut:
@@ -379,24 +366,16 @@ def solve(inst: ProblemInstance) -> SolveReport:
                 continue
             nu_k, y_k = evaluate(i)
             if nu_opt < nu_k:
-                k_opt = k + i + 1
-                k_pos = k_opt if k_pos is None else k_pos
                 nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
-                K_trace.append((k_opt, K))
+                K_trace.append((k + i + 1, K))
         k += n
 
-    if k_pos is None:
+    if not K_trace:
         return SolveReport(SolveStatus.FAILED, nu_opt=None, x_opt=None, k_opt=None, k_pos=None, iterations=K + 1)
+    k_opt, k_pos = K_trace[-1][0], K_trace[0][0]
+    nu_opt, x_opt = red.original(nu_opt, y_opt)
     # every rank up to K is settled, and up to k_opt when an improvement there set K below it
-    return SolveReport(
-        status=SolveStatus.K_DIAG,
-        nu_opt=nu_opt + red.offset,
-        x_opt=y_opt + red.b_tilde,
-        k_opt=k_opt,
-        k_pos=k_pos,
-        K_trace=K_trace,
-        iterations=max(K, k_opt) + 1,
-    )
+    return SolveReport(SolveStatus.K_DIAG, nu_opt, x_opt, k_opt, k_pos, K_trace, iterations=max(K, k_opt) + 1)
 
 
 def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.ndarray]:
@@ -420,4 +399,5 @@ def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.nda
             val, y = ev.maximize(form)
             if val > best_val:
                 best_val, best_y, best_k = val, y, j
-    return best_val + red.offset, best_k, best_y + red.b_tilde
+    nu, x = red.original(best_val, best_y)
+    return nu, best_k, x

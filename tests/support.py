@@ -331,7 +331,7 @@ def stepped_objective(ev: _RankEvaluator, k: int) -> tuple[np.ndarray, np.ndarra
     to rank k.
     """
     if k == 0:
-        return ev._Q, ev._q
+        return ev.red.Qmat, ev.red.qvec_reduced
     Qs, qs = ev.objectives(k - ev.k)
     return Qs[-1], qs[-1]
 

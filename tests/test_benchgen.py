@@ -35,6 +35,22 @@ class TestBenchSpec:
         with pytest.raises(ValueError):
             spec_of(objective=ObjectiveKind.CAH, set_kind="vertices", count=8)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"dim": 0}, "dim must be positive"),
+            ({"set_kind": "cube"}, "unknown set kind 'cube'"),
+            ({"objective": ObjectiveKind.CANH, "set_kind": "vertices", "count": 8},
+             "concave objectives require box initial sets"),
+            ({"set_kind": "vertices", "count": 0}, "vertex sets need a positive vertex count"),
+            ({"instances": 0}, "instance_count must be positive"),
+            ({"N": 0}, "N must be positive"),
+        ],
+    )
+    def test_refusals(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            spec_of(**change)
+
     def test_vertices_need_count(self):
         with pytest.raises(ValueError):
             spec_of(set_kind="vertices", count=None)
@@ -128,13 +144,17 @@ class TestRunBench:
             assert all(r.k_pos == 0 for r in records)
 
     def test_linear_concave_homogeneous_is_degenerate(self):
+        # f <= f(0) = 0 at every reachable point, and no rank beats 0: the maximum 0 is attained,
+        # at rank 0, only by a box that holds the origin, and every other box ends Failed at N
         spec = spec_of(objective=ObjectiveKind.CAH, instances=10, seed=6)
         stats, records = run_bench(spec)
-        assert stats.count_k == 10
+        assert (stats.count_k, stats.count_f) == (2, 8)
         for r in records:
-            assert r.nu_opt == 0.0
-            assert r.k_opt == 0
-            assert r.iterations == 0
+            box = random_instance(spec, r.index).Xin
+            if np.all(box.lower <= 0.0) and np.all(box.upper >= 0.0):
+                assert (r.status, r.nu_opt, r.k_opt, r.k_pos, r.iterations) == ("KDiag", 0.0, 0, None, 0)
+            else:
+                assert (r.status, r.nu_opt, r.k_opt, r.k_pos, r.iterations) == ("Failed", None, None, None, 101)
 
     def test_single_instance_stats_match_record(self):
         spec = spec_of(instances=1, seed=42)

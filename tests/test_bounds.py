@@ -20,7 +20,7 @@ from reachmax.bounds import (
 from reachmax.errors import AssumptionViolated, NonPositiveNu, NotDiagonalizable
 from reachmax.geometry import BoxCorners, vertices
 from reachmax.linalg import SpectralDecomposition, eig_decompose
-from reachmax.solver import _bounding_box, reduce_affine
+from reachmax.solver import reduce_affine
 
 from support import (
     OSC_A,
@@ -325,11 +325,11 @@ class TestBoxBound:
             lower = rng.uniform(-2.0, 1.0, size=d)
             upper = lower + rng.uniform(0.0, 2.0, size=d) * (rng.random(d) < 0.7)
             box = Box(lower, upper)
-            beta, sigma = box_bound(Q, q, *_bounding_box(box))
+            beta, sigma = box_bound(Q, q, box.lower, box.upper)
             # with the margin the solver allows: a fully collapsed box leaves only rounding between them
             assert beta + TOL_RANK_BOUND * sigma >= brute_max(Q, q, vertices(box))
             # sigma covers every term of beta in absolute value
-            c, r = _bounding_box(box)
+            c, r = (box.lower + box.upper) / 2.0, (box.upper - box.lower) / 2.0
             g = 2.0 * Q @ c + q
             terms = abs(c @ Q @ c + q @ c) + np.abs(r * g).sum() + r @ np.abs(Q) @ r
             assert sigma >= terms * (1.0 - 1e-12)
@@ -341,12 +341,11 @@ class TestBoxBound:
             M = rng.normal(size=(d, d))
             Q, q = M.T @ M, rng.normal(size=d)
             points = rng.normal(size=(int(rng.integers(1, 60)), d)) + rng.normal(size=d)
-            centre, radius = _bounding_box(VRep(points))
-            # the coordinate range of the points, up to the rounding of the centre and half-widths
-            tol = 4e-16 * (1.0 + np.abs(points).max())
-            np.testing.assert_allclose(centre - radius, points.min(axis=0), rtol=0.0, atol=tol)
-            np.testing.assert_allclose(centre + radius, points.max(axis=0), rtol=0.0, atol=tol)
-            beta, sigma = box_bound(Q, q, centre, radius)
+            cloud = VRep(points)
+            # a vertex list's bounding box is the coordinate range of its points
+            np.testing.assert_array_equal(cloud.lower, points.min(axis=0))
+            np.testing.assert_array_equal(cloud.upper, points.max(axis=0))
+            beta, sigma = box_bound(Q, q, cloud.lower, cloud.upper)
             assert beta + TOL_RANK_BOUND * sigma >= brute_max(Q, q, points)
 
     def test_indefinite_bound_over_sampled_box_points(self):
@@ -355,10 +354,11 @@ class TestBoxBound:
             d = int(rng.integers(1, 6))
             Q = rng.normal(size=(d, d))
             Q, q = Q + Q.T, rng.normal(size=d)
-            centre, radius = rng.normal(size=d), rng.uniform(0.0, 1.5, size=d)
-            beta, sigma = box_bound(Q, q, centre, radius)
-            corners = vertices(Box(centre - radius, centre + radius))
-            inside = centre + radius * rng.uniform(-1.0, 1.0, size=(200, d))
+            lower = rng.normal(size=d)
+            upper = lower + rng.uniform(0.0, 3.0, size=d)
+            beta, sigma = box_bound(Q, q, lower, upper)
+            corners = vertices(Box(lower, upper))
+            inside = lower + (upper - lower) * rng.uniform(0.0, 1.0, size=(200, d))
             assert beta + TOL_RANK_BOUND * sigma >= brute_max(Q, q, np.vstack([corners, inside]))
 
     def test_singular_nsd_bound_at_least_the_kkt_maximum(self):
@@ -369,14 +369,14 @@ class TestBoxBound:
             obj = form(-(M.T @ M), rng.normal(size=d))
             lower = rng.uniform(-2.0, 1.0, size=d)
             upper = lower + rng.uniform(0.1, 2.0, size=d)
-            beta, sigma = box_bound(*obj, *_bounding_box(Box(lower, upper)))
+            beta, sigma = box_bound(*obj, lower, upper)
             assert beta + TOL_RANK_BOUND * sigma >= concave_box_max_kkt(obj, lower, upper)
 
     def test_exact_for_a_diagonal_psd_form_on_a_centred_box(self):
         Q = np.diag([1.0, 0.0, 2.5, 4.0])
         radius = np.array([0.5, 3.0, 1.25, 2.0])
         box = Box(-radius, radius)
-        beta, sigma = box_bound(Q, np.zeros(4), *_bounding_box(box))
+        beta, sigma = box_bound(Q, np.zeros(4), box.lower, box.upper)
         assert beta == brute_max(Q, np.zeros(4), vertices(box)) == 0.25 + 2.5 * 1.5625 + 16.0
         assert sigma == beta
 
@@ -396,12 +396,12 @@ class TestBoxBound:
                 objectives = list(rank_objectives(inst, 40))
                 Qs = np.stack([Q for Q, _ in objectives])
                 qs = np.stack([q for _, q in objectives])
-                centre, radius = _bounding_box(reduce_affine(inst).Xwork)
-                betas, sigmas = box_bound(Qs, qs, centre, radius)
+                work = reduce_affine(inst).Xwork
+                betas, sigmas = box_bound(Qs, qs, work.lower, work.upper)
                 assert betas.shape == sigmas.shape == (len(objectives),)
-                corners = vertices(Box(centre - radius, centre + radius))
+                corners = vertices(Box(work.lower, work.upper))
                 for f, beta, sigma in zip(objectives, betas, sigmas, strict=True):
-                    one_beta, one_sigma = box_bound(*f, centre, radius)
+                    one_beta, one_sigma = box_bound(*f, work.lower, work.upper)
                     assert abs(beta - one_beta) <= 4.0 * eps * sigma
                     assert abs(sigma - one_sigma) <= 4.0 * eps * sigma
                     assert beta + TOL_RANK_BOUND * sigma >= brute_max(*f, corners)

@@ -173,6 +173,59 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == "InvalidInstanceFile: Q asymmetry 5.000e-01 exceeds 1.0e-09\n"
 
+    def test_deeply_nested_json_is_an_invalid_instance_file(self, tmp_path, capsys):
+        # json.loads recurses once per level: this depth raises RecursionError inside the parser
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert main(["solve", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"InvalidInstanceFile: {path} is nested too deeply to parse\n"
+
+    @pytest.mark.parametrize(
+        "initial_set, message",
+        [
+            ({"lower": [0.0], "upper": [1.0]}, 'initial_set must be an object with a "type" key'),
+            ([0.0, 1.0], 'initial_set must be an object with a "type" key'),
+            ({"type": "box", "lower": [0.0]}, "initial_set is missing key 'upper'"),
+            ({"type": "vertices"}, "initial_set is missing key 'points'"),
+            ({"type": "box", "lower": ["a"], "upper": [1.0]},
+             "invalid initial_set: could not convert string to float: 'a'"),
+            ({"type": "box", "lower": [1.0], "upper": [0.0]},
+             "invalid initial_set: empty box: lower > upper in some coordinate"),
+            ({"type": "ball", "centre": [0.0]}, "unknown initial_set type 'ball'"),
+        ],
+    )
+    def test_initial_set_refusals(self, tmp_path, capsys, initial_set, message):
+        path = write_json(tmp_path / "set.json", dict(DECAYING_DOC, initial_set=initial_set))
+        assert main(["solve", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"InvalidInstanceFile: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([DECAYING_DOC], "instance file must contain a JSON object"),
+            (dict(DECAYING_DOC, A=[0.5]), "A must be a rectangular array of arrays"),
+            (dict(DECAYING_DOC, A=[[0.5, 0.0], [0.0]]), "non-numeric or ragged array: "),
+            (dict(DECAYING_DOC, Q=[["a"]]), "non-numeric or ragged array: could not convert string to float: 'a'"),
+            (dict(DECAYING_DOC, q=[[1.0], [2.0, 3.0]]), "non-numeric or ragged array: "),
+        ],
+    )
+    def test_instance_document_refusals(self, tmp_path, capsys, doc, message):
+        path = write_json(tmp_path / "doc.json", doc)
+        assert main(["solve", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"InvalidInstanceFile: {message}")
+
+    def test_pretty_output_of_a_failed_solve(self, tmp_path, capsys):
+        # a concave objective without a linear part over a box that misses 0: f < f(0) = 0 everywhere
+        doc = {"A": [[0.5]], "Q": [[-1.0]], "initial_set": {"type": "box", "lower": [1.0], "upper": [2.0]}}
+        assert main(["solve", write_json(tmp_path / "cah.json", doc)]) == 2
+        assert capsys.readouterr().out == "status      Failed\nN           100\niterations  101\n"
+
 
 class TestAnalyzeSeqCommand:
     def test_hump_profile(self, tmp_path, capsys):
@@ -238,6 +291,14 @@ class TestAnalyzeSeqCommand:
         assert captured.out == ""
         assert captured.err == f"InvalidInstanceFile: {path} holds a boolean, and no field of the file is boolean\n"
 
+    def test_deeply_nested_json_is_an_invalid_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert main(["analyze-seq", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"InvalidInstanceFile: {path} is nested too deeply to parse\n"
+
 
 class TestBenchCommand:
     def test_small_batch_writes_both_csvs(self, tmp_path, capsys):
@@ -264,6 +325,36 @@ class TestBenchCommand:
         ])
         assert rc == 1
         assert "box" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("vertices:x", "invalid vertex count in 'vertices:x'"),
+            ("vertices:", "invalid vertex count in 'vertices:'"),
+            ("cube", '--set must be "box" or "vertices:<count>", got \'cube\''),
+            ("vertices:0", "vertex sets need a positive vertex count"),
+        ],
+    )
+    def test_set_flag_refusals(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--dim", "2", "--kind", "linear", "--objective", "cxh", "--set", flag, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"InvalidBenchSpec: {message}\n"
+        assert not out.exists()
+
+    def test_failed_instances_become_error_rows(self, tmp_path, capsys):
+        # a 23-cube has 2^23 corners, above the vertex cap: each solve is refused, and the batch still ends 0
+        out = tmp_path / "big.csv"
+        rc = main(["bench", "--dim", "23", "--kind", "linear", "--objective", "cxh", "--count", "2", "--out", str(out)])
+        assert rc == 0
+        agg = list(csv.DictReader(out.open()))
+        assert [(r["status_c_k_f"], r["errors"], r["avg_iter"]) for r in agg] == [("0/0/0", "2", "")]
+        rows = list(csv.DictReader((tmp_path / "big.instances.csv").open()))
+        assert [r["index"] for r in rows] == ["0", "1"]
+        for r in rows:
+            assert r["status"] == "Error:DimensionTooLarge"
+            assert [r[k] for k in ("nu_opt", "k_opt", "k_pos", "K_init", "K_final", "iterations")] == [""] * 6
 
     def test_unwritable_output_exits_one_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_batch(spec):

@@ -52,6 +52,25 @@ class TestVertices:
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
 
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [
+            ([0.0, 0.0], [1.0], "box bounds must be 1-d vectors of equal length"),
+            ([[0.0, 0.0]], [[1.0, 1.0]], "box bounds must be 1-d vectors of equal length"),
+            ([], [], "box dimension must be positive"),
+            ([0.0, np.nan], [1.0, 1.0], "box bounds must be finite"),
+            ([0.0, 0.0], [1.0, np.inf], "box bounds must be finite"),
+        ],
+    )
+    def test_box_refusals(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            Box(lower, upper)
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((1, 2, 2))])
+    def test_vrep_needs_a_point_of_positive_dimension(self, points):
+        with pytest.raises(ValueError, match="vertex representation needs at least one point"):
+            VRep(points)
+
     def test_vrep_range_is_the_coordinate_range_and_checks_every_point(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -17,7 +17,14 @@ from reachmax.geometry import vertices
 from reachmax.linalg import eig_decompose
 from reachmax.solver import reduce_affine
 
-from support import answer_key, assert_zonogon_maxima_match, nu_prefix, paper_loop
+from support import (
+    answer_key,
+    assert_zonogon_maxima_match,
+    concave_box_max_kkt,
+    nu_prefix,
+    paper_loop,
+    rank_objectives,
+)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -102,6 +109,63 @@ def test_long_scans_report_the_prefix_optimum_bit_for_bit(
     assert rep.nu_opt == nus[k_opt] + offset
     assert rep.k_opt == k_opt
     assert rep.k_pos == int(np.flatnonzero(nus > 0.0)[0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.3, 0.95),
+    eps=st.sampled_from([1e-3, 1.0]),
+    affine=st.booleans(),
+    N=st.integers(1, 30),
+    collapsed=st.integers(0, 2),
+    q_scale=st.sampled_from([0.0, 1.0, 30.0]),
+)
+def test_concave_solves_report_the_paper_loop_and_the_kkt_maximum(d, seed, rho, eps, affine, N, collapsed, q_scale):
+    """A strictly concave solve over a box reports what the rank-by-rank loop does, at the KKT maximum of its rank.
+
+    Q = -M^T M - eps I over a box with up to 2 (and at most d - 1)
+    coordinates collapsed, for a linear or affine system. With a reduced
+    linear part q~ != 0 the whole report is `paper_loop`'s, and nu_opt, less
+    the offset, is the maximum of rank k_opt's objective over the working
+    box by `concave_box_max_kkt` to 1e-9 relative, or 1e-9 absolute below
+    a maximum of 1 (the QP certifies an absolute Frank-Wolfe gap of about
+    1e-10), plus the rounding of the offset. With q~ = 0, f <= f(0) at every reduced point: the solve reports
+    the offset, attained at rank 0, when the working box holds 0, and
+    otherwise fails as a scan up to N would.
+    """
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-1.0, 1.0, size=d)
+    U = np.eye(d) + 0.5 * rng.uniform(-1.0, 1.0, size=(d, d))
+    M = rng.uniform(-1.0, 1.0, size=(d, d))
+    lower = rng.uniform(-1.0, 0.5, size=d)
+    upper = lower + rng.uniform(0.1, 2.0, size=d)
+    cols = rng.choice(d, size=min(collapsed, d - 1), replace=False)
+    upper[cols] = lower[cols]
+    inst = ProblemInstance(
+        A=U @ np.diag(rho * lam / np.max(np.abs(lam))) @ np.linalg.inv(U),
+        b=rng.uniform(-1.0, 1.0, size=d) if affine else np.zeros(d),
+        Qmat=-M.T @ M - eps * np.eye(d),
+        qvec=q_scale * rng.uniform(-1.0, 1.0, size=d),
+        Xin=Box(lower, upper),
+        N=N,
+    )
+    red = reduce_affine(inst)
+    rep = solve(inst)
+    if not np.any(red.qvec_reduced):
+        if np.all(red.Xwork.lower <= 0.0) and np.all(red.Xwork.upper >= 0.0):
+            key = (SolveStatus.K_DIAG, red.offset, red.b_tilde.tobytes(), 0, None, (), 0)
+        else:
+            key = (SolveStatus.FAILED, None, None, None, None, (), N + 1)
+        assert answer_key(rep) == key
+        return
+    assert answer_key(rep) == paper_loop(inst)
+    if rep.status is SolveStatus.FAILED:
+        return
+    *_, f = rank_objectives(inst, rep.k_opt)
+    kkt = concave_box_max_kkt(f, red.Xwork.lower, red.Xwork.upper)
+    assert abs((rep.nu_opt - red.offset) - kkt) <= 1e-9 * max(abs(kkt), 1.0) + 4 * np.finfo(float).eps * abs(red.offset)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -287,7 +287,7 @@ class TestUnderflowedRankValue:
 class TestSupremumOnlyInTheLimit:
     """The concave screen for a zero reduced linear part must not report an attained maximum (ROADMAP item 1)."""
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the screen reports k_opt = 0 and x_opt = b~ = 2, outside X_in")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: with no limit status yet, the screen reports Failed")
     def test_fixed_point_outside_the_initial_set(self):
         # b~ = 2 and f(x) = -x^2 + 4x peaks at 2; from [0, 1], x_k = 2 - 2^-k x'_0 with x'_0 in [1, 2]
         # never reaches 2, so nu_k = 4 - 4^-k < 4 at every rank and the supremum 4 is only a limit
@@ -380,6 +380,15 @@ class TestSolveValidation:
         with pytest.raises(UnsupportedObjective):
             solve(inst)
 
+    def test_concave_vertex_list_is_refused_before_the_degenerate_screen(self):
+        # q~ = 0 here: the screen would report x_opt = [0, 0], outside the hull of the list
+        inst = ProblemInstance(
+            A=0.5 * np.eye(2), b=np.zeros(2), Qmat=-np.eye(2), qvec=np.zeros(2), Xin=VRep([[1.0, 1.0], [2.0, 0.5]])
+        )
+        for run in (solve, lambda inst: brute_force(inst, 3)):
+            with pytest.raises(UnsupportedObjective, match="a strictly concave objective needs a box initial set"):
+                run(inst)
+
     def test_non_square_A_rejected(self):
         with pytest.raises(ValueError, match="A must be square"):
             ProblemInstance(A=np.ones((2, 3)), b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
@@ -414,6 +423,39 @@ class TestSolveValidation:
                 A=0.5 * np.eye(2), b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2),
                 Xin=Box([0.0, 0.0], [0.0, 0.0]),
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"b": np.zeros(3)}, "A, b, Q, q dimensions are inconsistent"),
+            ({"qvec": np.zeros((2, 2))}, "A, b, Q, q dimensions are inconsistent"),
+            ({"Qmat": np.eye(3)}, "A, b, Q, q dimensions are inconsistent"),
+            ({"Xin": [[-1.0, 1.0], [-1.0, 1.0]]}, "Xin must be a Box or a VRep polytope"),
+            ({"Xin": Box([-1.0], [1.0])}, "initial set dimension does not match A"),
+            ({"A": [[0.5, np.nan], [0.0, 0.5]]}, "problem data must be finite"),
+            ({"b": [np.inf, 0.0]}, "problem data must be finite"),
+            ({"Qmat": [[1.0, 0.0], [0.0, -np.inf]]}, "problem data must be finite"),
+            ({"qvec": [0.0, np.nan]}, "problem data must be finite"),
+        ],
+    )
+    def test_shape_type_and_finiteness_refusals(self, change, message):
+        data = dict(A=0.5 * np.eye(2), b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance(**{**data, **change})
+
+    def test_Q_that_overflows_when_symmetrized_is_refused(self):
+        # finite entries whose sum Q + Q^T is not
+        Q = [[1.0, 1.7e308], [1.7e308, 1.0]]
+        with pytest.raises(ValueError, match="problem data must be finite"):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                ProblemInstance(A=0.5 * np.eye(2), b=np.zeros(2), Qmat=Q, qvec=np.zeros(2), Xin=osc_box())
+
+    def test_reduced_linear_part_that_overflows_is_refused(self):
+        # b~ = 2e300, so q~ = 2 Q b~ + q is past the largest float
+        inst = ProblemInstance(A=[[0.5]], b=[1e300], Qmat=[[1e307]], qvec=[0.0], Xin=Box([0.0], [1.0]))
+        with pytest.raises(ValueError, match="objective data must be finite"):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                solve(inst)
 
     @pytest.mark.parametrize("N", [20, 20.0, np.int64(20), np.float64(20.0)])
     def test_scan_cap_accepts_integral_values(self, N):
@@ -1050,6 +1092,23 @@ class TestDegenerateScreens:
         assert rep.nu_opt == 0.0
         assert rep.k_opt == 0
         assert rep.iterations == 0
+
+    @pytest.mark.parametrize("lower, upper", [([1.0], [2.0]), ([1.0, 1.0], [2.0, 2.0])])
+    def test_concave_homogeneous_box_missing_the_origin_fails_at_the_scan_cap(self, lower, upper, monkeypatch):
+        # f = -|x|^2 < 0 = f(0) on the whole box and at every rank: the supremum 0 is only a limit, and no
+        # rank beats the incumbent 0, so the solve ends Failed as a scan up to N would, with no rank evaluated
+        def no_rank(*args):
+            raise AssertionError("a rank was evaluated")
+
+        monkeypatch.setattr(solver_module, "maximize_concave_qp", no_rank)
+        d = len(lower)
+        inst = ProblemInstance(
+            A=0.5 * np.eye(d), b=np.zeros(d), Qmat=-np.eye(d), qvec=np.zeros(d), Xin=Box(lower, upper)
+        )
+        rep = solve(inst)
+        assert rep.status is SolveStatus.FAILED
+        assert (rep.nu_opt, rep.x_opt, rep.k_opt, rep.k_pos, rep.K_trace) == (None, None, None, None, [])
+        assert rep.iterations == inst.N + 1 == 101
 
 
 class TestCorollaryOneExit:
