@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GenerationExhausted, NotDiagonalizable, ReachmaxError
 from .geometry import Box, VRep
 from .linalg import eig_decompose
-from .solver import DEFAULT_N, ProblemInstance, SolveStatus, solve
+from .solver import DEFAULT_N, ProblemInstance, SolveReport, SolveStatus, solve
 
 _MAX_MATRIX_ATTEMPTS = 1000
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
@@ -76,14 +76,11 @@ class BenchSpec:
 
 @dataclass(eq=False)
 class InstanceRecord:
+    """One solved instance: its report, or status Error:<exception name> and no report."""
+
     index: int
     status: str
-    nu_opt: float | None
-    k_opt: int | None
-    k_pos: int | None
-    K_init: int | None
-    K_final: int | None
-    iterations: int | None
+    report: SolveReport | None
     time_s: float
     mem_mib: float | None = None
 
@@ -151,13 +148,22 @@ def random_instance(spec: BenchSpec, index: int) -> ProblemInstance:
 
 
 def _peak_mib(inst: ProblemInstance) -> float:
-    """Allocator-level peak of one more solve of inst, traced apart from the timed one."""
-    tracemalloc.start()
+    """Allocator-level peak of one more solve of inst, traced apart from the timed one.
+
+    Tracing that the caller already runs is left on, with its peak reset, and
+    what it had traced before the solve is not counted.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         solve(inst)
-        return tracemalloc.get_traced_memory()[1] / (1024.0 * 1024.0)
+        return (tracemalloc.get_traced_memory()[1] - before) / (1024.0 * 1024.0)
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
 
 
 def _solve_one(spec: BenchSpec, index: int) -> InstanceRecord:
@@ -166,32 +172,9 @@ def _solve_one(spec: BenchSpec, index: int) -> InstanceRecord:
     try:
         report = solve(inst)
     except (ReachmaxError, ValueError, np.linalg.LinAlgError) as exc:
-        return InstanceRecord(
-            index=index,
-            status=f"Error:{type(exc).__name__}",
-            nu_opt=None,
-            k_opt=None,
-            k_pos=None,
-            K_init=None,
-            K_final=None,
-            iterations=None,
-            time_s=time.perf_counter() - start,
-        )
+        return InstanceRecord(index, f"Error:{type(exc).__name__}", None, time.perf_counter() - start)
     elapsed = time.perf_counter() - start
-    k_init = report.K_trace[0][1] if report.K_trace else None
-    k_final = report.K_trace[-1][1] if report.K_trace else None
-    return InstanceRecord(
-        index=index,
-        status=report.status.value,
-        nu_opt=report.nu_opt,
-        k_opt=report.k_opt,
-        k_pos=report.k_pos,
-        K_init=k_init,
-        K_final=k_final,
-        iterations=report.iterations,
-        time_s=elapsed,
-        mem_mib=_peak_mib(inst),
-    )
+    return InstanceRecord(index, report.status.value, report, elapsed, _peak_mib(inst))
 
 
 def run_bench(spec: BenchSpec) -> tuple[BenchStats, list[InstanceRecord]]:
@@ -205,17 +188,18 @@ def run_bench(spec: BenchSpec) -> tuple[BenchStats, list[InstanceRecord]]:
     def _mean(values):
         return float(np.mean(values)) if values else None
 
-    kdiag = [r for r in records if r.status == SolveStatus.K_DIAG.value]
-    finite_kpos = [r.k_pos for r in records if r.k_pos is not None]
-    finals = [r.K_final for r in kdiag if r.K_final is not None]
-    gaps = [r.K_final - r.k_opt for r in kdiag if r.K_final is not None and r.k_opt is not None]
+    reports = [r.report for r in records if r.report is not None]
+    kdiag = [rep for rep in reports if rep.status is SolveStatus.K_DIAG]
+    finite_kpos = [rep.k_pos for rep in reports if rep.k_pos is not None]
+    finals = [rep.K_trace[-1][1] for rep in kdiag if rep.K_trace]
+    gaps = [rep.K_trace[-1][1] - rep.k_opt for rep in kdiag if rep.K_trace]
     mems = [r.mem_mib for r in records if r.mem_mib is not None]
 
     stats = BenchStats(
-        count_c=sum(r.status == SolveStatus.COROLLARY_ONE.value for r in records),
+        count_c=sum(rep.status is SolveStatus.COROLLARY_ONE for rep in reports),
         count_k=len(kdiag),
-        count_f=sum(r.status == SolveStatus.FAILED.value for r in records),
-        count_error=sum(r.status.startswith("Error:") for r in records),
+        count_f=sum(rep.status is SolveStatus.FAILED for rep in reports),
+        count_error=len(records) - len(reports),
         avg_time_s=float(np.mean([r.time_s for r in records])),
         avg_mem_mib=_mean(mems),
         avg_k_pos=_mean(finite_kpos),

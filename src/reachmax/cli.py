@@ -22,18 +22,39 @@ EXIT_ERROR = 1
 EXIT_FAILED = 2
 
 
+def _leaves(node):
+    """Every value of a parsed JSON document that is not an object or array, in document order, without recursion."""
+    nodes = [node]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, dict):
+            nodes.extend(reversed(node.values()))
+        elif isinstance(node, list):
+            nodes.extend(reversed(node))
+        else:
+            yield node
+
+
+def _floats(node, name: str) -> np.ndarray:
+    """A numeric field of the file as a float array; numpy parses "0.5", " 1 " and "inf", so strings are refused."""
+    text = next((v for v in _leaves(node) if isinstance(v, str)), None)
+    if text is not None:
+        raise InvalidInstanceFile(f"{name} holds the string {text!r}, and numbers must be JSON numbers")
+    return np.asarray(node, dtype=float)
+
+
 def _parse_initial_set(node) -> Polytope:
     if not isinstance(node, dict) or "type" not in node:
         raise InvalidInstanceFile('initial_set must be an object with a "type" key')
     kind = node["type"]
     try:
         if kind == "box":
-            return Box(np.asarray(node["lower"], dtype=float), np.asarray(node["upper"], dtype=float))
+            return Box(_floats(node["lower"], "lower"), _floats(node["upper"], "upper"))
         if kind == "vertices":
-            return VRep(np.asarray(node["points"], dtype=float))
+            return VRep(_floats(node["points"], "points"))
     except KeyError as exc:
         raise InvalidInstanceFile(f"initial_set is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstanceFile(f"invalid initial_set: {exc}") from exc
     raise InvalidInstanceFile(f"unknown initial_set type {kind!r}")
 
@@ -60,15 +81,8 @@ def _read_json(path: str):
         ) from exc
     except RecursionError as exc:
         raise InvalidInstanceFile(f"{path} is nested too deeply to parse") from exc
-    nodes = [doc]
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, bool):
-            raise InvalidInstanceFile(f"{path} holds a boolean, and no field of the file is boolean")
-        if isinstance(node, dict):
-            nodes.extend(node.values())
-        elif isinstance(node, list):
-            nodes.extend(node)
+    if any(isinstance(v, bool) for v in _leaves(doc)):
+        raise InvalidInstanceFile(f"{path} holds a boolean, and no field of the file is boolean")
     return doc
 
 
@@ -81,14 +95,14 @@ def load_instance(path: str, n_override: int | None = None) -> ProblemInstance:
         if key not in doc:
             raise InvalidInstanceFile(f'missing required key "{key}"')
     try:
-        A = np.asarray(doc["A"], dtype=float)
-        Q = np.asarray(doc["Q"], dtype=float)
+        A = _floats(doc["A"], "A")
+        Q = _floats(doc["Q"], "Q")
         if A.ndim != 2:
             raise InvalidInstanceFile("A must be a rectangular array of arrays")
         d = A.shape[0]
-        b = np.asarray(doc.get("b", np.zeros(d)), dtype=float)
-        q = np.asarray(doc.get("q", np.zeros(d)), dtype=float)
-    except (TypeError, ValueError) as exc:
+        b = _floats(doc.get("b", np.zeros(d)), "b")
+        q = _floats(doc.get("q", np.zeros(d)), "q")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstanceFile(f"non-numeric or ragged array: {exc}") from exc
     xin = _parse_initial_set(doc["initial_set"])
     n = n_override if n_override is not None else doc.get("N", DEFAULT_N)
@@ -210,17 +224,14 @@ def cmd_bench(args) -> int:
         w = csv.writer(inst_fh)
         w.writerow(["index", "status", "nu_opt", "k_opt", "k_pos", "K_init", "K_final", "iterations", "time_s"])
         for r in records:
-            w.writerow([
-                r.index,
-                r.status,
-                "" if r.nu_opt is None else repr(r.nu_opt),
-                "" if r.k_opt is None else r.k_opt,
-                "" if r.k_pos is None else r.k_pos,
-                "" if r.K_init is None else r.K_init,
-                "" if r.K_final is None else r.K_final,
-                "" if r.iterations is None else r.iterations,
-                f"{r.time_s:.6f}",
-            ])
+            rep = r.report
+            if rep is None:
+                cells = [None] * 6
+            else:
+                ends = (rep.K_trace[0][1], rep.K_trace[-1][1]) if rep.K_trace else (None, None)
+                nu = None if rep.nu_opt is None else repr(rep.nu_opt)
+                cells = [nu, rep.k_opt, rep.k_pos, *ends, rep.iterations]
+            w.writerow([r.index, r.status, *("" if c is None else c for c in cells), f"{r.time_s:.6f}"])
     print(",".join(str(v) for v in agg_row))
     return EXIT_OK
 
@@ -230,8 +241,8 @@ def cmd_analyze_seq(args) -> int:
         doc = _read_json(args.path)
         if not isinstance(doc, list) or not doc:
             raise InvalidInstanceFile("expected a nonempty JSON array of numbers")
-        seq = FiniteC0Sequence(np.asarray(doc, dtype=float))
-    except (InvalidInstanceFile, TypeError, ValueError) as exc:
+        seq = FiniteC0Sequence(_floats(doc, "the sequence"))
+    except (InvalidInstanceFile, TypeError, ValueError, OverflowError) as exc:
         print(f"InvalidInstanceFile: {exc}", file=sys.stderr)
         return EXIT_ERROR
     profile = rank_profile(seq)

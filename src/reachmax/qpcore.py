@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import NotConcave, QPNotConverged
-from .geometry import Box, Polytope, VertexSet, VRep, form_values
+from .geometry import Box, Polytope, VertexSet, form_values
 
 TOL_PSD = 1e-9
 TOL_ND = 1e-9
@@ -77,10 +77,8 @@ def maximize_concave_qp(
     lmax = float(np.linalg.eigvalsh(Q)[-1])
     if lmax > TOL_ND * (1.0 + float(np.max(np.abs(Q)))):
         raise NotConcave(f"objective is not concave: largest curvature eigenvalue {lmax:.3e}")
-    if isinstance(P, VRep):
-        raise ValueError("concave maximization requires a box initial set")
     if not isinstance(P, Box):
-        raise TypeError(f"unsupported polytope type {type(P).__name__}")
+        raise ValueError("concave maximization requires a box initial set")
     lower, upper = P.lower, P.upper
 
     # pin coordinates with a collapsed range and solve in the free coordinates

@@ -197,7 +197,7 @@ def test_criterion_09_benchmark_shape():
         stats, records = run_bench(spec)
         assert stats.count_f == 0
         assert stats.count_error == 0
-        assert all(r.k_pos == 0 for r in records)
+        assert all(r.report.k_pos == 0 for r in records)
 
 
 def test_criterion_10_affine_consistency():

@@ -1,5 +1,7 @@
 """Random instance generation protocol and the batch runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from reachmax.benchgen import (
     run_bench,
     vertex_count_of,
 )
+
+from support import answer_key
 
 
 def spec_of(objective=ObjectiveKind.CXH, system=SystemKind.LINEAR, dim=2, set_kind="box",
@@ -131,17 +135,14 @@ class TestRunBench:
         stats2, records2 = run_bench(spec)
         for r1, r2 in zip(records, records2):
             # wall-clock and memory vary run to run, everything else is pinned
-            assert (r1.index, r1.status, r1.nu_opt, r1.k_opt, r1.k_pos,
-                    r1.K_init, r1.K_final, r1.iterations) == (
-                r2.index, r2.status, r2.nu_opt, r2.k_opt, r2.k_pos,
-                r2.K_init, r2.K_final, r2.iterations)
+            assert (r1.index, r1.status, answer_key(r1.report)) == (r2.index, r2.status, answer_key(r2.report))
 
     def test_linear_convex_boxes_have_rank_zero_positivity(self):
         for kind in (ObjectiveKind.CXH, ObjectiveKind.CXNH):
             spec = spec_of(objective=kind, instances=20, seed=5)
             stats, records = run_bench(spec)
             assert stats.count_f == 0
-            assert all(r.k_pos == 0 for r in records)
+            assert all(r.report.k_pos == 0 for r in records)
 
     def test_linear_concave_homogeneous_is_degenerate(self):
         # f <= f(0) = 0 at every reachable point, and no rank beats 0: the maximum 0 is attained,
@@ -151,10 +152,11 @@ class TestRunBench:
         assert (stats.count_k, stats.count_f) == (2, 8)
         for r in records:
             box = random_instance(spec, r.index).Xin
+            rep = r.report
             if np.all(box.lower <= 0.0) and np.all(box.upper >= 0.0):
-                assert (r.status, r.nu_opt, r.k_opt, r.k_pos, r.iterations) == ("KDiag", 0.0, 0, None, 0)
+                assert (r.status, rep.nu_opt, rep.k_opt, rep.k_pos, rep.iterations) == ("KDiag", 0.0, 0, None, 0)
             else:
-                assert (r.status, r.nu_opt, r.k_opt, r.k_pos, r.iterations) == ("Failed", None, None, None, 101)
+                assert (r.status, rep.nu_opt, rep.k_opt, rep.k_pos, rep.iterations) == ("Failed", None, None, None, 101)
 
     def test_single_instance_stats_match_record(self):
         spec = spec_of(instances=1, seed=42)
@@ -162,9 +164,10 @@ class TestRunBench:
         (r,) = records
         assert r.status == SolveStatus.K_DIAG.value
         assert stats.count_k == 1
-        assert stats.max_iter == r.K_final
-        assert stats.avg_gap == pytest.approx(r.K_final - r.k_opt)
-        assert stats.max_k_pos == r.k_pos
+        K_final = r.report.K_trace[-1][1]
+        assert stats.max_iter == K_final
+        assert stats.avg_gap == pytest.approx(K_final - r.report.k_opt)
+        assert stats.max_k_pos == r.report.k_pos
 
     def test_records_match_direct_solves(self):
         spec = spec_of(instances=5, seed=21, system=SystemKind.AFFINE)
@@ -172,11 +175,28 @@ class TestRunBench:
         for r in records:
             rep = solve(random_instance(spec, r.index))
             assert r.status == rep.status.value
-            assert r.nu_opt == rep.nu_opt
-            assert r.k_opt == rep.k_opt
-            assert r.iterations == rep.iterations
+            assert answer_key(r.report) == answer_key(rep)
 
     def test_memory_is_reported_for_every_solved_instance(self):
         stats, records = run_bench(spec_of(instances=3, seed=8))
         assert all(r.mem_mib is not None and r.mem_mib > 0.0 for r in records)
         assert stats.avg_mem_mib == pytest.approx(float(np.mean([r.mem_mib for r in records])))
+
+    def test_memory_under_a_callers_tracing_is_the_solves_own_peak(self):
+        # the caller's 10 MiB block and its earlier peak are not the solve's, and its tracing stays on
+        tracemalloc.start()
+        try:
+            held = bytearray(10 * 1024 * 1024)
+            _, records = run_bench(spec_of(instances=4, seed=8))
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        del held
+        assert all(0.0 < r.mem_mib < 1.0 for r in records)
+
+    def test_error_records_carry_no_report(self):
+        # a 23-cube has 2^23 corners, above the vertex cap, so every solve is refused
+        stats, records = run_bench(spec_of(dim=23, instances=2))
+        assert [(r.status, r.report, r.mem_mib) for r in records] == [("Error:DimensionTooLarge", None, None)] * 2
+        assert (stats.count_c, stats.count_k, stats.count_f, stats.count_error) == (0, 0, 0, 2)
+        assert stats.avg_mem_mib is None and stats.avg_k_pos is None and stats.max_iter is None

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import reachmax
+from reachmax import solve
+from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
 from reachmax.cli import main
 
 from support import hump_seq, plateau_seq
@@ -190,10 +192,15 @@ class TestSolveCommand:
             ({"type": "box", "lower": [0.0]}, "initial_set is missing key 'upper'"),
             ({"type": "vertices"}, "initial_set is missing key 'points'"),
             ({"type": "box", "lower": ["a"], "upper": [1.0]},
-             "invalid initial_set: could not convert string to float: 'a'"),
+             "lower holds the string 'a', and numbers must be JSON numbers"),
             ({"type": "box", "lower": [1.0], "upper": [0.0]},
              "invalid initial_set: empty box: lower > upper in some coordinate"),
             ({"type": "ball", "centre": [0.0]}, "unknown initial_set type 'ball'"),
+            # numpy parses numeric strings, so these bounds and points were read as numbers
+            ({"type": "box", "lower": [0.25], "upper": ["0.5"]},
+             "upper holds the string '0.5', and numbers must be JSON numbers"),
+            ({"type": "vertices", "points": [[0.25], ["0.5"]]},
+             "points holds the string '0.5', and numbers must be JSON numbers"),
         ],
     )
     def test_initial_set_refusals(self, tmp_path, capsys, initial_set, message):
@@ -209,8 +216,14 @@ class TestSolveCommand:
             ([DECAYING_DOC], "instance file must contain a JSON object"),
             (dict(DECAYING_DOC, A=[0.5]), "A must be a rectangular array of arrays"),
             (dict(DECAYING_DOC, A=[[0.5, 0.0], [0.0]]), "non-numeric or ragged array: "),
-            (dict(DECAYING_DOC, Q=[["a"]]), "non-numeric or ragged array: could not convert string to float: 'a'"),
+            (dict(DECAYING_DOC, Q=[["a"]]), "Q holds the string 'a', and numbers must be JSON numbers"),
             (dict(DECAYING_DOC, q=[[1.0], [2.0, 3.0]]), "non-numeric or ragged array: "),
+            # numpy parses "0.5", " 1 " and "inf" as numbers
+            (dict(DECAYING_DOC, A=[["0.5"]]), "A holds the string '0.5', and numbers must be JSON numbers"),
+            (dict(DECAYING_DOC, b=[" 1 "]), "b holds the string ' 1 ', and numbers must be JSON numbers"),
+            (dict(DECAYING_DOC, q=["inf"]), "q holds the string 'inf', and numbers must be JSON numbers"),
+            # json reads 10**400 as a Python int, which float() refuses with OverflowError
+            (dict(DECAYING_DOC, A=[[10**400]]), "non-numeric or ragged array: int too large to convert to float"),
         ],
     )
     def test_instance_document_refusals(self, tmp_path, capsys, doc, message):
@@ -219,6 +232,11 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"InvalidInstanceFile: {message}")
+
+    def test_strings_outside_the_numeric_fields_are_ignored(self, tmp_path, capsys):
+        doc = {"name": "demo", "A": [[0.5]], "Q": [[1.0]], "initial_set": {"type": "box", "lower": [0.0], "upper": [2.0]}}
+        assert main(["solve", write_json(tmp_path / "named.json", doc), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "CorollaryOne"
 
     def test_pretty_output_of_a_failed_solve(self, tmp_path, capsys):
         # a concave objective without a linear part over a box that misses 0: f < f(0) = 0 everywhere
@@ -291,6 +309,14 @@ class TestAnalyzeSeqCommand:
         assert captured.out == ""
         assert captured.err == f"InvalidInstanceFile: {path} holds a boolean, and no field of the file is boolean\n"
 
+    def test_numeric_string_entry_is_refused(self, tmp_path, capsys):
+        # numpy parses the strings, so this profiled [1, 2.5, -3] and exited 0
+        path = write_json(tmp_path / "str.json", ["1", "2.5", "-3"])
+        assert main(["analyze-seq", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "InvalidInstanceFile: the sequence holds the string '1', and numbers must be JSON numbers\n"
+
     def test_deeply_nested_json_is_an_invalid_instance_file(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -355,6 +381,32 @@ class TestBenchCommand:
         for r in rows:
             assert r["status"] == "Error:DimensionTooLarge"
             assert [r[k] for k in ("nu_opt", "k_opt", "k_pos", "K_init", "K_final", "iterations")] == [""] * 6
+
+    @pytest.mark.parametrize(
+        "kind, objective, count, seed, empty_trace",
+        [
+            ("affine", "cxnh", 5, 3, set()),
+            # the boxes that hold 0 end in the degenerate KDiag, the others Failed: both have no K_trace
+            ("linear", "cah", 10, 6, {"KDiag", "Failed"}),
+        ],
+    )
+    def test_instance_rows_hold_each_report(self, tmp_path, capsys, kind, objective, count, seed, empty_trace):
+        out = tmp_path / "b.csv"
+        assert main([
+            "bench", "--dim", "2", "--kind", kind, "--objective", objective,
+            "--count", str(count), "--seed", str(seed), "--out", str(out),
+        ]) == 0
+        spec = BenchSpec(2, SystemKind(kind), ObjectiveKind(objective), instance_count=count, seed=seed)
+        rows = list(csv.DictReader((tmp_path / "b.instances.csv").open(newline="")))
+        assert [r["index"] for r in rows] == [str(i) for i in range(count)]
+        columns = ("status", "nu_opt", "k_opt", "k_pos", "K_init", "K_final", "iterations")
+        for row in rows:
+            rep = solve(random_instance(spec, int(row["index"])))
+            ends = (rep.K_trace[0][1], rep.K_trace[-1][1]) if rep.K_trace else (None, None)
+            nu = None if rep.nu_opt is None else repr(rep.nu_opt)
+            cells = [rep.status.value, nu, rep.k_opt, rep.k_pos, *ends, rep.iterations]
+            assert [row[c] for c in columns] == ["" if v is None else str(v) for v in cells]
+        assert {row["status"] for row in rows if row["K_init"] == ""} == empty_trace
 
     def test_unwritable_output_exits_one_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_batch(spec):

@@ -175,9 +175,11 @@ class TestMaximizeConcaveQP:
         assert arg[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_rejects_vertex_representation(self):
+        # a vertex list, and a bare point array that is no polytope at all, get the one refusal
         s = form(-np.eye(2), [1.0, 0.0])
-        with pytest.raises(ValueError):
-            maximize_concave_qp(s, VRep([[0.0, 0.0], [1.0, 1.0]]))
+        for P in (VRep([[0.0, 0.0], [1.0, 1.0]]), np.array([[0.0, 0.0], [1.0, 1.0]])):
+            with pytest.raises(ValueError, match="^concave maximization requires a box initial set$"):
+                maximize_concave_qp(s, P)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_gap_tol_must_be_finite_and_positive(self, tol):
