@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GenerationExhausted, NotDiagonalizable, ReachmaxError
 from .geometry import Box, VRep
 from .linalg import eig_decompose
-from .solver import DEFAULT_N, ProblemInstance, SolveReport, SolveStatus, solve
+from .solver import DEFAULT_N, ProblemInstance, SolveReport, solve
 
 _MAX_MATRIX_ATTEMPTS = 1000
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
@@ -83,30 +83,6 @@ class InstanceRecord:
     report: SolveReport | None
     time_s: float
     mem_mib: float | None = None
-
-
-@dataclass(eq=False)
-class BenchStats:
-    """Aggregate over one batch, following the usual benchmark table columns.
-
-    avg_iter / max_iter are the final stopping rank of the successful runs;
-    the gap columns subtract the attaining rank from it. Memory is the
-    allocator-level peak of a second, traced solve of each instance, so the
-    timed solve runs untraced.
-    """
-
-    count_c: int
-    count_k: int
-    count_f: int
-    count_error: int
-    avg_time_s: float
-    avg_mem_mib: float | None
-    avg_k_pos: float | None
-    max_k_pos: int | None
-    avg_iter: float | None
-    max_iter: int | None
-    avg_gap: float | None
-    max_gap: int | None
 
 
 def random_instance(spec: BenchSpec, index: int) -> ProblemInstance:
@@ -177,41 +153,9 @@ def _solve_one(spec: BenchSpec, index: int) -> InstanceRecord:
     return InstanceRecord(index, report.status.value, report, elapsed, _peak_mib(inst))
 
 
-def run_bench(spec: BenchSpec) -> tuple[BenchStats, list[InstanceRecord]]:
-    """Solve the whole batch and aggregate the table columns.
+def run_bench(spec: BenchSpec) -> list[InstanceRecord]:
+    """Solve the whole batch, one instance after another, into one record each.
 
-    Instances are solved one after another. Per-instance failures become
-    Error records instead of aborting the batch.
+    Per-instance failures become Error records instead of aborting the batch.
     """
-    records = [_solve_one(spec, i) for i in range(spec.instance_count)]
-
-    def _mean(values):
-        return float(np.mean(values)) if values else None
-
-    reports = [r.report for r in records if r.report is not None]
-    kdiag = [rep for rep in reports if rep.status is SolveStatus.K_DIAG]
-    finite_kpos = [rep.k_pos for rep in reports if rep.k_pos is not None]
-    finals = [rep.K_trace[-1][1] for rep in kdiag if rep.K_trace]
-    gaps = [rep.K_trace[-1][1] - rep.k_opt for rep in kdiag if rep.K_trace]
-    mems = [r.mem_mib for r in records if r.mem_mib is not None]
-
-    stats = BenchStats(
-        count_c=sum(rep.status is SolveStatus.COROLLARY_ONE for rep in reports),
-        count_k=len(kdiag),
-        count_f=sum(rep.status is SolveStatus.FAILED for rep in reports),
-        count_error=len(records) - len(reports),
-        avg_time_s=float(np.mean([r.time_s for r in records])),
-        avg_mem_mib=_mean(mems),
-        avg_k_pos=_mean(finite_kpos),
-        max_k_pos=max(finite_kpos) if finite_kpos else None,
-        avg_iter=_mean(finals),
-        max_iter=max(finals) if finals else None,
-        avg_gap=_mean(gaps),
-        max_gap=max(gaps) if gaps else None,
-    )
-    return stats, records
-
-
-def vertex_count_of(spec: BenchSpec) -> int:
-    """Number of initial-set vertices of every instance in the batch."""
-    return 2**spec.dim if spec.set_kind == "box" else int(spec.vertex_count)
+    return [_solve_one(spec, i) for i in range(spec.instance_count)]

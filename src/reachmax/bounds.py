@@ -99,12 +99,10 @@ class SpectralData:
 
 
 def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) -> SpectralData:
-    """Assemble the envelope data for a symmetric Qmat, qvec and the vertex set V of the working set."""
-    Q = np.asarray(Qmat, dtype=float)
-    q = np.asarray(qvec, dtype=float)
+    """Assemble the envelope data for symmetric float Qmat, float qvec and the vertex set V of the working set."""
     Ustar = dec.U.conj().T
 
-    G = Ustar @ Q @ dec.U
+    G = Ustar @ Qmat @ dec.U
     # G is Hermitian up to rounding for a symmetric Q: averaging removes the rounding
     H = (G + G.conj().T) / 2.0
     lmax_abs = abs(float(np.linalg.eigvalsh(H)[-1]))
@@ -114,7 +112,7 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
     gram_abs.flat[:: len(G) + 1] = H.real.diagonal()
 
     mu_gram, mode_max = _vertex_maxima(dec.U_inv, V)
-    e = Ustar @ q
+    e = Ustar @ qvec
     # ||e||, summed as np.linalg.norm sums a complex vector
     v_diag = math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag)) / (2.0 * math.sqrt(lmax_abs))
     envelope = (math.sqrt(lmax_abs * mu_gram) + v_diag) ** 2 - v_diag**2

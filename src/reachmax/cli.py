@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchgen import BenchSpec, ObjectiveKind, SystemKind, run_bench, vertex_count_of
+from .benchgen import BenchSpec, InstanceRecord, ObjectiveKind, SystemKind, run_bench
 from .errors import InvalidInstanceFile, ReachmaxError
 from .geometry import Box, Polytope, VRep
 from .seqlab import FiniteC0Sequence, NoRank, rank_profile
@@ -169,6 +169,45 @@ def _rank_json(rank) -> int | str:
     return rank.value if isinstance(rank, NoRank) else int(rank)
 
 
+def aggregate_row(spec: BenchSpec, records: list[InstanceRecord]) -> dict[str, object]:
+    """The aggregate CSV's header and row for a batch, as column name to cell, computed from its records.
+
+    status_c_k_f counts the Corollary1, KDiag and Failed reports; errors
+    counts the records without one. avg_iter / max_iter are the final
+    stopping rank of the KDiag runs, and the gap columns subtract the
+    attaining rank from it. Memory is the allocator-level peak of a second,
+    traced solve of each instance, so the timed solve runs untraced. An
+    aggregate over no value is "".
+    """
+    reports = [r.report for r in records if r.report is not None]
+    statuses = [rep.status for rep in reports]
+    kdiag = [rep for rep in reports if rep.status is SolveStatus.K_DIAG and rep.K_trace]
+    k_pos = [rep.k_pos for rep in reports if rep.k_pos is not None]
+    finals = [rep.K_trace[-1][1] for rep in kdiag]
+    gaps = [rep.K_trace[-1][1] - rep.k_opt for rep in kdiag]
+
+    def mean(values, digits: int) -> str:
+        return f"{float(np.mean(values)):.{digits}f}" if values else ""
+
+    return {
+        "obj_type": spec.objective_kind.name,
+        "dim": spec.dim,
+        "vertex_count": 2**spec.dim if spec.set_kind == "box" else spec.vertex_count,
+        "status_c_k_f": "/".join(
+            str(statuses.count(s)) for s in (SolveStatus.COROLLARY_ONE, SolveStatus.K_DIAG, SolveStatus.FAILED)
+        ),
+        "avg_time_s": mean([r.time_s for r in records], 6),
+        "avg_mem_mib": mean([r.mem_mib for r in records if r.mem_mib is not None], 3),
+        "avg_k_pos": mean(k_pos, 2),
+        "max_k_pos": max(k_pos, default=""),
+        "avg_iter": mean(finals, 2),
+        "max_iter": max(finals, default=""),
+        "avg_gap": mean(gaps, 2),
+        "max_gap": max(gaps, default=""),
+        "errors": len(records) - len(reports),
+    }
+
+
 def cmd_bench(args) -> int:
     try:
         set_kind, count = _parse_set_flag(args.set)
@@ -196,31 +235,11 @@ def cmd_bench(args) -> int:
         except OSError as exc:
             print(f"{type(exc).__name__}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
             return EXIT_ERROR
-        stats, records = run_bench(spec)
-
-        agg_header = [
-            "obj_type", "dim", "vertex_count", "status_c_k_f",
-            "avg_time_s", "avg_mem_mib", "avg_k_pos", "max_k_pos",
-            "avg_iter", "max_iter", "avg_gap", "max_gap", "errors",
-        ]
-        agg_row = [
-            spec.objective_kind.name,
-            spec.dim,
-            vertex_count_of(spec),
-            f"{stats.count_c}/{stats.count_k}/{stats.count_f}",
-            f"{stats.avg_time_s:.6f}",
-            "" if stats.avg_mem_mib is None else f"{stats.avg_mem_mib:.3f}",
-            "" if stats.avg_k_pos is None else f"{stats.avg_k_pos:.2f}",
-            "" if stats.max_k_pos is None else stats.max_k_pos,
-            "" if stats.avg_iter is None else f"{stats.avg_iter:.2f}",
-            "" if stats.max_iter is None else stats.max_iter,
-            "" if stats.avg_gap is None else f"{stats.avg_gap:.2f}",
-            "" if stats.max_gap is None else stats.max_gap,
-            stats.count_error,
-        ]
+        records = run_bench(spec)
+        agg = aggregate_row(spec, records)
         w = csv.writer(agg_fh)
-        w.writerow(agg_header)
-        w.writerow(agg_row)
+        w.writerow(agg.keys())
+        w.writerow(agg.values())
         w = csv.writer(inst_fh)
         w.writerow(["index", "status", "nu_opt", "k_opt", "k_pos", "K_init", "K_final", "iterations", "time_s"])
         for r in records:
@@ -232,7 +251,7 @@ def cmd_bench(args) -> int:
                 nu = None if rep.nu_opt is None else repr(rep.nu_opt)
                 cells = [nu, rep.k_opt, rep.k_pos, *ends, rep.iterations]
             w.writerow([r.index, r.status, *("" if c is None else c for c in cells), f"{r.time_s:.6f}"])
-    print(",".join(str(v) for v in agg_row))
+    print(",".join(str(v) for v in agg.values()))
     return EXIT_OK
 
 

@@ -94,8 +94,7 @@ def eig_decompose(A) -> SpectralDecomposition:
     R = np.concatenate((U * D, U)) @ U_inv
     R[:d] -= A
     R.reshape(-1)[d * d :: d + 1] -= 1.0
-    R = np.abs(R)
-    recon_err, ident_err = float(R[:d].max()), float(R[d:].max())
+    recon_err, ident_err = (float(v) for v in np.abs(R).reshape(2, -1).max(axis=1))
     if recon_err > TOL_RECON * (1.0 + float(np.abs(A).max())):
         raise NotDiagonalizable(f"reconstruction error {recon_err:.3e} exceeds tolerance")
     if ident_err > TOL_RECON:

@@ -274,8 +274,7 @@ class _RankEvaluator:
         Qs, qs = self.objectives(n)
         if n <= self.exact_ranks:
             vals = form_values(self._verts, Qs, qs)
-            best = vals.argmax(axis=1)
-            screen = vals[np.arange(n), best]
+            best, screen = vals.argmax(axis=1), vals.max(axis=1)
             return screen, lambda i: (float(screen[i]), self._verts[best[i]].copy())
         beta, sigma = box_bound(Qs, qs, self.red.Xwork.lower, self.red.Xwork.upper)
         return beta + TOL_RANK_BOUND * sigma, lambda i: self.maximize((Qs[i], qs[i]))

@@ -194,9 +194,8 @@ def test_criterion_09_benchmark_shape():
             seed=20260809,
             N=100,
         )
-        stats, records = run_bench(spec)
-        assert stats.count_f == 0
-        assert stats.count_error == 0
+        records = run_bench(spec)
+        assert all(r.report is not None and r.report.status is not SolveStatus.FAILED for r in records)
         assert all(r.report.k_pos == 0 for r in records)
 
 

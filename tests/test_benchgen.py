@@ -1,6 +1,7 @@
 """Random instance generation protocol and the batch runner."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from reachmax.benchgen import (
     SystemKind,
     random_instance,
     run_bench,
-    vertex_count_of,
 )
+from reachmax.cli import aggregate_row
 
 from support import answer_key
 
@@ -58,10 +59,6 @@ class TestBenchSpec:
     def test_vertices_need_count(self):
         with pytest.raises(ValueError):
             spec_of(set_kind="vertices", count=None)
-
-    def test_vertex_count_of(self):
-        assert vertex_count_of(spec_of(dim=5)) == 32
-        assert vertex_count_of(spec_of(set_kind="vertices", count=100)) == 100
 
 
 class TestRandomInstance:
@@ -129,10 +126,15 @@ class TestRandomInstance:
 class TestRunBench:
     def test_counts_and_reproducibility(self):
         spec = spec_of(instances=12, seed=1234)
-        stats, records = run_bench(spec)
-        assert len(records) == 12
-        assert stats.count_c + stats.count_k + stats.count_f + stats.count_error == 12
-        stats2, records2 = run_bench(spec)
+        records = run_bench(spec)
+        assert [r.index for r in records] == list(range(12))
+        # a record carries its report's status, or an Error status and no report
+        for r in records:
+            if r.report is None:
+                assert r.status.startswith("Error:")
+            else:
+                assert r.status == r.report.status.value
+        records2 = run_bench(spec)
         for r1, r2 in zip(records, records2):
             # wall-clock and memory vary run to run, everything else is pinned
             assert (r1.index, r1.status, answer_key(r1.report)) == (r2.index, r2.status, answer_key(r2.report))
@@ -140,16 +142,16 @@ class TestRunBench:
     def test_linear_convex_boxes_have_rank_zero_positivity(self):
         for kind in (ObjectiveKind.CXH, ObjectiveKind.CXNH):
             spec = spec_of(objective=kind, instances=20, seed=5)
-            stats, records = run_bench(spec)
-            assert stats.count_f == 0
+            records = run_bench(spec)
+            assert all(r.report.status is not SolveStatus.FAILED for r in records)
             assert all(r.report.k_pos == 0 for r in records)
 
     def test_linear_concave_homogeneous_is_degenerate(self):
         # f <= f(0) = 0 at every reachable point, and no rank beats 0: the maximum 0 is attained,
         # at rank 0, only by a box that holds the origin, and every other box ends Failed at N
         spec = spec_of(objective=ObjectiveKind.CAH, instances=10, seed=6)
-        stats, records = run_bench(spec)
-        assert (stats.count_k, stats.count_f) == (2, 8)
+        records = run_bench(spec)
+        assert Counter(r.status for r in records) == {"KDiag": 2, "Failed": 8}
         for r in records:
             box = random_instance(spec, r.index).Xin
             rep = r.report
@@ -160,34 +162,36 @@ class TestRunBench:
 
     def test_single_instance_stats_match_record(self):
         spec = spec_of(instances=1, seed=42)
-        stats, records = run_bench(spec)
+        records = run_bench(spec)
         (r,) = records
         assert r.status == SolveStatus.K_DIAG.value
-        assert stats.count_k == 1
         K_final = r.report.K_trace[-1][1]
-        assert stats.max_iter == K_final
-        assert stats.avg_gap == pytest.approx(K_final - r.report.k_opt)
-        assert stats.max_k_pos == r.report.k_pos
+        agg = aggregate_row(spec, records)
+        assert agg["status_c_k_f"] == "0/1/0"
+        assert (agg["avg_iter"], agg["max_iter"]) == (f"{K_final:.2f}", K_final)
+        assert (agg["avg_gap"], agg["max_gap"]) == (f"{K_final - r.report.k_opt:.2f}", K_final - r.report.k_opt)
+        assert agg["max_k_pos"] == r.report.k_pos
 
     def test_records_match_direct_solves(self):
         spec = spec_of(instances=5, seed=21, system=SystemKind.AFFINE)
-        _, records = run_bench(spec)
+        records = run_bench(spec)
         for r in records:
             rep = solve(random_instance(spec, r.index))
             assert r.status == rep.status.value
             assert answer_key(r.report) == answer_key(rep)
 
     def test_memory_is_reported_for_every_solved_instance(self):
-        stats, records = run_bench(spec_of(instances=3, seed=8))
+        spec = spec_of(instances=3, seed=8)
+        records = run_bench(spec)
         assert all(r.mem_mib is not None and r.mem_mib > 0.0 for r in records)
-        assert stats.avg_mem_mib == pytest.approx(float(np.mean([r.mem_mib for r in records])))
+        assert aggregate_row(spec, records)["avg_mem_mib"] == f"{float(np.mean([r.mem_mib for r in records])):.3f}"
 
     def test_memory_under_a_callers_tracing_is_the_solves_own_peak(self):
         # the caller's 10 MiB block and its earlier peak are not the solve's, and its tracing stays on
         tracemalloc.start()
         try:
             held = bytearray(10 * 1024 * 1024)
-            _, records = run_bench(spec_of(instances=4, seed=8))
+            records = run_bench(spec_of(instances=4, seed=8))
             assert tracemalloc.is_tracing()
         finally:
             tracemalloc.stop()
@@ -196,7 +200,9 @@ class TestRunBench:
 
     def test_error_records_carry_no_report(self):
         # a 23-cube has 2^23 corners, above the vertex cap, so every solve is refused
-        stats, records = run_bench(spec_of(dim=23, instances=2))
+        spec = spec_of(dim=23, instances=2)
+        records = run_bench(spec)
         assert [(r.status, r.report, r.mem_mib) for r in records] == [("Error:DimensionTooLarge", None, None)] * 2
-        assert (stats.count_c, stats.count_k, stats.count_f, stats.count_error) == (0, 0, 0, 2)
-        assert stats.avg_mem_mib is None and stats.avg_k_pos is None and stats.max_iter is None
+        agg = aggregate_row(spec, records)
+        assert (agg["status_c_k_f"], agg["errors"]) == ("0/0/0", 2)
+        assert agg["avg_mem_mib"] == agg["avg_k_pos"] == agg["max_iter"] == ""

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import reachmax
-from reachmax import solve
+from reachmax import SolveStatus, solve
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
+from reachmax.errors import ReachmaxError
 from reachmax.cli import main
 
 from support import hump_seq, plateau_seq
@@ -408,6 +410,71 @@ class TestBenchCommand:
             assert [row[c] for c in columns] == ["" if v is None else str(v) for v in cells]
         assert {row["status"] for row in rows if row["K_init"] == ""} == empty_trace
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # the boxes that hold 0 end in the degenerate KDiag, the others Failed: neither has a K_trace
+            BenchSpec(2, SystemKind.LINEAR, ObjectiveKind.CAH, instance_count=10, seed=6),
+            BenchSpec(2, SystemKind.AFFINE, ObjectiveKind.CXNH, "vertices", 5, instance_count=8, seed=3),
+            # a 23-cube has 2^23 corners, above the vertex cap: every solve is refused
+            BenchSpec(23, SystemKind.LINEAR, ObjectiveKind.CXH, instance_count=2),
+        ],
+        ids=["degenerate-box", "vertex-list", "all-errors"],
+    )
+    def test_aggregate_row_matches_direct_solves(self, tmp_path, capsys, spec):
+        out = tmp_path / "agg.csv"
+        set_flag = "box" if spec.set_kind == "box" else f"vertices:{spec.vertex_count}"
+        assert main([
+            "bench", "--dim", str(spec.dim), "--kind", spec.system_kind.value,
+            "--objective", spec.objective_kind.value, "--set", set_flag,
+            "--count", str(spec.instance_count), "--seed", str(spec.seed), "--out", str(out),
+        ]) == 0
+        header, row = list(csv.reader(out.open(newline="")))
+        assert capsys.readouterr().out == ",".join(row) + "\n"
+        agg = dict(zip(header, row))
+
+        reports = []
+        for i in range(spec.instance_count):
+            try:
+                reports.append(solve(random_instance(spec, i)))
+            except ReachmaxError:
+                pass
+        stopped = [rep for rep in reports if rep.status is SolveStatus.K_DIAG and rep.K_trace]
+        k_pos = [rep.k_pos for rep in reports if rep.k_pos is not None]
+        finals = [rep.K_trace[-1][1] for rep in stopped]
+        gaps = [K - rep.k_opt for K, rep in zip(finals, stopped)]
+
+        def mean(values):
+            return f"{sum(values) / len(values):.2f}" if values else ""
+
+        def largest(values):
+            return str(max(values)) if values else ""
+
+        statuses = [rep.status for rep in reports]
+        assert {k: v for k, v in agg.items() if k not in ("avg_time_s", "avg_mem_mib")} == {
+            "obj_type": spec.objective_kind.name,
+            "dim": str(spec.dim),
+            "vertex_count": str(2**spec.dim if spec.set_kind == "box" else spec.vertex_count),
+            "status_c_k_f": "/".join(
+                str(statuses.count(s)) for s in (SolveStatus.COROLLARY_ONE, SolveStatus.K_DIAG, SolveStatus.FAILED)
+            ),
+            "avg_k_pos": mean(k_pos),
+            "max_k_pos": largest(k_pos),
+            "avg_iter": mean(finals),
+            "max_iter": largest(finals),
+            "avg_gap": mean(gaps),
+            "max_gap": largest(gaps),
+            "errors": str(spec.instance_count - len(reports)),
+        }
+        # the mean of the per-instance times, each rounded to 6 places as the mean is
+        times = [float(r["time_s"]) for r in csv.DictReader((tmp_path / "agg.instances.csv").open(newline=""))]
+        assert float(agg["avg_time_s"]) == pytest.approx(sum(times) / len(times), abs=1.5e-6)
+        assert re.fullmatch(r"\d+\.\d{6}", agg["avg_time_s"])
+        if reports:
+            assert re.fullmatch(r"\d+\.\d{3}", agg["avg_mem_mib"]) and float(agg["avg_mem_mib"]) > 0.0
+        else:
+            assert agg["avg_mem_mib"] == ""
+
     def test_unwritable_output_exits_one_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_batch(spec):
             raise AssertionError("the batch ran before its outputs were opened")
@@ -439,17 +506,28 @@ class TestBenchCommand:
         assert run("a.csv") == run("b.csv")
 
 
+def run_child(*args):
+    """A fresh interpreter run with args, importing the package these tests import, installed or not."""
+    src = str(Path(reachmax.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}
+    )
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
-        path = write_json(tmp_path / "osc.json", oscillator_doc())
-        # the child imports the package these tests import, installed or not
-        src = str(Path(reachmax.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "reachmax.cli", "solve", str(path), "--json"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        proc = run_child("-m", "reachmax.cli", "solve", write_json(tmp_path / "osc.json", oscillator_doc()), "--json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "KDiag"
+
+    def test_package_import_loads_only_the_solve_path(self):
+        # perfbench's setup_s times a fresh import of the package, so the command-line front end,
+        # the benchmark generator and the sequence lab stay out of `import reachmax`
+        proc = run_child("-c", "import json, sys, reachmax; print(json.dumps(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = [m for m in json.loads(proc.stdout) if m.split(".")[0] == "reachmax"]
+        assert loaded == [
+            "reachmax", "reachmax.bounds", "reachmax.errors", "reachmax.geometry",
+            "reachmax.linalg", "reachmax.qpcore", "reachmax.solver",
+        ]
