@@ -37,23 +37,8 @@ def frozen_array(x) -> np.ndarray:
     return a
 
 
-class Polytope:
-    """Base for the supported initial-set representations.
-
-    Each keeps its coordinate range, the smallest box holding it, as
-    read-only finite vectors lower and upper.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-
 @dataclass(eq=False)
-class Box(Polytope):
+class Box:
     """Axis-aligned box {x : lower <= x <= upper}, nonempty, with read-only copies of the bounds."""
 
     lower: np.ndarray
@@ -71,9 +56,13 @@ class Box(Polytope):
         if np.any(self.lower > self.upper):
             raise ValueError("empty box: lower > upper in some coordinate")
 
+    @property
+    def dim(self) -> int:
+        return self.lower.size
+
 
 @dataclass(eq=False)
-class VRep(Polytope):
+class VRep:
     """Polytope given as the convex hull of an explicit list of points, kept as a read-only copy.
 
     The coordinate range comes from one min/max pass over the points, which
@@ -90,6 +79,10 @@ class VRep(Polytope):
         T = self.points.T.copy()
         self.lower = _frozen_finite(T.min(axis=1), "vertices")
         self.upper = _frozen_finite(T.max(axis=1), "vertices")
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
 
 def vertices(P: Polytope) -> np.ndarray:
@@ -188,6 +181,9 @@ class BoxCorners:
         return (left @ right).ravel()
 
 
+# The initial sets: each keeps its coordinate range, the smallest box holding it, as
+# read-only finite vectors lower and upper.
+Polytope = Box | VRep
 # What the maximizers take as the vertices of a polytope: see `vertex_set`.
 VertexSet = np.ndarray | BoxCorners
 

@@ -216,7 +216,8 @@ class _RankEvaluator:
     current power A^k; `objectives` forms the next ranks a block at a time and
     ranks only move forward, one product A @ A^k per rank, so a run over ranks
     0..K costs K products and identical inputs give bit-identical value
-    sequences.
+    sequences. verts is the caller's `vertex_set(red.Xwork)`, the one vertex
+    set of a run, kept only for a convex objective, whose maximizer takes it.
 
     It also picks how `block` settles a block of ranks. exact_ranks is the
     most ranks of a block that one stacked pass evaluates whole: for a
@@ -226,13 +227,11 @@ class _RankEvaluator:
     coordinate range `lower`/`upper`.
     """
 
-    def __init__(self, red: ReducedInstance, klass: ObjectiveClass, verts: VertexSet | None = None):
+    def __init__(self, red: ReducedInstance, klass: ObjectiveClass, verts: VertexSet):
         self.red = red
         self.k = 0
         self.power = np.eye(red.A.shape[0])
-        self._verts = None
-        if klass is ObjectiveClass.CONVEX_PSD:
-            self._verts = vertex_set(red.Xwork) if verts is None else verts
+        self._verts = verts if klass is ObjectiveClass.CONVEX_PSD else None
         self.exact_ranks = 0
         if isinstance(self._verts, np.ndarray):
             self.exact_ranks = min(SCAN_BLOCK_MIN, EXACT_BLOCK_MAX_ROWS // len(self._verts))
@@ -388,7 +387,7 @@ def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.nda
     if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 0:
         raise ValueError("horizon must be a natural number")
     red, klass = _reduced_parts(inst)
-    ev = _RankEvaluator(red, klass)
+    ev = _RankEvaluator(red, klass, vertex_set(red.Xwork))
     best_val, best_y = ev.maximize((red.Qmat, red.qvec_reduced))
     best_k = 0
     while ev.k < horizon:

@@ -22,6 +22,17 @@ def osc_box() -> Box:
     return Box([-1.0, -1.0], [1.0, 1.0])
 
 
+class RangeOnly:
+    """A set that carries a finite coordinate range and a dimension, as Box and VRep do, but is neither."""
+
+    def __init__(self, lower, upper):
+        self.lower, self.upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+
+    @property
+    def dim(self) -> int:
+        return self.lower.size
+
+
 def osc_eigvec_basis() -> np.ndarray:
     """Hand-picked (non-unit-norm) eigenvector basis of OSC_A with first row (1, 1)."""
     s3 = 1j * math.sqrt(3.0)
@@ -320,7 +331,8 @@ def rank_evaluator(f, A) -> _RankEvaluator:
     Q, q = f
     d = len(q)
     inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=Q, qvec=q, Xin=Box(-np.ones(d), np.ones(d)))
-    return _RankEvaluator(reduce_affine(inst), ObjectiveClass.CONVEX_PSD)
+    red = reduce_affine(inst)
+    return _RankEvaluator(red, ObjectiveClass.CONVEX_PSD, vertex_set(red.Xwork))
 
 
 def stepped_objective(ev: _RankEvaluator, k: int) -> tuple[np.ndarray, np.ndarray]:

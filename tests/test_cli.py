@@ -155,6 +155,14 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("InvalidInstanceFile:") and str(path) in captured.err
 
+    def test_unreadable_path_is_an_invalid_instance_file(self, tmp_path, capsys):
+        # a directory, and a file that does not exist
+        for path in (tmp_path, tmp_path / "missing.json"):
+            assert main(["solve", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"InvalidInstanceFile: cannot read {path}: ")
+
     def test_boolean_entry_is_an_invalid_instance_file(self, tmp_path, capsys):
         # numpy reads true as 1.0: A = [[1.0]] is not convergent, and would fail with NotConvergent
         path = write_json(tmp_path / "bool.json", dict(DECAYING_DOC, A=[[True]]))
@@ -226,6 +234,8 @@ class TestSolveCommand:
             (dict(DECAYING_DOC, q=["inf"]), "q holds the string 'inf', and numbers must be JSON numbers"),
             # json reads 10**400 as a Python int, which float() refuses with OverflowError
             (dict(DECAYING_DOC, A=[[10**400]]), "non-numeric or ragged array: int too large to convert to float"),
+            # Python's json writes and reads the non-standard literal NaN
+            (dict(DECAYING_DOC, A=[[float("nan")]]), "problem data must be finite"),
         ],
     )
     def test_instance_document_refusals(self, tmp_path, capsys, doc, message):
@@ -293,6 +303,22 @@ class TestAnalyzeSeqCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("InvalidInstanceFile:") and str(path) in captured.err
+
+    def test_unreadable_path_is_an_invalid_instance_file(self, tmp_path, capsys):
+        assert main(["analyze-seq", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"InvalidInstanceFile: cannot read {tmp_path}: ")
+
+    @pytest.mark.parametrize("text", ["[1.0, NaN, 2.0]", "[1.0, Infinity]"])
+    def test_non_finite_term_is_refused(self, tmp_path, capsys, text):
+        # Python's json reads the non-standard literals NaN and Infinity as floats
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze-seq", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "InvalidInstanceFile: sequence terms must be finite\n"
 
     def test_malformed_json_reports_path_and_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

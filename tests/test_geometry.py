@@ -1,17 +1,35 @@
 """Boxes, vertex lists, translation, and the envelope constant M, a convex-form maximum."""
 
 import itertools
+import typing
 
 import numpy as np
 import pytest
 
-from reachmax import Box, VRep
+from reachmax import Box, Polytope, VRep
 from reachmax.bounds import _vertex_maxima
 from reachmax.errors import DimensionTooLarge
 from reachmax.geometry import CORNER_TABLE_MIN_DIM, BoxCorners, form_values, translate, vertex_set, vertices
 from reachmax.qpcore import maximize_convex_vertices
 
-from support import corner_table_boxes, form, osc_eigvec_basis
+from support import RangeOnly, corner_table_boxes, form, osc_eigvec_basis
+
+
+class TestPolytope:
+    """An initial set is a Box or a VRep: Polytope is their union, not a base class another set could extend."""
+
+    def test_polytope_is_the_union_of_box_and_vrep(self):
+        assert typing.get_args(Polytope) == (Box, VRep)
+        assert isinstance(Box([0.0, -1.0], [1.0, 1.0]), Polytope)
+        assert isinstance(VRep([[0.0, 1.0], [2.0, 3.0]]), Polytope)
+        assert not isinstance(RangeOnly([0.0], [1.0]), Polytope)
+
+    def test_public_functions_refuse_any_other_set(self):
+        other = RangeOnly([-1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(TypeError, match="unsupported polytope type RangeOnly"):
+            vertices(other)
+        with pytest.raises(TypeError, match="unsupported polytope type RangeOnly"):
+            translate(other, [0.5, 0.5])
 
 
 class TestVertices:

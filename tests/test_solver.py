@@ -25,6 +25,7 @@ from reachmax.errors import (
 
 from support import (
     OSC_A,
+    RangeOnly,
     diagonal_instance,
     form,
     nu_prefix,
@@ -45,7 +46,7 @@ def osc_instance(Q, q=(0.0, 0.0), N=100):
 def convex_evaluator(inst):
     """The solver's rank evaluator for an instance with a convex objective."""
     red = reduce_affine(inst)
-    return _RankEvaluator(red, ObjectiveClass.CONVEX_PSD)
+    return _RankEvaluator(red, ObjectiveClass.CONVEX_PSD, geometry.vertex_set(red.Xwork))
 
 
 DECAYING_1D = ProblemInstance(
@@ -233,7 +234,7 @@ class TestRankEvaluator:
                 inst = self.instance_on(rng, Xin, concave)
                 red = reduce_affine(inst)
                 klass = ObjectiveClass.STRICTLY_CONCAVE_ND if concave else ObjectiveClass.CONVEX_PSD
-                ev = _RankEvaluator(red, klass)
+                ev = _RankEvaluator(red, klass, geometry.vertex_set(red.Xwork))
                 assert ev.exact_ranks < n
                 assert isinstance(ev._verts, geometry.BoxCorners) == (Xin.dim == 11)
                 screen, evaluate = ev.block(n)
@@ -436,6 +437,8 @@ class TestSolveValidation:
             ({"b": [np.inf, 0.0]}, "problem data must be finite"),
             ({"Qmat": [[1.0, 0.0], [0.0, -np.inf]]}, "problem data must be finite"),
             ({"qvec": [0.0, np.nan]}, "problem data must be finite"),
+            # it carries the finite coordinate range and the dimension that validation and the screens read
+            ({"Xin": RangeOnly([-1.0, -1.0], [1.0, 1.0])}, "Xin must be a Box or a VRep polytope"),
         ],
     )
     def test_shape_type_and_finiteness_refusals(self, change, message):
