@@ -1,7 +1,7 @@
 """Exact quadratic maximization over the reachable values of convergent affine systems."""
 
 from .geometry import Box, Polytope, VRep
-from .solver import ProblemInstance, SolveReport, SolveStatus, brute_force, solve
+from .solver import ProblemInstance, SolveReport, SolveStatus, solve
 
 __version__ = "0.1.0"
 
@@ -12,6 +12,5 @@ __all__ = [
     "SolveReport",
     "SolveStatus",
     "VRep",
-    "brute_force",
     "solve",
 ]

@@ -2,8 +2,7 @@
 
 A finite array u_0 .. u_{n-1} stands for the infinite sequence obtained by
 extending it with zeros, which always has limit zero. Under that reading the
-supremum over any index window is exactly computable, as are the four ranks
-that locate the supremum:
+supremum is exactly computable, as are the four ranks that locate it:
 
   k_geq  first index with u_k >= 0
   k_gt   first index with u_k > 0
@@ -21,7 +20,6 @@ are genuinely INFINITE.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -74,23 +72,6 @@ class RankProfile:
     K_gt: Rank
     sup_value: float
     argmax_set: frozenset[int]
-
-
-def partial_sup(u: FiniteC0Sequence, n: int, m: Union[int, float] = math.inf) -> float:
-    """Supremum of u_k for n <= k <= m under zero extension (m may be inf)."""
-    if n < 0 or n > m:
-        raise ValueError(f"invalid window [{n}, {m}]")
-    t = u.terms
-    size = t.size
-    if n >= size:
-        return 0.0
-    unbounded = math.isinf(m)
-    end = size if unbounded else min(int(m) + 1, size)
-    seg = float(np.max(t[n:end]))
-    if unbounded or m >= size:
-        # window reaches into the padding, whose supremum is 0
-        return max(seg, 0.0)
-    return seg
 
 
 def _first_index(mask: np.ndarray) -> int | None:

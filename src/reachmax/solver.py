@@ -285,39 +285,26 @@ class _RankEvaluator:
         return maximize_concave_qp(form, self.red.Xwork)
 
 
-def _reduced_parts(
-    inst: ProblemInstance, dec: SpectralDecomposition | None = None
-) -> tuple[ReducedInstance, ObjectiveClass]:
-    """The reduced instance and its objective's class, once the solve is known to be supported.
-
-    A solve takes a convex objective over any initial set, or a strictly
-    concave one over a box. Nothing here needs eigenvectors; A's
-    factorization dec, when the caller has one, only spares `reduce_affine`
-    its SVD.
-    """
-    red = reduce_affine(inst, dec)
-    if not np.isfinite(red.qvec_reduced).all():
-        raise ValueError("objective data must be finite")
-    klass = classify(red.Qmat)
-    if klass is ObjectiveClass.UNSUPPORTED:
-        raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
-    if klass is ObjectiveClass.STRICTLY_CONCAVE_ND and not isinstance(red.Xwork, Box):
-        raise UnsupportedObjective("a strictly concave objective needs a box initial set")
-    return red, klass
-
-
 def solve(inst: ProblemInstance) -> SolveReport:
     """Exact optimal value and maximizer over the reachable values set."""
     dec = eig_decompose(inst.A)
     if not spectral_radius_check(dec):
         raise NotConvergent(f"spectral radius {dec.rho} is not strictly below 1")
-    red, klass = _reduced_parts(inst, dec)
+    # a solve takes a convex objective over any initial set, or a strictly concave one over a box
+    red = reduce_affine(inst, dec)
+    if not np.isfinite(red.qvec_reduced).all():
+        raise ValueError("objective data must be finite")
+    klass = classify(red.Qmat)
+    concave = klass is ObjectiveClass.STRICTLY_CONCAVE_ND
+    if klass is ObjectiveClass.UNSUPPORTED:
+        raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
+    if concave and not isinstance(red.Xwork, Box):
+        raise UnsupportedObjective("a strictly concave objective needs a box initial set")
 
     # degenerate screens, answered without a rank: over a working set of one point, or for a
     # concave objective with no linear part, f <= f(0) at every reduced point. The supremum, the
     # offset, is attained at rank 0 when the working box holds 0 (b~ in X_in); otherwise no rank
     # beats the incumbent 0, and the solve fails as a scan up to N would
-    concave = klass is ObjectiveClass.STRICTLY_CONCAVE_ND
     if _is_origin_only(red.Xwork) or (concave and not np.any(red.qvec_reduced)):
         if (red.Xwork.lower > 0.0).any() or (red.Xwork.upper < 0.0).any():
             return SolveReport(
@@ -375,27 +362,3 @@ def solve(inst: ProblemInstance) -> SolveReport:
     # every rank up to K is settled, and up to k_opt when an improvement there set K below it
     return SolveReport(SolveStatus.K_DIAG, nu_opt, x_opt, k_opt, k_pos, K_trace, iterations=max(K, k_opt) + 1)
 
-
-def brute_force(inst: ProblemInstance, horizon: int) -> tuple[float, int, np.ndarray]:
-    """Direct maximum of the per-rank optima over ranks 0..horizon.
-
-    No factorization, no envelope, no stopping logic: every rank is
-    evaluated and the best (smallest attaining rank on ties) is returned
-    with the offset included and the maximizer in original coordinates. A
-    need not be diagonalizable or convergent.
-    """
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 0:
-        raise ValueError("horizon must be a natural number")
-    red, klass = _reduced_parts(inst)
-    ev = _RankEvaluator(red, klass, vertex_set(red.Xwork))
-    best_val, best_y = ev.maximize((red.Qmat, red.qvec_reduced))
-    best_k = 0
-    while ev.k < horizon:
-        first = ev.k + 1
-        Qs, qs = ev.objectives(min(SCAN_BLOCK_MAX, horizon - ev.k))
-        for j, form in enumerate(zip(Qs, qs), start=first):
-            val, y = ev.maximize(form)
-            if val > best_val:
-                best_val, best_y, best_k = val, y, j
-    nu, x = red.original(best_val, best_y)
-    return nu, best_k, x

@@ -8,10 +8,11 @@ import numpy as np
 
 from reachmax import Box, SolveStatus
 from reachmax.bounds import _zonogon_maxima, build_spectral_data, corollary_one_holds, k_diag
+from reachmax.errors import UnsupportedObjective
 from reachmax.geometry import CORNER_TABLE_MIN_DIM, form_values, vertex_set, vertices
 from reachmax.linalg import eig_decompose
 from reachmax.qpcore import ObjectiveClass, classify, maximize_concave_qp, maximize_convex_vertices
-from reachmax.seqlab import BEYOND_PREFIX, INFINITE, FiniteC0Sequence, partial_sup, rank_profile
+from reachmax.seqlab import BEYOND_PREFIX, INFINITE, FiniteC0Sequence, rank_profile
 from reachmax.solver import ProblemInstance, _RankEvaluator, reduce_affine
 
 # damped oscillator discretized with a small explicit Euler step
@@ -106,6 +107,23 @@ def random_sequences(count, seed):
         else:
             terms = np.round(rng.normal(size=n) * 3.0)  # heavy ties, plateaus
         yield FiniteC0Sequence(terms)
+
+
+def partial_sup(u: FiniteC0Sequence, n: int, m: int | float = math.inf) -> float:
+    """Supremum of u_k for n <= k <= m under zero extension (m may be inf)."""
+    if n < 0 or n > m:
+        raise ValueError(f"invalid window [{n}, {m}]")
+    t = u.terms
+    size = t.size
+    if n >= size:
+        return 0.0
+    unbounded = math.isinf(m)
+    end = size if unbounded else min(int(m) + 1, size)
+    seg = float(np.max(t[n:end]))
+    if unbounded or m >= size:
+        # window reaches into the padding, whose supremum is 0
+        return max(seg, 0.0)
+    return seg
 
 
 def rank_order_value(rank, n):
@@ -267,23 +285,66 @@ def rank_objectives(inst, kmax: int):
         yield (M + M.T) / 2.0, P.T @ red.qvec_reduced
 
 
-def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
-    """Per-rank optima nu_0..nu_kmax in reduced coordinates, plus the offset, from row products on the vertex array.
+def rank_maxima(inst, kmax: int):
+    """The reduced instance, and an iterator over each rank's maximum and a maximizer (nu_k, y_k), k = 0..kmax.
 
-    Below geometry.CORNER_TABLE_MIN_DIM, and for every vertex list, they are
-    bit-identical to the solver's. A larger box is solved through a BoxCorners
-    table, whose values can differ from these in their last bits.
+    Both are in reduced coordinates. Every rank objective comes from
+    `rank_objectives`, and none of the solver's rank evaluator runs. A convex
+    one is maximized by row products on the working set's vertex array, a
+    strictly concave one by the box QP. Below geometry.CORNER_TABLE_MIN_DIM,
+    and for every vertex list, the values are bit-identical to the solver's.
+    A larger box is solved through a BoxCorners table, whose values can differ
+    from these in their last bits.
+
+    Nothing is factorized, so A may be any matrix. What `solve` refuses is
+    refused here first, with its messages: a non-finite reduced linear part or
+    rank objective, an objective neither convex nor strictly concave, and a
+    strictly concave one over a vertex list. A concave box builds no corners.
     """
     red = reduce_affine(inst)
-    convex = classify(red.Qmat) is ObjectiveClass.CONVEX_PSD
-    V = vertices(red.Xwork) if convex else None
-    out = np.empty(kmax + 1)
-    for k, f in enumerate(rank_objectives(inst, kmax)):
-        if convex:
-            out[k] = maximize_convex_vertices(f, V)[0]
-        else:
-            out[k] = maximize_concave_qp(f, red.Xwork)[0]
-    return out, red.offset
+    if not np.isfinite(red.qvec_reduced).all():
+        raise ValueError("objective data must be finite")
+    klass = classify(red.Qmat)
+    if klass is ObjectiveClass.UNSUPPORTED:
+        raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
+    if klass is ObjectiveClass.STRICTLY_CONCAVE_ND and not isinstance(red.Xwork, Box):
+        raise UnsupportedObjective("a strictly concave objective needs a box initial set")
+    V = vertices(red.Xwork) if klass is ObjectiveClass.CONVEX_PSD else None
+
+    def maxima():
+        for f in rank_objectives(inst, kmax):
+            if not all(np.isfinite(a).all() for a in f):
+                raise ValueError("objective data must be finite")
+            yield maximize_convex_vertices(f, V) if V is not None else maximize_concave_qp(f, red.Xwork)
+
+    return red, maxima()
+
+
+def nu_prefix(inst, kmax: int) -> tuple[np.ndarray, float]:
+    """Per-rank optima nu_0..nu_kmax in reduced coordinates, from `rank_maxima`, plus the offset."""
+    red, maxima = rank_maxima(inst, kmax)
+    return np.array([nu for nu, _ in maxima]), red.offset
+
+
+def brute_force(inst, horizon: int) -> tuple[float, int, np.ndarray]:
+    """Direct maximum of the per-rank optima over ranks 0..horizon, from `rank_maxima`.
+
+    No factorization, no envelope, no stopping logic and none of the solver's
+    rank evaluator: every rank is evaluated, and the best one, the smallest
+    attaining rank on ties, is returned as (value with the offset, rank,
+    maximizer in original coordinates). A need not be diagonalizable or
+    convergent. The horizon is checked before any work, as an infinite one
+    would never end.
+    """
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 0:
+        raise ValueError("horizon must be a natural number")
+    red, maxima = rank_maxima(inst, horizon)
+    best_val, best_k, best_y = -np.inf, None, None
+    for k, (val, y) in enumerate(maxima):
+        if val > best_val:
+            best_val, best_k, best_y = val, k, y
+    nu, x = red.original(best_val, best_y)
+    return nu, best_k, x
 
 
 def paper_loop(inst) -> tuple:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from reachmax import Box, ProblemInstance, SolveStatus, brute_force, solve
+from reachmax import Box, ProblemInstance, SolveStatus, solve
 from reachmax.bounds import build_spectral_data
 from reachmax.geometry import vertices
 from reachmax.linalg import eig_decompose
@@ -21,6 +21,7 @@ from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_insta
 
 from support import (
     OSC_A,
+    brute_force,
     check_profile_properties,
     hump_seq,
     nu_prefix,

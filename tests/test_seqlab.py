@@ -1,4 +1,4 @@
-"""Window suprema and rank profiles of zero-extended finite sequences."""
+"""Rank profiles of zero-extended finite sequences, and the window suprema that `support.partial_sup` checks them by."""
 
 import math
 
@@ -9,13 +9,13 @@ from reachmax.seqlab import (
     INFINITE,
     FiniteC0Sequence,
     NoRank,
-    partial_sup,
     rank_profile,
 )
 
 from support import (
     check_profile_properties,
     hump_seq,
+    partial_sup,
     plateau_seq,
     random_sequences,
     strictly_negative_seq,
@@ -53,7 +53,7 @@ class TestPartialSup:
 
     def test_invalid_window(self):
         u = FiniteC0Sequence([1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"invalid window \[3, 2\]"):
             partial_sup(u, 3, 2)
 
 

@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reachmax import Box, ProblemInstance, SolveStatus, VRep, brute_force, geometry, solve
+import reachmax
+from reachmax import Box, ProblemInstance, SolveStatus, VRep, geometry, seqlab, solve
 from reachmax import solver as solver_module
 from reachmax.qpcore import ObjectiveClass, maximize_convex_vertices
 from reachmax.bounds import TOL_RANK_BOUND, box_bound, rank_bound
-from reachmax.seqlab import FiniteC0Sequence, partial_sup
+from reachmax.seqlab import FiniteC0Sequence
 from reachmax.solver import _RankEvaluator, reduce_affine
 from reachmax.linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shift_cond_bound
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
@@ -23,13 +24,19 @@ from reachmax.errors import (
     UnsupportedObjective,
 )
 
+import support
 from support import (
     OSC_A,
     RangeOnly,
+    brute_force,
+    composed,
+    concave_box_max_kkt,
     diagonal_instance,
     form,
+    form_value,
     nu_prefix,
     osc_box,
+    partial_sup,
     rank_evaluator,
     rank_objectives,
     stepped_objective,
@@ -58,6 +65,19 @@ OSC_VERTEX_LIST = ProblemInstance(
     A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0],
     Xin=VRep([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.5, 0.5 + 1e-13]]),
 )
+
+
+class TestPackageNamespace:
+    def test_the_namespace_is_the_solve_api(self):
+        assert sorted(reachmax.__all__) == [
+            "Box", "Polytope", "ProblemInstance", "SolveReport", "SolveStatus", "VRep", "solve"
+        ]
+        for name in reachmax.__all__:
+            getattr(reachmax, name)
+        # the test oracles live in tests/support.py, beside the other oracles
+        assert not hasattr(reachmax, "brute_force")
+        assert not hasattr(solver_module, "brute_force")
+        assert not hasattr(seqlab, "partial_sup")
 
 
 class TestReduceAffine:
@@ -367,8 +387,9 @@ class TestSolveValidation:
 
     def test_indefinite_objective_rejected(self):
         inst = osc_instance(np.diag([1.0, -1.0]))
-        with pytest.raises(UnsupportedObjective):
-            solve(inst)
+        for run in (solve, lambda inst: brute_force(inst, 3)):
+            with pytest.raises(UnsupportedObjective, match="objective must be convex or strictly concave"):
+                run(inst)
 
     def test_concave_needs_box(self):
         inst = ProblemInstance(
@@ -1154,7 +1175,7 @@ class TestBruteForce:
         def no_work(inst):
             raise AssertionError("brute_force reduced the instance before checking the horizon")
 
-        monkeypatch.setattr(solver_module, "_reduced_parts", no_work)
+        monkeypatch.setattr(support, "reduce_affine", no_work)
         with pytest.raises(ValueError, match="horizon must be a natural number"):
             brute_force(osc_instance(np.eye(2)), horizon)
 
@@ -1162,6 +1183,7 @@ class TestBruteForce:
         def no_factorization(A):
             raise AssertionError("brute_force factorized A")
 
+        monkeypatch.setattr(support, "eig_decompose", no_factorization)
         monkeypatch.setattr(solver_module, "eig_decompose", no_factorization)
         inst = ProblemInstance(A=[[0.5, 1.0], [0.0, 0.5]], b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2),
                                Xin=osc_box())
@@ -1175,9 +1197,13 @@ class TestBruteForce:
         for inst in (osc_instance(np.diag([1.0, 0.0])), OSC_VERTEX_LIST):
             val, k, x = brute_force(inst, 150)
             nus, offset = nu_prefix(inst, 150)
-            # horizon 150 spans blocks of SCAN_BLOCK_MAX = 64 ranks; both sides form the same values
+            # both sides take the same per-rank values from support.rank_maxima
             assert (val, k) == (np.max(nus) + offset, int(np.argmax(nus)))
+            # trajectory simulation shares nothing with rank_objectives
+            assert val == pytest.approx(trajectory_max(inst, 150), rel=1e-12)
             found.add(k // solver_module.SCAN_BLOCK_MAX)
+        # one best rank lies in the first SCAN_BLOCK_MAX = 64 ranks and the other past them, in a
+        # later block of solve's walk
         assert len(found) == 2
 
     def test_ties_break_to_smallest_rank(self):
@@ -1186,6 +1212,43 @@ class TestBruteForce:
         val, k, _ = brute_force(inst, 10)
         assert val == 1.0
         assert k == 0
+
+    def test_a_concave_box_past_the_vertex_cap_builds_no_corners(self):
+        d = 23
+        rng = np.random.default_rng(0)
+        M = rng.normal(size=(d, d))
+        inst = ProblemInstance(A=0.5 * np.eye(d), b=np.zeros(d), Qmat=-(M.T @ M) / d - 0.1 * np.eye(d),
+                               qvec=rng.normal(size=d), Xin=Box(-np.ones(d), np.ones(d)))
+        with pytest.raises(DimensionTooLarge):
+            solve(inst)
+        val, k, x = brute_force(inst, 3)
+        # A^k x stays in the box, which holds 0, so no later rank beats rank 0
+        assert k == 0 and np.all(np.abs(x) <= 1.0)
+        assert val == pytest.approx(form_value((inst.Qmat, inst.qvec), x), rel=1e-12) and val > 0.0
+
+    def test_shares_no_code_with_the_rank_evaluator(self, monkeypatch):
+        def no_evaluator(*args):
+            raise AssertionError("brute_force built the solver's rank evaluator")
+
+        monkeypatch.setattr(solver_module, "_RankEvaluator", no_evaluator)
+        monkeypatch.setattr(support, "_RankEvaluator", no_evaluator)
+        concave = ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=-np.eye(2), qvec=[1.0, 0.5], Xin=osc_box())
+        for inst in (osc_instance(np.diag([1.0, 0.0])), OSC_VERTEX_LIST, concave):
+            val, k, x = brute_force(inst, 30)
+            if inst is concave:
+                # each rank's exact box maximum, from a direct matrix power and the KKT patterns
+                red = reduce_affine(inst)
+                f = (red.Qmat, red.qvec_reduced)
+                ref = max(concave_box_max_kkt(composed(f, inst.A, j), red.Xwork.lower, red.Xwork.upper)
+                          for j in range(31)) + red.offset
+                assert val == pytest.approx(ref, abs=1e-9)
+            else:
+                assert val == pytest.approx(trajectory_max(inst, 30), rel=1e-12)
+            # x is an initial point whose state at rank k takes the value
+            z = x
+            for _ in range(k):
+                z = inst.A @ z + inst.b
+            assert form_value((inst.Qmat, inst.qvec), z) == pytest.approx(val, rel=1e-9)
 
 
 def mixed_benchspecs(seed, N=100):
