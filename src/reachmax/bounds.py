@@ -4,11 +4,11 @@ For a convergent diagonalizable system the k-th optimal value nu_k obeys
 
     nu_k <= (rho^k * sqrt(L * M) + V)^2 - V^2        for k > 0
 
-with L = |lambda_max(U* Q U)|, M the maximum of the Gram-inverse form
-x* (U U*)^-1 x = ||U^-1 x||^2 over the working initial set, and
-V = ||U* q||_2 / (2 sqrt(L)). Two consequences drive the solver: if nu_0
-already reaches the k-independent envelope (sqrt(L*M) + V)^2 - V^2, it is
-the global supremum; and for any strictly positive value nu_j the rank
+with L = |lambda_max(U* Q U)|, M any upper bound on the maximum of the
+Gram-inverse form x* (U U*)^-1 x = ||U^-1 x||^2 over the working initial
+set, and V = ||U* q||_2 / (2 sqrt(L)). Two consequences drive the solver:
+if nu_0 already reaches the k-independent envelope (sqrt(L*M) + V)^2 - V^2,
+it is the global supremum; and for any strictly positive value nu_j the rank
 
     K(j) = floor( ln((sqrt(nu_j + V^2) - V) / sqrt(L*M)) / ln rho ) + 1
 
@@ -43,16 +43,16 @@ x_i^2 = m_i. P_k does not use the single curvature L of the envelope, and at
 some ranks it lies above the envelope; the scan never passes K, so there
 the stopping rank, not P_k, ends it.
 
-M = max ||U^-1 x||^2 = max sum_i |y_i|^2 and the m_i are maxima over the
-vertex set that `geometry.vertex_set` gives, taken together in one pass
-(`_vertex_maxima`) from U^-1 alone. For a vertex array they come from the
-same squared products, row by row: the m_i are their row maxima, M the
-largest column sum. For a large box, handed over as a `BoxCorners` table,
-M comes from the table's split evaluation of the form x^T Re(U^-* U^-1) x,
-and each m_i from the at most 2d vertices of the zonogon
-{(U^-1 x)_i : x a corner}, walked along its d edges in angular order in
-O(d^2 log d) for all modes (see `_zonogon_maxima`), so neither builds the
-2^d x d corner array.
+The m_i are maxima over the working set, taken from U^-1 alone
+(`_vertex_maxima`). For a vertex array they are the row maxima of the
+squared products U^-1 x, a block of rows at a time. For a box, given as
+itself or as a `BoxCorners` table, each m_i comes from the at most 2d
+vertices of the zonogon {(U^-1 x)_i : x a corner}, walked along its d edges
+in angular order in O(d^2 log d) for all modes (see `_zonogon_maxima`),
+with no pass over the 2^d corners. M is not maximized on its own: at every
+x, ||U^-1 x||^2 = sum_i |y_i|^2 <= sum_i m_i, so M = sum_i m_i is an upper
+bound, which only makes Corollary 1 and K(j) more conservative. It is the
+exact maximum when one vertex maximizes every |y_i| at once.
 
 P_k bounds every rank from the envelope data alone. `box_bound` instead
 bounds one rank's own objective f_k over the bounding box of the working
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, NonPositiveNu
-from .geometry import BoxCorners, VertexSet, form_values
+from .geometry import Box, VertexSet
 from .linalg import SpectralDecomposition
 
 # |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
@@ -78,8 +78,8 @@ TOL_LMAX_ZERO = 1e-12
 # a margin for the rounding in U^-1, the mode maxima and the bound itself; by its box
 # bound only when beta + TOL_RANK_BOUND sigma <= incumbent (see `box_bound`).
 TOL_RANK_BOUND = 1e-9
-# Vertex rows per block when taking M and the mode maxima: the temporaries stay a
-# few hundred kB instead of a complex copy of the whole vertex array.
+# Vertex rows per block when taking the mode maxima of a vertex array: the temporaries
+# stay a few hundred kB instead of a complex copy of the whole vertex array.
 MODE_BLOCK_ROWS = 2048
 
 
@@ -88,7 +88,7 @@ class SpectralData:
     """Envelope ingredients, all tied to one eigenbasis and one working set."""
 
     dec: SpectralDecomposition
-    mu_gram: float  # M, the maximum of ||U^-1 x||^2 over the vertices
+    mu_gram: float  # M = sum_i m_i, an upper bound on the maximum of ||U^-1 x||^2 over the working set
     lmax_abs: float
     v_diag: float
     envelope: float
@@ -98,8 +98,8 @@ class SpectralData:
     lin_abs: np.ndarray  # |U* q| entrywise
 
 
-def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) -> SpectralData:
-    """Assemble the envelope data for symmetric float Qmat, float qvec and the vertex set V of the working set."""
+def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet | Box) -> SpectralData:
+    """Assemble the envelope data for symmetric float Qmat, float qvec and the working set's vertex set V or box."""
     Ustar = dec.U.conj().T
 
     G = Ustar @ Qmat @ dec.U
@@ -129,24 +129,22 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet) ->
     )
 
 
-def _vertex_maxima(U_inv: np.ndarray, V: VertexSet) -> tuple[float, np.ndarray]:
-    """M = max ||U_inv x||^2 and, for each i, m_i = max |(U_inv x)_i|^2, over the vertices x in V."""
+def _vertex_maxima(U_inv: np.ndarray, V: VertexSet | Box) -> tuple[float, np.ndarray]:
+    """M = sum_i m_i and each m_i = max |(U_inv x)_i|^2 over the vertices x of V: array rows, or a box's bounds."""
+    if not isinstance(V, np.ndarray):
+        m = _zonogon_maxima(U_inv, V.lower, V.upper)
+        return float(m.sum()), m
     d = U_inv.shape[0]
     # rows 0..d-1 of W @ x are the real parts of U_inv x, rows d..2d-1 the imaginary parts
     W = np.vstack([U_inv.real, U_inv.imag])
-    if isinstance(V, BoxCorners):
-        R = W.T @ W  # ||U_inv x||^2 = x^T R x for a real x
-        M = float(np.max(form_values(V, (R + R.T) / 2.0, np.zeros(d))))
-        return M, _zonogon_maxima(U_inv, V.lower, V.upper)
     # one column per vertex keeps the reductions along contiguous rows
-    M, m = 0.0, np.zeros(d)
+    m = np.zeros(d)
     for start in range(0, V.shape[0], MODE_BLOCK_ROWS):
         Y = W @ V[start : start + MODE_BLOCK_ROWS].T
         Y *= Y
         Y[:d] += Y[d:]
         np.maximum(m, Y[:d].max(axis=1), out=m)
-        M = max(M, float(Y[:d].sum(axis=0).max()))
-    return M, m
+    return float(m.sum()), m
 
 
 def _zonogon_maxima(U_inv: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

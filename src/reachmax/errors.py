@@ -10,7 +10,7 @@ class NotDiagonalizable(ReachmaxError):
 
 
 class DimensionTooLarge(ReachmaxError):
-    """Corner enumeration of a box would exceed the vertex cap."""
+    """Corner enumeration of a box would exceed the vertex cap; only a convex objective's box is enumerated."""
 
 
 class NotConcave(ReachmaxError):

@@ -8,9 +8,9 @@ all 2^dim corners from two half-box corner tables and never builds the
 2^dim x dim array. Both give the corners in the same order, so the first
 maximizing corner is the same one up to rounding of the values.
 `form_values` evaluates a form at every vertex, and on a vertex array a
-whole stack of forms in one pass. The envelope constant
-M = max ||U^-1 x||^2 is such a maximum too; `bounds` takes it from the same
-pass over the vertex set as the per-mode maxima m_i.
+whole stack of forms in one pass. The envelope's per-mode maxima
+m_i = max |(U^-1 x)_i|^2 are such maxima too; `bounds` takes them from a
+vertex array's rows, and from a box's bounds alone, with no corners.
 """
 
 from __future__ import annotations

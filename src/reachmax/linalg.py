@@ -3,8 +3,8 @@
 Everything downstream consumes the spectral factorization A = U diag(D) U^-1
 produced here: the convergence check on the spectral radius, the product
 U* Q U whose largest eigenvalue `bounds` takes, and U^-1, from which `bounds`
-takes the envelope constant M = max ||U^-1 x||^2 in the same pass over the
-vertex set as the per-mode maxima. A solve has two conditioning limits.
+takes the per-mode maxima m_i = max |(U^-1 x)_i|^2 and the envelope
+constant M = sum_i m_i. A solve has two conditioning limits.
 eig_decompose rejects cond(U) > 1/TOL_DIAG = 1e7. It inverts U first, and
 F = ||U||_F ||U^-1||_F, an upper bound on cond_2(U), accepts most matrices at
 a fraction of the cost of an SVD; only a product above half the limit pays

@@ -216,8 +216,8 @@ class _RankEvaluator:
     current power A^k; `objectives` forms the next ranks a block at a time and
     ranks only move forward, one product A @ A^k per rank, so a run over ranks
     0..K costs K products and identical inputs give bit-identical value
-    sequences. verts is the caller's `vertex_set(red.Xwork)`, the one vertex
-    set of a run, kept only for a convex objective, whose maximizer takes it.
+    sequences. verts is the caller's `vertex_set(red.Xwork)` for a convex
+    objective, whose maximizer takes it, and is not kept for a concave one.
 
     It also picks how `block` settles a block of ranks. exact_ranks is the
     most ranks of a block that one stacked pass evaluates whole: for a
@@ -227,7 +227,7 @@ class _RankEvaluator:
     coordinate range `lower`/`upper`.
     """
 
-    def __init__(self, red: ReducedInstance, klass: ObjectiveClass, verts: VertexSet):
+    def __init__(self, red: ReducedInstance, klass: ObjectiveClass, verts: VertexSet | Box):
         self.red = red
         self.k = 0
         self.power = np.eye(red.A.shape[0])
@@ -313,9 +313,9 @@ def solve(inst: ProblemInstance) -> SolveReport:
         # b_tilde itself, not original(0.0, zeros): 0.0 + (-0.0) is +0.0, which would flip a sign bit of x_opt
         return SolveReport(SolveStatus.K_DIAG, red.offset, red.b_tilde.copy(), k_opt=0, k_pos=None, iterations=0)
 
-    # one vertex set per solve: it fixes M and the m_i in the envelope and, for a
-    # convex objective, it is the whole input of every per-rank maximization
-    verts = vertex_set(red.Xwork)
+    # one vertex set per convex solve, for every per-rank maximization and the envelope's m_i; a
+    # concave solve's box gives the m_i from its bounds, so it meets no corner cap
+    verts = red.Xwork if concave else vertex_set(red.Xwork)
     ev = _RankEvaluator(red, klass, verts)
     sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
 

@@ -361,9 +361,10 @@ def paper_loop(inst) -> tuple:
     """
     dec = eig_decompose(inst.A)
     red = reduce_affine(inst)
-    V = vertex_set(red.Xwork)
-    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, V)
     convex = classify(red.Qmat) is ObjectiveClass.CONVEX_PSD
+    # as in solve: a concave box's envelope comes from the box itself, with no vertex set
+    V = vertex_set(red.Xwork) if convex else red.Xwork
+    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, V)
     nu_opt, y_opt, k_opt, k_pos, K, trace = 0.0, None, None, None, inst.N, []
     for k, f in enumerate(rank_objectives(inst, 10**9)):
         if k > K:

@@ -206,3 +206,10 @@ class TestRunBench:
         agg = aggregate_row(spec, records)
         assert (agg["status_c_k_f"], agg["errors"]) == ("0/0/0", 2)
         assert agg["avg_mem_mib"] == agg["avg_k_pos"] == agg["max_iter"] == ""
+
+    def test_concave_boxes_past_the_vertex_cap_are_solved(self):
+        # a concave solve enumerates no corners, so the 23-cube refused above for cxh is no error for canh
+        spec = spec_of(objective=ObjectiveKind.CANH, dim=23, instances=3)
+        records = run_bench(spec)
+        assert all(r.report is not None and r.status == r.report.status.value for r in records)
+        assert aggregate_row(spec, records)["errors"] == 0

