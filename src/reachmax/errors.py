@@ -22,7 +22,14 @@ class QPNotConverged(ReachmaxError):
 
 
 class AssumptionViolated(ReachmaxError):
-    """A solvability precondition on the problem data does not hold."""
+    """A solvability precondition on the problem data does not hold.
+
+    The decay envelope raises it when |lambda_max(U* Q U)| is numerically
+    zero. `solve` builds the envelope at rank 0 when nu_0 >= 0, and otherwise
+    at k_pos, the first rank with a positive value: a solve whose values never
+    reach 0 ends Failed instead of raising, and one with nu_0 < 0 and
+    k_pos > 0 raises at k_pos.
+    """
 
 
 class NonPositiveNu(ReachmaxError):

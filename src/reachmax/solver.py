@@ -16,6 +16,14 @@ the solve fails. Once the incumbent is positive, the loop ends early when
 the per-mode rank bound of `bounds.rank_bound` is at most the incumbent:
 the bound does not grow with the rank, so no rank up to K is left.
 
+The envelope (`bounds.build_spectral_data`) is built at the first rank value
+that can use it: at rank 0 when nu_0 >= 0, as the computed envelope is never
+negative and Corollary 1 cannot hold below 0, and otherwise at k_pos, just
+before its stopping rank is computed. The rank bound is asked only once the
+incumbent is positive, so it always finds the envelope built. A scan whose
+values stay below 0 builds none: it fails as before, and the envelope's
+`AssumptionViolated` cannot come from it.
+
 After rank 0 the loop forms the rank objectives a block at a time, in one
 stacked product per block, by the same products as a plain rank-by-rank
 loop. Block lengths double from SCAN_BLOCK_MIN to SCAN_BLOCK_MAX, capped at
@@ -317,15 +325,19 @@ def solve(inst: ProblemInstance) -> SolveReport:
     # concave solve's box gives the m_i from its bounds, so it meets no corner cap
     verts = red.Xwork if concave else vertex_set(red.Xwork)
     ev = _RankEvaluator(red, klass, verts)
-    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
 
+    # the computed envelope is never negative, so Corollary 1 needs nu_0 >= 0, and K(nu) a positive nu
     nu_k, y_k = ev.maximize((red.Qmat, red.qvec_reduced))
-    if corollary_one_holds(sd, nu_k):
-        nu_opt, x_opt = red.original(nu_k, y_k)
-        return SolveReport(SolveStatus.COROLLARY_ONE, nu_opt, x_opt, k_opt=0, k_pos=0, K_trace=[], iterations=1)
+    sd = None
+    if nu_k >= 0.0:
+        sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
+        if corollary_one_holds(sd, nu_k):
+            nu_opt, x_opt = red.original(nu_k, y_k)
+            return SolveReport(SolveStatus.COROLLARY_ONE, nu_opt, x_opt, k_opt=0, k_pos=0, K_trace=[], iterations=1)
 
     # the incumbent starts at 0 and the stopping rank at the scan cap N; every strict improvement
-    # sets K = K(nu_k) and appends (rank, K) to K_trace, so its first rank is k_pos and its last k_opt
+    # sets K = K(nu_k) and appends (rank, K) to K_trace, so its first rank is k_pos and its last k_opt.
+    # The rank bound is asked only once the incumbent is positive, so it always finds the envelope built
     nu_opt, y_opt, K, K_trace = 0.0, None, inst.N, []
     if nu_opt < nu_k:
         nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
@@ -351,6 +363,8 @@ def solve(inst: ProblemInstance) -> SolveReport:
                 continue
             nu_k, y_k = evaluate(i)
             if nu_opt < nu_k:
+                if sd is None:
+                    sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
                 nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
                 K_trace.append((k + i + 1, K))
         k += n

@@ -17,6 +17,7 @@ from reachmax.solver import _RankEvaluator, reduce_affine
 from reachmax.linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shift_cond_bound
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
 from reachmax.errors import (
+    AssumptionViolated,
     DimensionTooLarge,
     NotConvergent,
     NotDiagonalizable,
@@ -28,6 +29,7 @@ import support
 from support import (
     OSC_A,
     RangeOnly,
+    answer_key,
     brute_force,
     composed,
     concave_box_max_kkt,
@@ -36,6 +38,7 @@ from support import (
     form_value,
     nu_prefix,
     osc_box,
+    paper_loop,
     partial_sup,
     rank_evaluator,
     rank_objectives,
@@ -944,6 +947,84 @@ class TestScanBlocks:
         # each term a^(2k) x^2 - a^k x of nu_k is negative, so the scan runs to N
         assert traced_peak(lambda: reports.append(solve(inst))) < 2**20
         assert reports[0].status is SolveStatus.FAILED and reports[0].iterations == 10**5 + 1
+
+
+class TestEnvelopeOnDemand:
+    """The envelope is built at the first rank value that can use it: nu_0 >= 0, or else k_pos."""
+
+    # nu_0 = 0 exactly, and every later value too: A^k x = 0.5^k (0, x_2) and Q reads only x_1
+    ZERO_AT_RANK_ZERO = ProblemInstance(A=np.diag([0.5, 0.5]), b=np.zeros(2), Qmat=np.diag([1.0, 0.0]),
+                                        qvec=np.zeros(2), Xin=Box([0.0, -1.0], [0.0, 1.0]), N=20)
+
+    @staticmethod
+    def recorded_calls(monkeypatch):
+        """In call order: ("build",), ("block", ranks), ("k_diag",) and ("corollary",) of each solve."""
+        events = []
+        objectives = solver_module._RankEvaluator.objectives
+
+        def recording(kind, fn):
+            def call(*args):
+                events.append((kind,))
+                return fn(*args)
+            return call
+
+        def stacked(self, n):
+            events.append(("block", range(self.k + 1, self.k + n + 1)))
+            return objectives(self, n)
+
+        for name, kind in (("build_spectral_data", "build"), ("k_diag", "k_diag"), ("corollary_one_holds", "corollary")):
+            monkeypatch.setattr(solver_module, name, recording(kind, getattr(solver_module, name)))
+        monkeypatch.setattr(solver_module._RankEvaluator, "objectives", stacked)
+        return events
+
+    def test_a_scan_that_stays_negative_builds_none(self, monkeypatch):
+        events = self.recorded_calls(monkeypatch)
+        rep = solve(DECAYING_1D)
+        assert (rep.status, rep.iterations) == (SolveStatus.FAILED, DECAYING_1D.N + 1)
+        assert [e for e in events if e[0] != "block"] == []
+
+    def test_a_positive_rank_zero_builds_before_the_first_block(self, monkeypatch):
+        events = self.recorded_calls(monkeypatch)
+        rep = solve(diagonal_instance())
+        assert rep.status is SolveStatus.K_DIAG and rep.k_pos == 0
+        assert [e[0] for e in events[:3]] == ["build", "corollary", "k_diag"]
+        assert [e for e in events if e[0] == "build"] == [("build",)]
+
+    def test_a_later_k_pos_builds_between_its_block_and_its_stopping_rank(self, monkeypatch):
+        events = self.recorded_calls(monkeypatch)
+        rep = solve(OSC_VERTEX_LIST)
+        assert rep.k_pos == 88
+        assert answer_key(rep) == paper_loop(OSC_VERTEX_LIST)
+        kinds = [e[0] for e in events]
+        assert kinds.count("build") == 1 and "corollary" not in kinds
+        first = kinds.index("build")
+        assert kinds[first + 1] == "k_diag" and "k_diag" not in kinds[:first]
+        # the last block formed before the build holds rank 88
+        assert rep.k_pos in [e for e in events[:first] if e[0] == "block"][-1][1]
+
+    def test_a_zero_rank_zero_builds_and_tests_corollary_one(self, monkeypatch):
+        events = self.recorded_calls(monkeypatch)
+        rep = solve(self.ZERO_AT_RANK_ZERO)
+        assert (rep.status, rep.iterations) == (SolveStatus.FAILED, self.ZERO_AT_RANK_ZERO.N + 1)
+        # a rule that builds only for nu_0 > 0 would build nothing here
+        assert [e[0] for e in events if e[0] != "block"] == ["build", "corollary"]
+        assert events[0] == ("build",)
+
+    @pytest.fixture
+    def failing_envelope(self, monkeypatch):
+        def violated(*args):
+            raise AssumptionViolated("largest eigenvalue of U* Q U is numerically zero")
+
+        monkeypatch.setattr(solver_module, "build_spectral_data", violated)
+
+    def test_a_scan_that_stays_negative_never_meets_the_assumption(self, failing_envelope):
+        rep = solve(DECAYING_1D)
+        assert (rep.status, rep.iterations) == (SolveStatus.FAILED, DECAYING_1D.N + 1)
+
+    @pytest.mark.parametrize("inst", [diagonal_instance(), OSC_VERTEX_LIST], ids=["rank-zero", "k-pos-88"])
+    def test_a_built_envelope_raises_the_violated_assumption(self, failing_envelope, inst):
+        with pytest.raises(AssumptionViolated):
+            solve(inst)
 
 
 class TestRankBoundScreen:
