@@ -14,6 +14,14 @@ it is the global supremum; and for any strictly positive value nu_j the rank
 
 guarantees nu_k <= nu_j for every k >= K(j), so the search can stop there.
 
+With a = sqrt(L*M), the envelope is computed as a (a + 2V), which equals
+(a + V)^2 - V^2 but does not cancel: for a << V eps the difference form
+rounds to 0, and Corollary 1 would then accept any nu_0 >= 0. A computed
+envelope that is still not positive, as when the squares |(U^-1 x)_i|^2
+underflow for a working set of coordinates below about 1e-162 and M = 0,
+is refused with AssumptionViolated: every K(j) would divide by a = 0. So a
+built envelope is always positive, and Corollary 1 holds only for nu_0 > 0.
+
 The envelope lets the dominant mode stand in for every mode. The rank bound
 keeps the modes apart. With y = U^-1 x, the rank-k state is A^k x = U z for
 z_i = lambda_i^k y_i, so, with G = U* Q U and e = U* q,
@@ -99,7 +107,10 @@ class SpectralData:
 
 
 def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet | Box) -> SpectralData:
-    """Assemble the envelope data for symmetric float Qmat, float qvec and the working set's vertex set V or box."""
+    """Assemble the envelope data for symmetric float Qmat, float qvec and the working set's vertex set V or box.
+
+    Raises AssumptionViolated when L is numerically zero or the computed envelope is not positive.
+    """
     Ustar = dec.U.conj().T
 
     G = Ustar @ Qmat @ dec.U
@@ -115,7 +126,11 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet | B
     e = Ustar @ qvec
     # ||e||, summed as np.linalg.norm sums a complex vector
     v_diag = math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag)) / (2.0 * math.sqrt(lmax_abs))
-    envelope = (math.sqrt(lmax_abs * mu_gram) + v_diag) ** 2 - v_diag**2
+    # (a + V)^2 - V^2 rewritten as a (a + 2V), which does not cancel to 0 for a << V eps
+    a = math.sqrt(lmax_abs * mu_gram)
+    envelope = a * (a + 2.0 * v_diag)
+    if not envelope > 0.0:
+        raise AssumptionViolated(f"decay envelope {envelope} is not positive: the squared mode maxima underflow")
     return SpectralData(
         dec=dec,
         mu_gram=mu_gram,

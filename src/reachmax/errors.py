@@ -25,10 +25,11 @@ class AssumptionViolated(ReachmaxError):
     """A solvability precondition on the problem data does not hold.
 
     The decay envelope raises it when |lambda_max(U* Q U)| is numerically
-    zero. `solve` builds the envelope at rank 0 when nu_0 >= 0, and otherwise
-    at k_pos, the first rank with a positive value: a solve whose values never
-    reach 0 ends Failed instead of raising, and one with nu_0 < 0 and
-    k_pos > 0 raises at k_pos.
+    zero, or when the computed envelope is not positive, as when the squared
+    mode maxima of a working set of coordinates below about 1e-162
+    underflow to 0. `solve` builds the envelope only at k_pos, the first rank
+    with a positive value, so it raises there: a solve whose values never
+    exceed 0 ends Failed instead of raising.
     """
 
 

@@ -1,4 +1,4 @@
-"""End-to-end solver: affine reduction, the Corollary-1 exit, then one loop over the ranks.
+"""End-to-end solver: affine reduction, then one loop over the ranks from rank 0.
 
 The problem is to maximize x^T Q x + q^T x over every state reachable by
 x_{k+1} = A x_k + b from a polytope of initial conditions, for a convergent
@@ -7,24 +7,27 @@ are first turned linear by recentering at the fixed point b~ = (I - A)^-1 b;
 the recentred problem has linear coefficient 2 Q b~ + q, working set
 X^in - b~, and a constant offset added back only when reporting.
 
-In reduced coordinates the per-rank optimal values nu_k tend to zero. A
-solve exits early when nu_0 dominates the decay envelope; otherwise one loop
-runs over the ranks. Its incumbent starts at 0 and its stopping rank K at
-the scan cap N. The first rank that strictly beats the incumbent is k_pos,
-and every improvement sets K from the new value; with no such rank up to N
-the solve fails. Once the incumbent is positive, the loop ends early when
-the per-mode rank bound of `bounds.rank_bound` is at most the incumbent:
-the bound does not grow with the rank, so no rank up to K is left.
+In reduced coordinates the per-rank optimal values nu_k tend to zero. One
+loop walks the ranks from 0, as the paper's algorithm does. Its incumbent
+starts at 0 and its stopping rank K at the scan cap N. The first rank that
+strictly beats the incumbent is k_pos, and every improvement sets K from
+the new value; with no such rank up to N the solve fails. Once the
+incumbent is positive, the loop ends early when the per-mode rank bound of
+`bounds.rank_bound` is at most the incumbent: the bound does not grow with
+the rank, so no rank up to K is left.
 
-The envelope (`bounds.build_spectral_data`) is built at the first rank value
-that can use it: at rank 0 when nu_0 >= 0, as the computed envelope is never
-negative and Corollary 1 cannot hold below 0, and otherwise at k_pos, just
-before its stopping rank is computed. The rank bound is asked only once the
-incumbent is positive, so it always finds the envelope built. A scan whose
-values stay below 0 builds none: it fails as before, and the envelope's
+The envelope (`bounds.build_spectral_data`) is built at the first
+improvement, just before its stopping rank is computed. When that
+improvement is rank 0, Corollary 1 is tested there: a nu_0 that reaches the
+envelope is the supremum, and the solve exits. A built envelope is always
+positive, so a nu_0 that reaches it has beaten the incumbent 0, and testing
+only at an improvement misses no exit. The rank bound is asked only once
+the incumbent is positive, so it always finds the envelope built. A scan
+whose values never exceed 0 builds none: it fails, and the envelope's
 `AssumptionViolated` cannot come from it.
 
-After rank 0 the loop forms the rank objectives a block at a time, in one
+The loop's first block is rank 0 alone, the base objective, with screen
++inf. After it the loop forms the rank objectives a block at a time, in one
 stacked product per block, by the same products as a plain rank-by-rank
 loop. Block lengths double from SCAN_BLOCK_MIN to SCAN_BLOCK_MAX, capped at
 K. `_RankEvaluator.block` picks how a block is settled and gives each rank a
@@ -69,8 +72,8 @@ from .qpcore import ObjectiveClass, classify, maximize_concave_qp, maximize_conv
 
 DEFAULT_N = 100
 TOL_SYM = 1e-9  # largest asymmetry |Q - Q^T| of an accepted Q
-# Ranks per block of rank objectives: the first block, and the most that any block
-# holds, which bounds the loop's memory for any N.
+# Ranks per block of rank objectives after rank 0's block of one: the first such block,
+# and the most that any block holds, which bounds the loop's memory for any N.
 SCAN_BLOCK_MIN = 8
 SCAN_BLOCK_MAX = 64
 # A block of at most SCAN_BLOCK_MIN ranks over a vertex array is evaluated whole, with
@@ -326,34 +329,26 @@ def solve(inst: ProblemInstance) -> SolveReport:
     verts = red.Xwork if concave else vertex_set(red.Xwork)
     ev = _RankEvaluator(red, klass, verts)
 
-    # the computed envelope is never negative, so Corollary 1 needs nu_0 >= 0, and K(nu) a positive nu
-    nu_k, y_k = ev.maximize((red.Qmat, red.qvec_reduced))
-    sd = None
-    if nu_k >= 0.0:
-        sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
-        if corollary_one_holds(sd, nu_k):
-            nu_opt, x_opt = red.original(nu_k, y_k)
-            return SolveReport(SolveStatus.COROLLARY_ONE, nu_opt, x_opt, k_opt=0, k_pos=0, K_trace=[], iterations=1)
-
     # the incumbent starts at 0 and the stopping rank at the scan cap N; every strict improvement
     # sets K = K(nu_k) and appends (rank, K) to K_trace, so its first rank is k_pos and its last k_opt.
-    # The rank bound is asked only once the incumbent is positive, so it always finds the envelope built
-    nu_opt, y_opt, K, K_trace = 0.0, None, inst.N, []
-    if nu_opt < nu_k:
-        nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
-        K_trace.append((0, K))
-    k, length, cut = 0, SCAN_BLOCK_MIN, False
+    # The envelope is built at the first improvement; the rank bound is asked only once the
+    # incumbent is positive, so it always finds the envelope built
+    nu_opt, y_opt, K, K_trace, sd = 0.0, None, inst.N, [], None
+    k, length, cut = -1, 1, False
     while k < K and not cut:
-        # the block holds ranks k+1..k+n
+        # the block holds ranks k+1..k+n: first rank 0 alone, the base objective with screen +inf,
+        # then blocks of SCAN_BLOCK_MIN ranks and up
         n = min(length, K - k)
-        length = min(2 * length, SCAN_BLOCK_MAX)
+        length = min(max(2 * length, SCAN_BLOCK_MIN), SCAN_BLOCK_MAX)
         if nu_opt > 0.0 and n > ev.exact_ranks:
             # the rank bound does not grow with the rank: no rank from the first one it settles
             # up to K beats nu_opt, none of them is formed, and the cut block is the last one
             settles = ((1.0 + TOL_RANK_BOUND) * rank_bound(sd, np.arange(k + 1, k + n + 1)) <= nu_opt).nonzero()[0]
             if settles.size:
                 n, cut = int(settles[0]), True
-        if n > 0:
+        if k < 0:
+            screen, evaluate = (np.inf,), lambda i: ev.maximize((red.Qmat, red.qvec_reduced))
+        elif n > 0:
             screen, evaluate = ev.block(n)
         for i in range(n):
             if k + i >= K:
@@ -365,6 +360,11 @@ def solve(inst: ProblemInstance) -> SolveReport:
             if nu_opt < nu_k:
                 if sd is None:
                     sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)
+                    # Corollary 1, when the first improvement is rank 0: a nu_0 that reaches the
+                    # envelope is the supremum
+                    if k < 0 and corollary_one_holds(sd, nu_k):
+                        nu_opt, x_opt = red.original(nu_k, y_k)
+                        return SolveReport(SolveStatus.COROLLARY_ONE, nu_opt, x_opt, k_opt=0, k_pos=0, iterations=1)
                 nu_opt, y_opt, K = nu_k, y_k, k_diag(sd, nu_k)
                 K_trace.append((k + i + 1, K))
         k += n

@@ -63,6 +63,10 @@ DECAYING_1D = ProblemInstance(
     A=[[0.5]], b=[0.0], Qmat=[[1.0]], qvec=[-1.0], Xin=Box([0.25], [0.5]), N=100
 )
 
+# the rank-0 value can never exceed the envelope, only attain it; this instance attains it
+# exactly in floating point (envelope sqrt(4) (sqrt(4) + 0) = 4 = nu_0)
+COROLLARY_ONE_1D = ProblemInstance(A=[[0.5]], b=[0.0], Qmat=[[1.0]], qvec=[0.0], Xin=Box([0.0], [2.0]))
+
 # an affine oscillator on a vertex list: k_pos = 88, and ranks 88..207 improve one after another
 OSC_VERTEX_LIST = ProblemInstance(
     A=OSC_A, b=[0.1, -0.2], Qmat=np.eye(2), qvec=[0.3, 0.0],
@@ -950,7 +954,7 @@ class TestScanBlocks:
 
 
 class TestEnvelopeOnDemand:
-    """The envelope is built at the first rank value that can use it: nu_0 >= 0, or else k_pos."""
+    """The envelope is built at the first improvement, k_pos; Corollary 1 is tested only when k_pos = 0."""
 
     # nu_0 = 0 exactly, and every later value too: A^k x = 0.5^k (0, x_2) and Q reads only x_1
     ZERO_AT_RANK_ZERO = ProblemInstance(A=np.diag([0.5, 0.5]), b=np.zeros(2), Qmat=np.diag([1.0, 0.0]),
@@ -1002,13 +1006,20 @@ class TestEnvelopeOnDemand:
         # the last block formed before the build holds rank 88
         assert rep.k_pos in [e for e in events[:first] if e[0] == "block"][-1][1]
 
-    def test_a_zero_rank_zero_builds_and_tests_corollary_one(self, monkeypatch):
+    def test_a_zero_rank_zero_builds_none(self, monkeypatch):
         events = self.recorded_calls(monkeypatch)
         rep = solve(self.ZERO_AT_RANK_ZERO)
         assert (rep.status, rep.iterations) == (SolveStatus.FAILED, self.ZERO_AT_RANK_ZERO.N + 1)
-        # a rule that builds only for nu_0 > 0 would build nothing here
-        assert [e[0] for e in events if e[0] != "block"] == ["build", "corollary"]
-        assert events[0] == ("build",)
+        # nu_0 = 0 does not beat the incumbent 0, and a built envelope is positive, so Corollary 1
+        # could not hold: no rank improves, and nothing is built or tested
+        assert [e for e in events if e[0] != "block"] == []
+
+    def test_a_corollary_one_exit_forms_no_block(self, monkeypatch):
+        events = self.recorded_calls(monkeypatch)
+        rep = solve(COROLLARY_ONE_1D)
+        assert rep.status is SolveStatus.COROLLARY_ONE
+        # one build and one test at rank 0, then no block and no stopping rank
+        assert events == [("build",), ("corollary",)]
 
     @pytest.fixture
     def failing_envelope(self, monkeypatch):
@@ -1020,6 +1031,10 @@ class TestEnvelopeOnDemand:
     def test_a_scan_that_stays_negative_never_meets_the_assumption(self, failing_envelope):
         rep = solve(DECAYING_1D)
         assert (rep.status, rep.iterations) == (SolveStatus.FAILED, DECAYING_1D.N + 1)
+
+    def test_a_zero_rank_zero_never_meets_the_assumption(self, failing_envelope):
+        rep = solve(self.ZERO_AT_RANK_ZERO)
+        assert (rep.status, rep.iterations) == (SolveStatus.FAILED, self.ZERO_AT_RANK_ZERO.N + 1)
 
     @pytest.mark.parametrize("inst", [diagonal_instance(), OSC_VERTEX_LIST], ids=["rank-zero", "k-pos-88"])
     def test_a_built_envelope_raises_the_violated_assumption(self, failing_envelope, inst):
@@ -1244,18 +1259,38 @@ class TestDegenerateScreens:
 
 class TestCorollaryOneExit:
     def test_early_exit_when_rank_zero_attains_the_envelope(self):
-        # the rank-0 value can never exceed the envelope, only attain it; this
-        # instance attains it exactly in floating point (envelope (sqrt(4))^2)
-        inst = ProblemInstance(
-            A=[[0.5]], b=[0.0], Qmat=[[1.0]], qvec=[0.0], Xin=Box([0.0], [2.0])
-        )
-        rep = solve(inst)
+        rep = solve(COROLLARY_ONE_1D)
         assert rep.status is SolveStatus.COROLLARY_ONE
         assert rep.nu_opt == 4.0
         assert rep.k_opt == 0
         assert rep.k_pos == 0
         assert rep.iterations == 1
         assert rep.K_trace == []
+
+
+class TestTinyWorkingSets:
+    """Working sets whose coordinates are tiny: the envelope must stay positive, or be refused by name."""
+
+    QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def test_underflowed_mode_maxima_are_refused(self):
+        # every |(U^-1 x)_i|^2 underflows to 0, so M = 0; rank 1 turns x_1 negative and beats the
+        # incumbent with a positive value, whose stopping rank would divide by sqrt(L M) = 0
+        inst = ProblemInstance(A=0.9 * self.QUARTER_TURN, b=np.zeros(2), Qmat=np.eye(2), qvec=[-1.0, 0.0],
+                               Xin=Box([1e-170, -1e-170], [2e-170, 1e-170]))
+        with pytest.raises(AssumptionViolated, match="not positive"):
+            solve(inst)
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-8, 1e-15, 1e-17, 1e-20])
+    def test_the_envelope_does_not_cancel(self, s):
+        # sqrt(L M) ~ s against V = 1/2: (sqrt(L M) + V)^2 - V^2 rounds to 0 for s below about 1e-17,
+        # and nu_0 = s would pass Corollary 1, while rank 1 reaches 1.98 s
+        inst = ProblemInstance(A=0.99 * self.QUARTER_TURN.T, b=np.zeros(2), Qmat=np.eye(2), qvec=[1.0, 0.0],
+                               Xin=Box([0.0, s], [s, 2.0 * s]))
+        rep = solve(inst)
+        nu, k, _ = brute_force(inst, 200)
+        assert (rep.status, rep.nu_opt, rep.k_opt) == (SolveStatus.K_DIAG, nu, k)
+        assert k == 1
 
 
 class TestBruteForce:
