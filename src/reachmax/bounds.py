@@ -2,25 +2,25 @@
 
 For a convergent diagonalizable system the k-th optimal value nu_k obeys
 
-    nu_k <= (rho^k * sqrt(L * M) + V)^2 - V^2        for k > 0
+    nu_k <= L M t^2 + c t,    t = rho^k,    c = ||e|| sqrt(M),
 
-with L = |lambda_max(U* Q U)|, M any upper bound on the maximum of the
-Gram-inverse form x* (U U*)^-1 x = ||U^-1 x||^2 over the working initial
-set, and V = ||U* q||_2 / (2 sqrt(L)). Two consequences drive the solver:
-if nu_0 already reaches the k-independent envelope (sqrt(L*M) + V)^2 - V^2,
-it is the global supremum; and for any strictly positive value nu_j the rank
+with L = |lambda_max(U* Q U)|, e = U* q and M any upper bound on the
+maximum of ||U^-1 x||^2 over the working initial set: a rank-k state is U z
+with ||z||^2 <= t^2 M. This is the paper's (t sqrt(L M) + V)^2 - V^2, with
+V = ||e|| / (2 sqrt(L)), multiplied out, and it needs no division by L: for
+a linear objective, Q = 0, it bounds the support function of the reachable
+set in the direction q. If nu_0 already reaches the envelope L M + c, it is
+the global supremum; and for any positive value nu_j the rank
 
-    K(j) = floor( ln((sqrt(nu_j + V^2) - V) / sqrt(L*M)) / ln rho ) + 1
+    K(j) = floor( ln t* / ln rho ) + 1,    t* = 2 nu_j / (c + sqrt(c^2 + 4 L M nu_j)),
 
-guarantees nu_k <= nu_j for every k >= K(j), so the search can stop there.
-
-With a = sqrt(L*M), the envelope is computed as a (a + 2V), which equals
-(a + V)^2 - V^2 but does not cancel: for a << V eps the difference form
-rounds to 0, and Corollary 1 would then accept any nu_0 >= 0. A computed
-envelope that is still not positive, as when the squares |(U^-1 x)_i|^2
-underflow for a working set of coordinates below about 1e-162 and M = 0,
-is refused with AssumptionViolated: every K(j) would divide by a = 0. So a
-built envelope is always positive, and Corollary 1 holds only for nu_0 > 0.
+with t* the positive root of L M t^2 + c t = nu_j in a form that does not
+cancel, guarantees nu_k <= nu_j for every k >= K(j), so the search can stop
+there. Neither term of the envelope is negative, so it does not cancel
+either. An envelope that is still 0, as when the squares |(U^-1 x)_i|^2
+underflow for a working set of coordinates below about 1e-162 and M = 0, is
+refused with AssumptionViolated, as K(j) would have no root: a built
+envelope is always positive, and Corollary 1 holds only for nu_0 > 0.
 
 The envelope lets the dominant mode stand in for every mode. The rank bound
 keeps the modes apart. With y = U^-1 x, the rank-k state is A^k x = U z for
@@ -80,8 +80,6 @@ from .errors import AssumptionViolated, NonPositiveNu
 from .geometry import Box, VertexSet
 from .linalg import SpectralDecomposition
 
-# |lambda_max(U* Q U)| at or below this is treated as a violated curvature assumption.
-TOL_LMAX_ZERO = 1e-12
 # A rank counts as settled by its bound only when (1 + TOL_RANK_BOUND) P_k <= incumbent,
 # a margin for the rounding in U^-1, the mode maxima and the bound itself; by its box
 # bound only when beta + TOL_RANK_BOUND sigma <= incumbent (see `box_bound`).
@@ -97,8 +95,8 @@ class SpectralData:
 
     dec: SpectralDecomposition
     mu_gram: float  # M = sum_i m_i, an upper bound on the maximum of ||U^-1 x||^2 over the working set
-    lmax_abs: float
-    v_diag: float
+    lmax_abs: float  # L = |lambda_max(U* Q U)|
+    lin_norm: float  # ||e|| = ||U* q||_2
     envelope: float
     mode_max: np.ndarray  # m_i, the maximum of |(U^-1 x)_i|^2 over the vertices
     decay: np.ndarray  # |lambda_i|, the rate at which each radius shrinks
@@ -109,7 +107,7 @@ class SpectralData:
 def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet | Box) -> SpectralData:
     """Assemble the envelope data for symmetric float Qmat, float qvec and the working set's vertex set V or box.
 
-    Raises AssumptionViolated when L is numerically zero or the computed envelope is not positive.
+    Raises AssumptionViolated when the computed envelope is not positive.
     """
     Ustar = dec.U.conj().T
 
@@ -117,25 +115,21 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet | B
     # G is Hermitian up to rounding for a symmetric Q: averaging removes the rounding
     H = (G + G.conj().T) / 2.0
     lmax_abs = abs(float(np.linalg.eigvalsh(H)[-1]))
-    if lmax_abs <= TOL_LMAX_ZERO:
-        raise AssumptionViolated("largest eigenvalue of U* Q U is numerically zero")
     gram_abs = np.abs(G)
     gram_abs.flat[:: len(G) + 1] = H.real.diagonal()
 
     mu_gram, mode_max = _vertex_maxima(dec.U_inv, V)
     e = Ustar @ qvec
-    # ||e||, summed as np.linalg.norm sums a complex vector
-    v_diag = math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag)) / (2.0 * math.sqrt(lmax_abs))
-    # (a + V)^2 - V^2 rewritten as a (a + 2V), which does not cancel to 0 for a << V eps
-    a = math.sqrt(lmax_abs * mu_gram)
-    envelope = a * (a + 2.0 * v_diag)
+    # summed as np.linalg.norm sums a complex vector
+    lin_norm = math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag))
+    envelope = lmax_abs * mu_gram + lin_norm * math.sqrt(mu_gram)
     if not envelope > 0.0:
-        raise AssumptionViolated(f"decay envelope {envelope} is not positive: the squared mode maxima underflow")
+        raise AssumptionViolated(f"decay envelope {envelope} is not positive: L M and ||U* q|| sqrt(M) are both 0")
     return SpectralData(
         dec=dec,
         mu_gram=mu_gram,
         lmax_abs=lmax_abs,
-        v_diag=v_diag,
+        lin_norm=lin_norm,
         envelope=envelope,
         mode_max=mode_max,
         decay=np.abs(dec.D),
@@ -275,8 +269,9 @@ def k_diag(sd: SpectralData, nu_j: float) -> int:
     rho = sd.dec.rho
     if rho == 0.0:
         return 1
-    # sqrt(nu + V^2) - V rewritten to avoid cancellation for nu << V^2
-    shifted = nu_j / (math.sqrt(nu_j + sd.v_diag**2) + sd.v_diag)
-    arg = shifted / math.sqrt(sd.lmax_abs * sd.mu_gram)
+    # the positive root t* of L M t^2 + c t = nu_j; hypot keeps the squares under it from
+    # overflowing, or underflowing to a zero denominator
+    c = sd.lin_norm * math.sqrt(sd.mu_gram)
+    arg = 2.0 * nu_j / (c + math.hypot(c, 2.0 * math.sqrt(sd.lmax_abs * sd.mu_gram) * math.sqrt(nu_j)))
     arg = min(max(arg, 5e-324), 1.0)
     return int(math.floor(math.log(arg) / math.log(rho))) + 1

@@ -35,15 +35,15 @@ class ObjectiveClass(enum.Enum):
 def classify(Q: np.ndarray) -> ObjectiveClass:
     """Sign class of the quadratic part Q.
 
-    Convex needs all eigenvalues >= -TOL_PSD with a strictly positive largest
-    one (a zero matrix has no usable curvature); strictly concave needs all
-    eigenvalues <= -TOL_ND. Everything else - indefinite matrices, the zero
-    matrix, negative semidefinite matrices with a zero top eigenvalue - is
-    unsupported.
+    Convex needs every eigenvalue >= -TOL_PSD times the largest, or >= 0 when
+    none is positive, a test free of Q's scale that the zero Q of a linear
+    objective passes; strictly concave needs all eigenvalues <= -TOL_ND.
+    Everything else - indefinite matrices, negative semidefinite matrices
+    with a zero top eigenvalue - is unsupported.
     """
     evals = np.linalg.eigvalsh(Q)
     lmin, lmax = float(evals[0]), float(evals[-1])
-    if lmin >= -TOL_PSD and lmax > TOL_PSD:
+    if lmin >= -TOL_PSD * max(lmax, 0.0):
         return ObjectiveClass.CONVEX_PSD
     if lmax <= -TOL_ND:
         return ObjectiveClass.STRICTLY_CONCAVE_ND

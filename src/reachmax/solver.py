@@ -2,10 +2,11 @@
 
 The problem is to maximize x^T Q x + q^T x over every state reachable by
 x_{k+1} = A x_k + b from a polytope of initial conditions, for a convergent
-diagonalizable A and a convex or strictly concave quadratic. Affine systems
-are first turned linear by recentering at the fixed point b~ = (I - A)^-1 b;
-the recentred problem has linear coefficient 2 Q b~ + q, working set
-X^in - b~, and a constant offset added back only when reporting.
+diagonalizable A and a convex (linear included) or strictly concave
+quadratic. Affine systems are first turned linear by recentering at the
+fixed point b~ = (I - A)^-1 b; the recentred problem has linear coefficient
+2 Q b~ + q, working set X^in - b~, and a constant offset added back only
+when reporting.
 
 In reduced coordinates the per-rank optimal values nu_k tend to zero. One
 loop walks the ranks from 0, as the paper's algorithm does. Its incumbent
@@ -71,7 +72,7 @@ from .linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shif
 from .qpcore import ObjectiveClass, classify, maximize_concave_qp, maximize_convex_vertices
 
 DEFAULT_N = 100
-TOL_SYM = 1e-9  # largest asymmetry |Q - Q^T| of an accepted Q
+TOL_SYM = 1e-9  # largest asymmetry max|Q - Q^T| of an accepted Q, relative to max|Q|
 # Ranks per block of rank objectives after rank 0's block of one: the first such block,
 # and the most that any block holds, which bounds the loop's memory for any N.
 SCAN_BLOCK_MIN = 8
@@ -98,7 +99,7 @@ class ProblemInstance:
     """Problem data: dynamics (A, b), objective (Qmat, qvec), initial set, scan cap N.
 
     The arrays are kept as read-only copies, so the validated data cannot change.
-    Qmat must be symmetric within TOL_SYM and is kept as (Qmat + Qmat^T)/2.
+    Qmat must be symmetric within TOL_SYM max|Qmat| and is kept as (Qmat + Qmat^T)/2.
     """
 
     A: np.ndarray
@@ -125,9 +126,9 @@ class ProblemInstance:
         for arr in (self.A, self.b, self.Qmat, self.qvec):
             if not np.isfinite(arr).all():
                 raise ValueError("problem data must be finite")
-        asym = float(np.abs(self.Qmat - self.Qmat.T).max())
-        if asym > TOL_SYM:
-            raise ValueError(f"Q asymmetry {asym:.3e} exceeds {TOL_SYM:.1e}")
+        asym, scale = float(np.abs(self.Qmat - self.Qmat.T).max()), float(np.abs(self.Qmat).max())
+        if asym > TOL_SYM * scale:
+            raise ValueError(f"Q asymmetry {asym:.3e} exceeds {TOL_SYM:.1e} times max|Q| {scale:.3e}")
         self.Qmat = frozen_array((self.Qmat + self.Qmat.T) / 2.0)
         if not np.isfinite(self.Qmat).all():
             raise ValueError("problem data must be finite")
@@ -308,7 +309,9 @@ def solve(inst: ProblemInstance) -> SolveReport:
     klass = classify(red.Qmat)
     concave = klass is ObjectiveClass.STRICTLY_CONCAVE_ND
     if klass is ObjectiveClass.UNSUPPORTED:
-        raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
+        raise UnsupportedObjective("objective must be convex or strictly concave")
+    if not (red.qvec_reduced.any() or red.Qmat.any()):
+        raise UnsupportedObjective("objective must not be zero: Q = 0 and q = 0")
     if concave and not isinstance(red.Xwork, Box):
         raise UnsupportedObjective("a strictly concave objective needs a box initial set")
 

@@ -298,15 +298,18 @@ def rank_maxima(inst, kmax: int):
 
     Nothing is factorized, so A may be any matrix. What `solve` refuses is
     refused here first, with its messages: a non-finite reduced linear part or
-    rank objective, an objective neither convex nor strictly concave, and a
-    strictly concave one over a vertex list. A concave box builds no corners.
+    rank objective, an objective neither convex nor strictly concave, the zero
+    objective, and a strictly concave one over a vertex list. A concave box
+    builds no corners.
     """
     red = reduce_affine(inst)
     if not np.isfinite(red.qvec_reduced).all():
         raise ValueError("objective data must be finite")
     klass = classify(red.Qmat)
     if klass is ObjectiveClass.UNSUPPORTED:
-        raise UnsupportedObjective("objective must be convex or strictly concave with nonzero curvature")
+        raise UnsupportedObjective("objective must be convex or strictly concave")
+    if not (red.qvec_reduced.any() or red.Qmat.any()):
+        raise UnsupportedObjective("objective must not be zero: Q = 0 and q = 0")
     if klass is ObjectiveClass.STRICTLY_CONCAVE_ND and not isinstance(red.Xwork, Box):
         raise UnsupportedObjective("a strictly concave objective needs a box initial set")
     V = vertices(red.Xwork) if klass is ObjectiveClass.CONVEX_PSD else None

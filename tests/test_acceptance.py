@@ -97,7 +97,8 @@ def test_criterion_04_oscillator_nonhomogeneous():
         Q = np.array([[1.0, -0.5], [-0.5, 0.25]])
         q = np.array([-1.0, 0.5])
         sd = build_spectral_data(eig_decompose(OSC_A), Q, q, vertices(osc_box()))
-        assert sd.v_diag == 0.5
+        # the paper's correction V = ||U* q|| / (2 sqrt(L)); the envelope L M + ||U* q|| sqrt(M) needs no V
+        assert sd.lin_norm / (2.0 * np.sqrt(sd.lmax_abs)) == 0.5
         assert abs(sd.envelope - (7.0 + np.sqrt(7.0))) <= 1e-9
         rep = solve(osc_instance(Q, q))
         assert rep.status is SolveStatus.K_DIAG

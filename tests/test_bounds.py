@@ -53,7 +53,7 @@ class TestBuildSpectralData:
         sd = osc_spectral_data(np.eye(2), np.zeros(2))
         assert sd.lmax_abs == pytest.approx(3.0, abs=1e-9)
         assert sd.mu_gram == pytest.approx(2.0, abs=1e-9)
-        assert sd.v_diag == 0.0
+        assert sd.lin_norm == 0.0
         assert sd.envelope == pytest.approx(6.0, abs=1e-9)
 
     def test_oscillator_nonhomogeneous(self):
@@ -62,7 +62,10 @@ class TestBuildSpectralData:
         sd = osc_spectral_data(Q, q)
         assert np.linalg.norm(osc_eigvec_basis().conj().T @ q) == pytest.approx(np.sqrt(3.5), abs=1e-12)
         assert sd.lmax_abs == pytest.approx(3.5, abs=1e-9)
-        assert sd.v_diag == pytest.approx(0.5, abs=1e-12)
+        assert sd.mu_gram == pytest.approx(2.0, abs=1e-9)
+        assert sd.lin_norm == pytest.approx(np.sqrt(3.5), abs=1e-12)
+        # the paper's correction V = ||U* q|| / (2 sqrt(L)) is 1/2, and L M + ||U* q|| sqrt(M) = (sqrt(L M) + V)^2 - V^2
+        assert sd.lin_norm / (2.0 * np.sqrt(sd.lmax_abs)) == pytest.approx(0.5, abs=1e-12)
         assert sd.envelope == pytest.approx(7.0 + np.sqrt(7.0), abs=1e-9)
 
     def test_trivial_identity_basis(self):
@@ -70,7 +73,7 @@ class TestBuildSpectralData:
         sd = build_spectral_data(dec, np.eye(1), np.zeros(1), vertices(Box([-1.0], [1.0])))
         assert sd.lmax_abs == pytest.approx(1.0, abs=1e-12)
         assert sd.mu_gram == pytest.approx(1.0, abs=1e-12)
-        assert sd.v_diag == 0.0
+        assert sd.lin_norm == 0.0
         assert sd.envelope == pytest.approx(1.0, abs=1e-12)
 
     def test_lmax_dominates_every_rayleigh_quotient(self):
@@ -86,9 +89,13 @@ class TestBuildSpectralData:
             rq = np.real(np.einsum("ij,ij->j", X.conj(), G @ X)) / np.real(np.einsum("ij,ij->j", X.conj(), X))
             assert np.all(sd.lmax_abs - rq >= -1e-9 * (1.0 + np.max(np.abs(G))))
 
-    def test_zero_curvature_rejected(self):
+    def test_zero_curvature_builds_the_linear_envelope(self):
+        # L = 0: the envelope is ||U* q|| sqrt(M) alone, and the zero objective has none
         dec = eig_decompose(0.5 * np.eye(2))
-        with pytest.raises(AssumptionViolated):
+        sd = build_spectral_data(dec, np.zeros((2, 2)), np.array([3.0, -4.0]), vertices(osc_box()))
+        assert (sd.lmax_abs, sd.lin_norm) == (0.0, 5.0)
+        assert sd.envelope == 5.0 * np.sqrt(sd.mu_gram) > 0.0
+        with pytest.raises(AssumptionViolated, match="decay envelope 0.0 is not positive"):
             build_spectral_data(dec, np.zeros((2, 2)), np.zeros(2), vertices(osc_box()))
 
 
@@ -483,7 +490,7 @@ class TestCornerTableEnvelope:
             assert np.any(dec.D.imag != 0.0)
             assert got.mu_gram == pytest.approx(ref.mu_gram, rel=1e-12)
             np.testing.assert_allclose(got.mode_max, ref.mode_max, rtol=1e-12)
-            assert (got.lmax_abs, got.v_diag) == (ref.lmax_abs, ref.v_diag)
+            assert (got.lmax_abs, got.lin_norm) == (ref.lmax_abs, ref.lin_norm)
 
 
 class TestZonogonMaxima:

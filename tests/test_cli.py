@@ -183,7 +183,7 @@ class TestSolveCommand:
         assert main(["solve", path, "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "InvalidInstanceFile: Q asymmetry 5.000e-01 exceeds 1.0e-09\n"
+        assert captured.err == "InvalidInstanceFile: Q asymmetry 5.000e-01 exceeds 1.0e-09 times max|Q| 1.000e+00\n"
 
     def test_deeply_nested_json_is_an_invalid_instance_file(self, tmp_path, capsys):
         # json.loads recurses once per level: this depth raises RecursionError inside the parser

@@ -20,6 +20,7 @@ from reachmax.solver import reduce_affine
 from support import (
     answer_key,
     assert_zonogon_maxima_match,
+    brute_force,
     concave_box_max_kkt,
     nu_prefix,
     paper_loop,
@@ -67,8 +68,8 @@ def test_long_scans_report_the_prefix_optimum_bit_for_bit(
     up to 2 (and at most d - 1) coordinates collapsed to a point, or a list
     of 2 to 12 points, maybe resampled with repeats to 3 more rows: both
     small, so every rank value is the oracle's bit for bit. Q = M^T M is
-    singular PSD when M has d - 1 rows, and q scaled by 30 makes V much
-    larger than sqrt(L M).
+    singular PSD when M has d - 1 rows, and q scaled by 30 makes the
+    envelope's linear term ||U* q|| sqrt(M) much larger than its L M.
     """
     rng = np.random.default_rng(seed)
     lam = rng.uniform(-1.0, 1.0, size=d)
@@ -182,7 +183,7 @@ def test_rank_bound_holds_on_singular_and_linear_dominated_objectives(d, seed, r
 
     The objective is M^T M for a rank-deficient M, or -M^T M - 1e-3 I, so the
     curvature of U* Q U vanishes or is small in some modes; q scaled by 30
-    makes V much larger than sqrt(L M), so the linear terms dominate and the
+    makes ||U* q|| sqrt(M) much larger than L M, so the linear terms dominate and the
     concave modes' own terms peak inside their discs. Concave objectives take
     boxes; convex ones take boxes or lists of 2 to 12 points.
     """
@@ -209,3 +210,45 @@ def test_rank_bound_holds_on_singular_and_linear_dominated_objectives(d, seed, r
     bound = rank_bound(sd, np.arange(31))
     assert np.all((1.0 + TOL_RANK_BOUND) * bound >= nus)
     assert np.all(np.diff(bound) <= 0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.3, 0.97),
+    box=st.booleans(),
+    affine=st.booleans(),
+    N=st.integers(1, 200),
+)
+def test_linear_objectives_report_the_brute_force_maximum(d, seed, rho, box, affine, N):
+    """With Q = 0 the solve is the support function of the reachable set in direction q, and brute force agrees.
+
+    The envelope is ||U* q|| sqrt(M) rho^k alone. A reported maximum is
+    `brute_force`'s over every rank the report counts as settled, at least
+    0..N, in value and rank. A failed scan has no positive rank value up to
+    N: its values approach the offset only in the limit (ROADMAP item 1).
+    """
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-1.0, 1.0, size=d)
+    U = np.eye(d) + 0.5 * rng.uniform(-1.0, 1.0, size=(d, d))
+    if box:
+        lower = rng.uniform(-1.0, 0.5, size=d)
+        Xin = Box(lower, lower + rng.uniform(0.1, 2.0, size=d))
+    else:
+        Xin = VRep(rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 13)), d)))
+    inst = ProblemInstance(
+        A=U @ np.diag(rho * lam / np.max(np.abs(lam))) @ np.linalg.inv(U),
+        b=rng.uniform(-1.0, 1.0, size=d) if affine else np.zeros(d),
+        Qmat=np.zeros((d, d)),
+        qvec=rng.uniform(-1.0, 1.0, size=d),
+        Xin=Xin,
+        N=N,
+    )
+    rep = solve(inst)
+    if rep.status is SolveStatus.FAILED:
+        nus, _ = nu_prefix(inst, N)
+        assert rep.iterations == N + 1 and np.all(nus <= 0.0)
+        return
+    nu, k, _ = brute_force(inst, max(N, rep.iterations - 1))
+    assert (rep.nu_opt, rep.k_opt) == (nu, k)

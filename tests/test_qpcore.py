@@ -32,8 +32,9 @@ class TestClassify:
     def test_indefinite_unsupported(self):
         assert classify(np.diag([1.0, -1.0])) is ObjectiveClass.UNSUPPORTED
 
-    def test_zero_matrix_unsupported(self):
-        assert classify(np.zeros((2, 2))) is ObjectiveClass.UNSUPPORTED
+    def test_zero_matrix_is_convex(self):
+        # the quadratic part of a linear objective
+        assert classify(np.zeros((2, 2))) is ObjectiveClass.CONVEX_PSD
 
     def test_nsd_with_zero_top_eigenvalue_unsupported(self):
         assert classify(np.diag([0.0, -1.0])) is ObjectiveClass.UNSUPPORTED

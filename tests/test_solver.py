@@ -398,6 +398,22 @@ class TestSolveValidation:
             with pytest.raises(UnsupportedObjective, match="objective must be convex or strictly concave"):
                 run(inst)
 
+    def test_indefinite_objective_with_tiny_curvature_rejected(self):
+        # lmin = -5e-10 is above an absolute -1e-9, but 5 % of lmax: taken as convex, the vertex maximizer
+        # would report 9.5e-9 at (-1, -1), below f(1, 0) = 1e-8 at rank 0
+        inst = ProblemInstance(A=0.5 * np.eye(2), b=np.zeros(2), Qmat=np.diag([1e-8, -5e-10]), qvec=np.zeros(2),
+                               Xin=Box([-1.0, -1.0], [1.0, 1.0]), N=50)
+        for run in (solve, lambda inst: brute_force(inst, 3)):
+            with pytest.raises(UnsupportedObjective, match="objective must be convex or strictly concave"):
+                run(inst)
+
+    @pytest.mark.parametrize("b", [np.zeros(2), np.array([1.0, -0.5])], ids=["linear", "affine"])
+    def test_zero_objective_rejected(self, b):
+        inst = ProblemInstance(A=0.5 * np.eye(2), b=b, Qmat=np.zeros((2, 2)), qvec=np.zeros(2), Xin=osc_box())
+        for run in (solve, lambda inst: brute_force(inst, 3)):
+            with pytest.raises(UnsupportedObjective, match="objective must not be zero: Q = 0 and q = 0"):
+                run(inst)
+
     def test_concave_needs_box(self):
         inst = ProblemInstance(
             A=0.5 * np.eye(2),
@@ -423,8 +439,17 @@ class TestSolveValidation:
             ProblemInstance(A=np.ones((2, 3)), b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
 
     def test_asymmetric_Q_rejected_on_construction(self):
-        with pytest.raises(ValueError, match="Q asymmetry 5.000e-01 exceeds 1.0e-09"):
+        with pytest.raises(ValueError, match=r"Q asymmetry 5\.000e-01 exceeds 1\.0e-09 times max\|Q\| 1\.000e\+00"):
             ProblemInstance(A=OSC_A, b=np.zeros(2), Qmat=[[1.0, 0.5], [0.0, 1.0]], qvec=np.zeros(2), Xin=osc_box())
+
+    def test_asymmetry_is_measured_against_the_scale_of_Q(self):
+        # one ulp of skew at 1e8 is 1.49e-8 in absolute terms, and 1e-12 of skew at 1e-12 is all of it
+        Q = np.array([[3e8, 1e8], [np.nextafter(1e8, 2e8), 2e8]])
+        inst = ProblemInstance(A=OSC_A, b=np.zeros(2), Qmat=Q, qvec=np.zeros(2), Xin=osc_box())
+        assert inst.Qmat.tobytes() == ((Q + Q.T) / 2.0).tobytes()
+        with pytest.raises(ValueError, match=r"Q asymmetry 1\.000e-12 exceeds 1\.0e-09 times max\|Q\| 1\.000e-12"):
+            ProblemInstance(A=OSC_A, b=np.zeros(2), Qmat=1e-12 * np.array([[1.0, 1.0], [0.0, 1.0]]),
+                            qvec=np.zeros(2), Xin=osc_box())
 
     def test_Q_symmetrized_on_construction(self):
         Q = np.array([[1.0, 1e-10], [0.0, 1.0]])  # asymmetry 1e-10, within TOL_SYM
@@ -433,18 +458,19 @@ class TestSolveValidation:
         np.testing.assert_array_equal(inst.Qmat, inst.Qmat.T)
 
     def test_nearly_symmetric_Q_that_the_objective_accepts_is_solved(self):
-        # Q is symmetric within TOL_SYM, but U* Q U was checked for symmetry again, at 1e-9 (1 + max|U* Q U|):
-        # the eigenbasis U of A turns Q's skew part S/2 into entries up to ||S||_2 = 1.73e-9
-        S = 0.999e-9 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
+        # Q is symmetric within TOL_SYM max|Q| = 4e-9, but U* Q U was checked for symmetry again, at
+        # 1e-9 (1 + max|U* Q U|) = 5e-9: the eigenbasis U of A turns Q's skew part S/2 into entries up to
+        # ||S||_2 = 6.92e-9
+        S = 3.996e-9 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
         # the first two columns span the top singular plane of S, the last is its null vector
         U = np.column_stack([np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), np.array([1.0, -1.0, -2.0]) / np.sqrt(6.0),
                              np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)])
-        inst = ProblemInstance(A=U @ np.diag([0.5, 0.4, 0.3]) @ U.T, b=np.zeros(3), Qmat=1e-3 * np.eye(3) + S / 2.0,
+        inst = ProblemInstance(A=U @ np.diag([0.5, 0.4, 0.3]) @ U.T, b=np.zeros(3), Qmat=4.0 * np.eye(3) + S / 2.0,
                                qvec=np.zeros(3), Xin=Box(-np.ones(3), np.ones(3)))
         rep = solve(inst)
         val, k, _ = brute_force(inst, 40)
         assert (rep.nu_opt, rep.k_opt) == (val, k)
-        assert (val, k) == (pytest.approx(0.003, rel=1e-12), 0)
+        assert (val, k) == (pytest.approx(12.0, rel=1e-12), 0)
 
     def test_origin_only_linear_initial_set_rejected(self):
         with pytest.raises(ValueError):
@@ -1024,7 +1050,7 @@ class TestEnvelopeOnDemand:
     @pytest.fixture
     def failing_envelope(self, monkeypatch):
         def violated(*args):
-            raise AssumptionViolated("largest eigenvalue of U* Q U is numerically zero")
+            raise AssumptionViolated("decay envelope 0.0 is not positive")
 
         monkeypatch.setattr(solver_module, "build_spectral_data", violated)
 
@@ -1281,6 +1307,15 @@ class TestTinyWorkingSets:
         with pytest.raises(AssumptionViolated, match="not positive"):
             solve(inst)
 
+    @pytest.mark.parametrize("s", [1e-150, 1e-155, 1e-158])
+    def test_the_stopping_rank_of_a_subnormal_value(self, s):
+        # L M and nu_0 are about 8 s^2, so 4 L M nu_0 underflows to 0 and, with q = 0, the root t* would
+        # divide by 0 unless its square root is taken factor by factor
+        inst = ProblemInstance(A=0.9 * self.QUARTER_TURN, b=np.zeros(2), Qmat=np.eye(2), qvec=np.zeros(2),
+                               Xin=Box([s, s], [2.0 * s, 2.0 * s]))
+        rep = solve(inst)
+        assert (rep.nu_opt, rep.k_opt) == brute_force(inst, 200)[:2]
+
     @pytest.mark.parametrize("s", [1e-3, 1e-8, 1e-15, 1e-17, 1e-20])
     def test_the_envelope_does_not_cancel(self, s):
         # sqrt(L M) ~ s against V = 1/2: (sqrt(L M) + V)^2 - V^2 rounds to 0 for s below about 1e-17,
@@ -1291,6 +1326,47 @@ class TestTinyWorkingSets:
         nu, k, _ = brute_force(inst, 200)
         assert (rep.status, rep.nu_opt, rep.k_opt) == (SolveStatus.K_DIAG, nu, k)
         assert k == 1
+
+
+def scaled(inst: ProblemInstance, s: int, t: int) -> ProblemInstance:
+    """inst under x -> 2^s x and f -> 2^t f: Q 2^(t - 2s), q 2^(t - s), b and the initial set 2^s, all exact."""
+    X = inst.Xin
+    Xin = Box(np.ldexp(X.lower, s), np.ldexp(X.upper, s)) if isinstance(X, Box) else VRep(np.ldexp(X.points, s))
+    return ProblemInstance(A=inst.A, b=np.ldexp(inst.b, s), Qmat=np.ldexp(inst.Qmat, t - 2 * s),
+                           qvec=np.ldexp(inst.qvec, t - s), Xin=Xin, N=inst.N)
+
+
+class TestScaleInvariance:
+    """A convex solve does not depend on units: scaling x and f by powers of two scales the report exactly."""
+
+    SPECS = [
+        BenchSpec(dim=3, system_kind=SystemKind.AFFINE, objective_kind=ObjectiveKind.CXNH, instance_count=30,
+                  seed=1, N=20),
+        BenchSpec(dim=6, system_kind=SystemKind.AFFINE, objective_kind=ObjectiveKind.CXNH, set_kind="vertices",
+                  vertex_count=50, instance_count=30, seed=1, N=20),
+        BenchSpec(dim=4, system_kind=SystemKind.LINEAR, objective_kind=ObjectiveKind.CXH, instance_count=20,
+                  seed=2, N=100),
+    ]
+
+    # a Corollary-1 exit, a long vertex-list scan (k_pos = 88) and a linear objective, beside the random draws
+    FIXED = [COROLLARY_ONE_1D, OSC_VERTEX_LIST,
+             ProblemInstance(A=OSC_A, b=[0.1, -0.2], Qmat=np.zeros((2, 2)), qvec=[0.3, -1.0], Xin=osc_box())]
+
+    @pytest.mark.parametrize("s, t", [(0, -40), (40, 0), (0, -80), (-40, 40), (200, 0)])
+    def test_reports_scale_bit_for_bit(self, s, t):
+        statuses = set()
+        draws = (random_instance(spec, i) for spec in self.SPECS for i in range(spec.instance_count))
+        for inst in itertools.chain(self.FIXED, draws):
+            ref, rep = solve(inst), solve(scaled(inst, s, t))
+            statuses.add(ref.status)
+            assert (rep.status, rep.k_opt, rep.k_pos, rep.K_trace, rep.iterations) == (
+                ref.status, ref.k_opt, ref.k_pos, ref.K_trace, ref.iterations)
+            if ref.status is SolveStatus.FAILED:
+                assert (rep.nu_opt, rep.x_opt) == (None, None)
+                continue
+            assert rep.nu_opt == np.ldexp(ref.nu_opt, t)
+            assert rep.x_opt.tobytes() == np.ldexp(ref.x_opt, s).tobytes()
+        assert statuses == set(SolveStatus)
 
 
 class TestBruteForce:
