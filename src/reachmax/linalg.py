@@ -4,15 +4,14 @@ Everything downstream consumes the spectral factorization A = U diag(D) U^-1
 produced here: the convergence check on the spectral radius, the product
 U* Q U whose largest eigenvalue `bounds` takes, and U^-1, from which `bounds`
 takes the per-mode maxima m_i = max |(U^-1 x)_i|^2 and the envelope
-constant M = sum_i m_i. A solve has two conditioning limits.
-eig_decompose rejects cond(U) > 1/TOL_DIAG = 1e7. It inverts U first, and
-F = ||U||_F ||U^-1||_F, an upper bound on cond_2(U), accepts most matrices at
-a fraction of the cost of an SVD; only a product above half the limit pays
-for np.linalg.cond(U), which then decides as before, so the accepted
-matrices are the same. The affine reduction rejects cond(I - A) >
-SHIFT_COND_LIMIT = 1e12, and `shift_cond_bound` lets the eigenbasis settle
-that limit without an SVD too. Complex arithmetic is used throughout even
-when A has only real eigenvalues, so there is a single code path.
+constant M = sum_i m_i. A solve has two conditioning limits, cond(U) <=
+1/TOL_DIAG = 1e7 here and cond(I - A) <= SHIFT_COND_LIMIT = 1e12 in the
+affine reduction, and `condition_exceeds` decides both the same way: the
+product ||M||_F ||M^-1||_F of a matrix and its computed inverse, an upper
+bound on cond_2(M), accepts most matrices at a fraction of the cost of an
+SVD, and np.linalg.cond decides the rest, so the accepted matrices are
+those the SVD accepts. Complex arithmetic is used throughout even when A
+has only real eigenvalues, so there is a single code path.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ TOL_DIAG = 1e-7
 SHIFT_COND_LIMIT = 1e12
 # Strict-convergence margin: rho < 1 - TOL_RHO.
 TOL_RHO = 1e-12
-# Machine epsilon, for the rounding term of SpectralDecomposition.residual.
-EPS = float(np.finfo(float).eps)
 
 
 @dataclass(eq=False)
@@ -45,27 +42,38 @@ class SpectralDecomposition:
     Eigenvalues in D are sorted by decreasing modulus, ties broken by
     decreasing real part, then decreasing imaginary part, so that repeated
     runs produce identical output. rho is the spectral radius max |D_i|.
-    cond_bound is ||U||_F ||U_inv||_F, and residual bounds
-    ||A - U diag(D) U_inv||_2 + ||U U_inv - I||_2, rounding of the checks
-    included; a decomposition assembled by hand leaves both at inf, which
-    `shift_cond_bound` reads as no bound.
     """
 
     U: np.ndarray
     D: np.ndarray
     U_inv: np.ndarray
     rho: float
-    cond_bound: float = math.inf
-    residual: float = math.inf
+
+
+def condition_exceeds(M: np.ndarray, M_inv: np.ndarray | None, limit: float) -> float | None:
+    """None when cond_2(M) <= limit, as np.linalg.cond decides; otherwise that condition number.
+
+    M_inv is the computed inverse of M, or None when inversion failed.
+    ||M||_F ||M_inv||_F bounds cond_2(M) from above: LU inversion is backward
+    stable column by column (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 14), so M M_inv - I is of order d eps times the
+    product, and at half the limit that leaves a wide margin. Such a product
+    accepts M without an SVD. A larger product, an overflowing norm or a
+    missing inverse leaves the decision to np.linalg.cond(M).
+    """
+    # Python floats, so that a product past the float range is inf without a warning
+    if M_inv is not None and math.sqrt(float(np.vdot(M, M).real) * float(np.vdot(M_inv, M_inv).real)) <= limit / 2:
+        return None
+    cond = float(np.linalg.cond(M))
+    return None if cond <= limit else cond
 
 
 def eig_decompose(A) -> SpectralDecomposition:
     """Diagonalize a real square matrix.
 
     Raises NotDiagonalizable when the eigenvector matrix is singular, or
-    numerically singular (np.linalg.cond(U) above 1/TOL_DIAG, computed only
-    when ||U||_F ||U^-1||_F exceeds half that limit), or when the
-    factorization fails to reconstruct A within TOL_RECON * (1 + max|A|).
+    numerically singular (`condition_exceeds` with the limit 1/TOL_DIAG), or
+    when the factorization fails to reconstruct A within TOL_RECON * (1 + max|A|).
     Both checks come from one product [U diag(D); U] @ U^-1.
     """
     A = np.asarray(A, dtype=float)
@@ -80,15 +88,9 @@ def eig_decompose(A) -> SpectralDecomposition:
         U_inv = np.linalg.inv(U)
     except np.linalg.LinAlgError as exc:
         raise NotDiagonalizable("eigenvector matrix is singular") from exc
-    # ||U||_F ||U^-1||_F >= cond_2(U): a product at half the limit accepts U without an SVD,
-    # clear of the rounding in U^-1; above that, or once the norm overflows, the SVD decides
-    cond_bound = math.sqrt(np.vdot(U, U).real * np.vdot(U_inv, U_inv).real)
-    if not cond_bound <= 0.5 / TOL_DIAG:
-        cond = np.linalg.cond(U)
-        if not np.isfinite(cond) or cond > 1.0 / TOL_DIAG:
-            raise NotDiagonalizable(
-                f"eigenvector matrix has condition estimate {cond:.3e} (limit {1.0 / TOL_DIAG:.1e})"
-            )
+    cond = condition_exceeds(U, U_inv, 1.0 / TOL_DIAG)
+    if cond is not None:
+        raise NotDiagonalizable(f"eigenvector matrix has condition estimate {cond:.3e} (limit {1.0 / TOL_DIAG:.1e})")
 
     # rows 0..d-1: U diag(D) U^-1 - A; rows d..2d-1: U U^-1 - I
     R = np.concatenate((U * D, U)) @ U_inv
@@ -100,44 +102,9 @@ def eig_decompose(A) -> SpectralDecomposition:
     if ident_err > TOL_RECON:
         raise NotDiagonalizable(f"inverse check failed with error {ident_err:.3e}")
 
-    rho = float(modulus.max())
-    # rounding moves an entry of the product by about d eps (|U| |D| |U^-1|)_ij <= d eps rho F in
-    # the top rows and d eps F in the bottom ones; d times the largest entry bounds a 2-norm
-    residual = d * (recon_err + ident_err + 4.0 * (d + 2) * EPS * (1.0 + rho) * cond_bound)
-    return SpectralDecomposition(U=U, D=D, U_inv=U_inv, rho=rho, cond_bound=cond_bound, residual=residual)
+    return SpectralDecomposition(U=U, D=D, U_inv=U_inv, rho=float(modulus.max()))
 
 
 def spectral_radius_check(dec: SpectralDecomposition) -> bool:
     """True iff the system is strictly convergent: rho < 1 - TOL_RHO."""
     return dec.rho < 1.0 - TOL_RHO
-
-
-def shift_cond_bound(dec: SpectralDecomposition) -> float:
-    """An upper bound on cond_2(I - A) from the factorization of A, or inf when it gives none.
-
-    With F = cond_bound, r = residual, E = U U_inv - I and R = A - U D U_inv,
-
-        I - A = U diag(1 - D) U_inv - (E + R),   ||E + R||_2 <= r.
-
-    The first term has norm at most F max|1 - D_i| and, as ||E||_2 <= r < 1
-    gives sigma_min(U) sigma_min(U_inv) >= (1 - r)^2 / F, smallest singular
-    value at least min|1 - D_i| (1 - r)^2 / F. Weyl's inequalities then give
-
-        cond_2(I - A) <= F (F max|1 - D_i| + r) / (min|1 - D_i| (1 - r)^2 - F r)
-
-    while the denominator is positive. The residual term keeps the bound
-    valid when min|1 - D_i| is as small as the residuals that eig_decompose
-    lets through. What the bound leaves out is rounding of relative size
-    about d eps cond(I - A), about 2e-4 d at SHIFT_COND_LIMIT: in forming
-    I - A, in the SVD's own estimate and in the bound itself. So a bound at
-    most a quarter of the limit settles cond(I - A) <= limit as
-    np.linalg.cond would, with a wide margin.
-    """
-    r = dec.residual
-    if not r < 1.0:
-        return math.inf
-    gap = np.abs(1.0 - dec.D)
-    low = float(gap.min()) * (1.0 - r) * (1.0 - r) - dec.cond_bound * r
-    if not low > 0.0:
-        return math.inf
-    return dec.cond_bound * (dec.cond_bound * float(gap.max()) + r) / low

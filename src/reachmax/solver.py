@@ -68,7 +68,7 @@ import numpy as np
 from .bounds import TOL_RANK_BOUND, box_bound, build_spectral_data, corollary_one_holds, k_diag, rank_bound
 from .errors import NotConvergent, SingularShift, UnsupportedObjective
 from .geometry import Box, Polytope, VertexSet, form_values, frozen_array, translate, vertex_set
-from .linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shift_cond_bound, spectral_radius_check
+from .linalg import SHIFT_COND_LIMIT, condition_exceeds, eig_decompose, spectral_radius_check
 from .qpcore import ObjectiveClass, classify, maximize_concave_qp, maximize_convex_vertices
 
 DEFAULT_N = 100
@@ -187,13 +187,13 @@ def _is_origin_only(P: Polytope) -> bool:
     return not (P.lower.any() or P.upper.any())
 
 
-def reduce_affine(inst: ProblemInstance, dec: SpectralDecomposition | None = None) -> ReducedInstance:
+def reduce_affine(inst: ProblemInstance) -> ReducedInstance:
     """Recenter the system at its fixed point; the identity reduction when b = 0.
 
-    Raises SingularShift when cond(I - A) exceeds SHIFT_COND_LIMIT. With the
-    factorization of A at hand, `shift_cond_bound` settles most matrices
-    without an SVD; np.linalg.cond(I - A) decides the rest, so the refused
-    inputs are the same either way.
+    Raises SingularShift when cond(I - A) exceeds SHIFT_COND_LIMIT, as
+    `condition_exceeds` decides it from I - A and its inverse; the fixed
+    point itself comes from np.linalg.solve, whose residual is at rounding
+    level, which is what the reduction's accuracy rests on.
     """
     d = inst.dim
     if not inst.b.any():
@@ -206,10 +206,13 @@ def reduce_affine(inst: ProblemInstance, dec: SpectralDecomposition | None = Non
             b_tilde=np.zeros(d),
         )
     shift = np.eye(d) - inst.A
-    if dec is None or not shift_cond_bound(dec) <= SHIFT_COND_LIMIT / 4.0:
-        cond = np.linalg.cond(shift)
-        if not np.isfinite(cond) or cond > SHIFT_COND_LIMIT:
-            raise SingularShift(f"I - A has condition {cond:.3e}")
+    try:
+        shift_inv = np.linalg.inv(shift)
+    except np.linalg.LinAlgError:
+        shift_inv = None
+    cond = condition_exceeds(shift, shift_inv, SHIFT_COND_LIMIT)
+    if cond is not None:
+        raise SingularShift(f"I - A has condition {cond:.3e}")
     b_tilde = np.linalg.solve(shift, inst.b)
     return ReducedInstance(
         A=inst.A,
@@ -303,7 +306,7 @@ def solve(inst: ProblemInstance) -> SolveReport:
     if not spectral_radius_check(dec):
         raise NotConvergent(f"spectral radius {dec.rho} is not strictly below 1")
     # a solve takes a convex objective over any initial set, or a strictly concave one over a box
-    red = reduce_affine(inst, dec)
+    red = reduce_affine(inst)
     if not np.isfinite(red.qvec_reduced).all():
         raise ValueError("objective data must be finite")
     klass = classify(red.Qmat)

@@ -111,6 +111,26 @@ class TestRandomInstance:
         assert isinstance(inst.Xin, VRep)
         assert inst.Xin.points.shape == (17, 2)
 
+    def test_a_draw_with_spectral_radius_zero_is_redrawn(self, monkeypatch):
+        """A raw matrix whose eigenvalues are all 0 cannot be rescaled to a radius; the next draw is taken."""
+        spec = spec_of(system=SystemKind.AFFINE, dim=3, seed=5)
+        undisturbed = random_instance(spec, 0)
+        original = np.linalg.eigvals
+        calls = []
+
+        def nilpotent_first(M):
+            calls.append(M)
+            return np.zeros(len(M)) if len(calls) == 1 else original(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", nilpotent_first)
+        inst = random_instance(spec, 0)
+        assert len(calls) == 2
+        assert not np.array_equal(inst.A, undisturbed.A)
+        dec = eig_decompose(inst.A)
+        assert spectral_radius_check(dec)
+        assert 0.3 - 1e-9 <= dec.rho <= 0.97 + 1e-9
+        solve(inst)
+
     def test_generation_gives_up_after_repeated_rejections(self, monkeypatch):
         import reachmax.benchgen as bg
         from reachmax.errors import GenerationExhausted, NotDiagonalizable

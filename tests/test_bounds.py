@@ -475,6 +475,42 @@ class TestEnvelopeOracle:
                     assert np.all(np.abs(sd.mode_max - m) <= tol)
         assert min(conds) < 10.0 and max(conds) > 1e6
 
+    def test_curvature_and_radius_match_a_60_digit_evaluation(self):
+        """L = |lambda_max(U* Q U)| for the stored U and rho = max |lambda_i(A)|, against mpmath, for cond(U) up to 3e6.
+
+        np.linalg.eig is backward stable: its eigenvalues are those of A + E
+        with ||E||_2 of order d eps ||A||_2, and by Bauer-Fike each lies within
+        cond(U) ||E||_2 of an eigenvalue of A. So rho is checked to
+        4 d cond(U) eps ||A||_2. Forming G = U* Q U and taking its top
+        eigenvalue move L by a few d eps ||U||_2^2 ||Q||_2, checked as
+        4 d eps ||U||_2^2 ||Q||_2; for a PSD Q, L >= lambda_max(Q)
+        sigma_min(U)^2, so relative to L this is 4 d eps cond(U)^2.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        conds = []
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            for target in np.logspace(0.0, 6.5, 14):
+                d = int(rng.integers(2, 7))
+                A = conditioned_matrix(rng, d, target)
+                dec = eig_decompose(A)
+                cond = float(np.linalg.cond(dec.U))
+                conds.append(cond)
+                F = rng.normal(size=(d, d))
+                Q = F.T @ F
+                Q = (Q + Q.T) / 2.0
+                sd = build_spectral_data(dec, Q, np.zeros(d), vertices(Box(-np.ones(d), np.ones(d))))
+                with mpmath.workdps(60):
+                    U = mpmath.matrix(dec.U.tolist())
+                    lam = mpmath.eighe(U.H * mpmath.matrix(Q.tolist()) * U, eigvals_only=True)
+                    L = float(abs(max(mpmath.re(x) for x in lam)))
+                    rho = float(max(abs(x) for x in mpmath.eig(mpmath.matrix(A.tolist()), left=False, right=False)))
+                norm_u = np.linalg.norm(dec.U, 2)
+                assert abs(sd.lmax_abs - L) <= 4 * d * eps * norm_u**2 * np.linalg.norm(Q, 2)
+                assert abs(dec.rho - rho) <= 4 * d * cond * eps * np.linalg.norm(A, 2)
+        assert min(conds) < 10.0 and max(conds) > 1e6
+
 
 class TestCornerTableEnvelope:
     def test_mu_and_mode_maxima_match_the_row_path(self):

@@ -9,6 +9,7 @@ import pytest
 from reachmax.linalg import (
     TOL_DIAG,
     SpectralDecomposition,
+    condition_exceeds,
     eig_decompose,
     spectral_radius_check,
 )
@@ -118,19 +119,33 @@ class TestConditioningDecision:
         with pytest.raises(NotDiagonalizable, match=message):
             eig_decompose(np.diag([0.5, 0.0]))
 
-    def test_bounds_kept_on_the_decomposition(self):
+    def test_condition_exceeds_bounds_cond_then_asks_the_svd(self, monkeypatch):
+        """condition_exceeds accepts without an SVD where ||M||_F ||M^-1||_F >= cond_2(M) is at most half the limit.
+
+        Past that the SVD decides, and a refusal returns its value.
+        """
         rng = np.random.default_rng(3)
-        for _ in range(20):
+        matrices = []
+        for i in range(40):
             d = int(rng.integers(1, 7))
-            A = rng.uniform(-1.0, 1.0, size=(d, d))
-            dec = eig_decompose(A)
-            frobenius = np.linalg.norm(dec.U) * np.linalg.norm(dec.U_inv)
-            assert dec.cond_bound == pytest.approx(frobenius, rel=1e-12)
-            assert np.linalg.cond(dec.U) <= dec.cond_bound
-            residual = np.linalg.norm(A - (dec.U * dec.D) @ dec.U_inv, 2) + np.linalg.norm(
-                dec.U @ dec.U_inv - np.eye(d), 2
-            )
-            assert residual <= dec.residual < 1e-10
+            M = rng.uniform(-1.0, 1.0, size=(d, d))
+            if i % 2:
+                M = M + 1j * rng.uniform(-1.0, 1.0, size=(d, d))
+            frobenius = np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M))
+            # up to the rounding of either side: at d = 1 both are 1
+            assert np.linalg.cond(M) <= (1.0 + 1e-12) * frobenius <= 1e5
+            matrices.append(M)
+        original = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *args: pytest.fail("condition_exceeds computed cond(M)"))
+        for M in matrices:
+            assert condition_exceeds(M, np.linalg.inv(M), 2e5) is None
+        monkeypatch.setattr(np.linalg, "cond", original)
+        for M in matrices:
+            cond = np.linalg.cond(M)
+            assert condition_exceeds(M, np.linalg.inv(M), cond) is None
+            assert condition_exceeds(M, np.linalg.inv(M), cond / 1.5) == cond
+            assert condition_exceeds(M, None, cond / 1.5) == cond
+        assert condition_exceeds(np.ones((2, 2)), None, 1e12) == np.linalg.cond(np.ones((2, 2))) > 1e12
 
     def test_nilpotent_block_is_refused_without_overflow_warnings(self):
         # U^-1 has entries near 1e292, so ||U^-1||_F overflows: the SVD decides instead

@@ -14,7 +14,7 @@ from reachmax.qpcore import ObjectiveClass, maximize_convex_vertices
 from reachmax.bounds import TOL_RANK_BOUND, box_bound, rank_bound
 from reachmax.seqlab import FiniteC0Sequence
 from reachmax.solver import _RankEvaluator, reduce_affine
-from reachmax.linalg import SHIFT_COND_LIMIT, SpectralDecomposition, eig_decompose, shift_cond_bound
+from reachmax.linalg import SHIFT_COND_LIMIT, eig_decompose
 from reachmax.benchgen import BenchSpec, ObjectiveKind, SystemKind, random_instance
 from reachmax.errors import (
     AssumptionViolated,
@@ -113,12 +113,19 @@ class TestReduceAffine:
 
 
 def shift_near_singular(rng, d):
-    """A real d x d matrix S diag(D) S^-1 with one eigenvalue just below 1 and cond(S) up to 1e3."""
+    """A real d x d matrix A = S diag(D) S^-1 whose cond(I - A) lies within a few factors of 10 of SHIFT_COND_LIMIT.
+
+    cond(S) is drawn from 10 to 1e3, and one eigenvalue is 1 - g with the gap
+    g = cond(S) 10^-u, u uniform in (11, 12.3), since cond(I - A) grows about
+    like cond(S) / g; the others lie in [-0.5, 0.5]. g is at least 5e-12, so
+    A converges strictly.
+    """
     Q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
     Q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    S = Q1 @ np.diag(np.logspace(0.0, -rng.uniform(0.0, 3.0), d)) @ Q2
+    cond_s = 10.0 ** rng.uniform(1.0, 3.0)
+    S = Q1 @ np.diag(np.logspace(0.0, -np.log10(cond_s), d)) @ Q2
     eigenvalues = np.linspace(-0.5, 0.5, d)
-    eigenvalues[0] = 1.0 - 10.0 ** rng.uniform(-11.5, -7.0)
+    eigenvalues[0] = 1.0 - cond_s * 10.0 ** -rng.uniform(11.0, 12.3)
     return S @ np.diag(eigenvalues) @ np.linalg.inv(S)
 
 
@@ -134,19 +141,17 @@ class TestShiftConditioningDecision:
                 A=shift_near_singular(rng, d), b=np.ones(d), Qmat=np.eye(d), qvec=np.zeros(d),
                 Xin=Box(-np.ones(d), np.ones(d)),
             )
-            dec = eig_decompose(inst.A)
-            assert dec.rho < 1.0 - 1e-12
-            cond = np.linalg.cond(np.eye(d) - inst.A)
-            within = bool(cond <= SHIFT_COND_LIMIT)
+            assert eig_decompose(inst.A).rho < 1.0 - 1e-12
+            shift = np.eye(d) - inst.A
+            within = bool(np.linalg.cond(shift) <= SHIFT_COND_LIMIT)
             try:
-                reduce_affine(inst, dec)
+                reduce_affine(inst)
                 refused = False
             except SingularShift:
                 refused = True
             assert refused is not within
-            bound = shift_cond_bound(dec)
-            assert cond <= bound
-            sides[within, bool(bound <= SHIFT_COND_LIMIT / 4.0)] += 1
+            frobenius = np.linalg.norm(shift) * np.linalg.norm(np.linalg.inv(shift))
+            sides[within, bool(frobenius <= SHIFT_COND_LIMIT / 2.0)] += 1
         # accepted without the SVD, accepted by it, refused by it
         assert min(sides[True, True], sides[True, False], sides[False, False]) >= 10
 
@@ -167,18 +172,25 @@ class TestShiftConditioningDecision:
             assert np.any(inst.b)
             solve(inst)
 
-    def test_a_decomposition_without_bounds_leaves_the_decision_to_the_svd(self, monkeypatch):
-        inst = ProblemInstance(A=OSC_A, b=[0.05, 0.02], Qmat=np.eye(2), qvec=np.zeros(2), Xin=osc_box())
-        svd_calls = []
-        original = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda M: svd_calls.append(M) or original(M))
-        dec = eig_decompose(inst.A)
-        by_hand = SpectralDecomposition(U=dec.U, D=dec.D, U_inv=dec.U_inv, rho=dec.rho)
-        assert shift_cond_bound(by_hand) == np.inf
-        reduced = [reduce_affine(inst, dec), reduce_affine(inst, by_hand), reduce_affine(inst)]
-        assert len(svd_calls) == 2
-        for red in reduced[1:]:
-            np.testing.assert_array_equal(red.b_tilde, reduced[0].b_tilde)
+    def test_a_shift_that_lu_cannot_invert_is_refused_by_the_svd(self):
+        """An I - A whose LU meets an exactly zero pivot by rounding, although A converges strictly.
+
+        A is lower triangular, so its eigenvalues are its diagonal, 0.75,
+        1 - 2^-37 and -0.5. In I - A, elimination takes the row (1, 2^19, 1.5)
+        first; the second pivot 2^-37 - 2^18 rounds to -2^18, every other step
+        is exact, with or without fused multiply-adds, and the last pivot is 0.
+        So np.linalg.inv raises, and the SVD's condition number, near 1e22,
+        refuses the shift.
+        """
+        A = np.array([[0.75, 0.0, 0.0], [-0.5, 1.0 - 2.0**-37, 0.0], [-1.0, -(2.0**19), -0.5]])
+        inst = ProblemInstance(A=A, b=np.ones(3), Qmat=np.eye(3), qvec=np.zeros(3), Xin=Box(-np.ones(3), np.ones(3)))
+        shift = np.eye(3) - A
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(shift)
+        assert eig_decompose(A).rho < 1.0 - 1e-12
+        assert np.linalg.cond(shift) > SHIFT_COND_LIMIT
+        with pytest.raises(SingularShift):
+            solve(inst)
 
 
 class TestNuAt:
