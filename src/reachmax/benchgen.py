@@ -52,8 +52,7 @@ class BenchSpec:
     dim: int
     system_kind: SystemKind
     objective_kind: ObjectiveKind
-    set_kind: str = "box"  # "box" or "vertices"
-    vertex_count: int | None = None
+    vertex_count: int | None = None  # points of a random vertex list, or None for a random box
     instance_count: int = 100
     seed: int = 0
     N: int = DEFAULT_N
@@ -61,12 +60,10 @@ class BenchSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.set_kind not in ("box", "vertices"):
-            raise ValueError(f"unknown set kind {self.set_kind!r}")
-        if self.set_kind == "vertices":
+        if self.vertex_count is not None:
             if not self.objective_kind.convex:
                 raise ValueError("concave objectives require box initial sets")
-            if self.vertex_count is None or self.vertex_count < 1:
+            if self.vertex_count < 1:
                 raise ValueError("vertex sets need a positive vertex count")
         if self.instance_count < 1:
             raise ValueError("instance_count must be positive")
@@ -113,7 +110,7 @@ def random_instance(spec: BenchSpec, index: int) -> ProblemInstance:
     Q = M.T @ M if spec.objective_kind.convex else -(M.T @ M) - 1e-3 * np.eye(d)
     q = np.zeros(d) if spec.objective_kind.homogeneous else rng.uniform(-1.0, 1.0, size=d)
 
-    if spec.set_kind == "box":
+    if spec.vertex_count is None:
         center = rng.uniform(-1.0, 1.0, size=d)
         radius = rng.uniform(0.1, 1.0, size=d)
         xin: Box | VRep = Box(center - radius, center + radius)

@@ -107,7 +107,8 @@ class SpectralData:
 def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet | Box) -> SpectralData:
     """Assemble the envelope data for symmetric float Qmat, float qvec and the working set's vertex set V or box.
 
-    Raises AssumptionViolated when the computed envelope is not positive.
+    Raises AssumptionViolated when the computed envelope is 0, or NaN, as
+    when M overflows to inf and a zero factor multiplies it.
     """
     Ustar = dec.U.conj().T
 
@@ -123,8 +124,10 @@ def build_spectral_data(dec: SpectralDecomposition, Qmat, qvec, V: VertexSet | B
     # summed as np.linalg.norm sums a complex vector
     lin_norm = math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag))
     envelope = lmax_abs * mu_gram + lin_norm * math.sqrt(mu_gram)
-    if not envelope > 0.0:
+    if envelope == 0.0:
         raise AssumptionViolated(f"decay envelope {envelope} is not positive: L M and ||U* q|| sqrt(M) are both 0")
+    if math.isnan(envelope):
+        raise AssumptionViolated(f"decay envelope nan is not finite: L = {lmax_abs}, M = {mu_gram}, ||e|| = {lin_norm}")
     return SpectralData(
         dec=dec,
         mu_gram=mu_gram,

@@ -153,15 +153,14 @@ def cmd_solve(args) -> int:
     return EXIT_FAILED if report.status is SolveStatus.FAILED else EXIT_OK
 
 
-def _parse_set_flag(text: str) -> tuple[str, int | None]:
+def _parse_set_flag(text: str) -> int | None:
     if text == "box":
-        return "box", None
+        return None
     if text.startswith("vertices:"):
         try:
-            count = int(text.split(":", 1)[1])
+            return int(text.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"invalid vertex count in {text!r}")
-        return "vertices", count
     raise ValueError(f'--set must be "box" or "vertices:<count>", got {text!r}')
 
 
@@ -192,7 +191,7 @@ def aggregate_row(spec: BenchSpec, records: list[InstanceRecord]) -> dict[str, o
     return {
         "obj_type": spec.objective_kind.name,
         "dim": spec.dim,
-        "vertex_count": 2**spec.dim if spec.set_kind == "box" else spec.vertex_count,
+        "vertex_count": 2**spec.dim if spec.vertex_count is None else spec.vertex_count,
         "status_c_k_f": "/".join(
             str(statuses.count(s)) for s in (SolveStatus.COROLLARY_ONE, SolveStatus.K_DIAG, SolveStatus.FAILED)
         ),
@@ -210,13 +209,11 @@ def aggregate_row(spec: BenchSpec, records: list[InstanceRecord]) -> dict[str, o
 
 def cmd_bench(args) -> int:
     try:
-        set_kind, count = _parse_set_flag(args.set)
         spec = BenchSpec(
             dim=args.dim,
             system_kind=SystemKind(args.kind),
             objective_kind=ObjectiveKind(args.objective),
-            set_kind=set_kind,
-            vertex_count=count,
+            vertex_count=_parse_set_flag(args.set),
             instance_count=args.count,
             seed=args.seed,
             N=args.n,
@@ -283,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a JSON instance file")
     p_solve.add_argument("path")
-    group = p_solve.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="machine-readable single-line output")
-    group.add_argument("--pretty", action="store_true", help="human-readable output (default)")
+    p_solve.add_argument("--json", action="store_true", help="machine-readable single-line output")
     p_solve.add_argument("--n", type=int, default=None, help="override the positivity-search cap")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -24,12 +24,13 @@ class QPNotConverged(ReachmaxError):
 class AssumptionViolated(ReachmaxError):
     """A solvability precondition on the problem data does not hold.
 
-    The decay envelope raises it when the computed envelope is not positive,
-    as when the squared mode maxima of a working set of coordinates below
-    about 1e-162 underflow to 0. `solve` refuses the zero objective, whose
-    envelope is 0, up front, and builds the envelope only at k_pos, the first
-    rank with a positive value, so it raises there: a solve whose values
-    never exceed 0 ends Failed instead of raising.
+    The decay envelope raises it when the computed envelope is 0, as when the
+    squared mode maxima of a working set of coordinates below about 1e-162
+    underflow to 0, or NaN, as when their sum M overflows. `solve` refuses
+    the zero objective, whose envelope is 0, up front, and builds the
+    envelope only at k_pos, the first rank with a positive value, so it
+    raises there: a solve whose values never exceed 0 ends Failed instead of
+    raising.
     """
 
 

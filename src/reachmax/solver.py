@@ -60,6 +60,7 @@ one block later than a bound asked at every rank would.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -158,8 +159,14 @@ class ReducedInstance:
     b_tilde: np.ndarray
 
     def original(self, nu: float, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """A value and a point of the reduced problem in original coordinates: (nu + offset, y + b_tilde)."""
-        return nu + self.offset, y + self.b_tilde
+        """A value and a point of the reduced problem in original coordinates: (nu + offset, y + b_tilde).
+
+        Raises ValueError when nu + offset is not finite.
+        """
+        value = nu + self.offset
+        if not math.isfinite(value):
+            raise ValueError(f"optimal value {nu!r} + offset {self.offset!r} is not finite")
+        return value, y + self.b_tilde
 
 
 @dataclass(eq=False)
@@ -231,8 +238,8 @@ class _RankEvaluator:
     current power A^k; `objectives` forms the next ranks a block at a time and
     ranks only move forward, one product A @ A^k per rank, so a run over ranks
     0..K costs K products and identical inputs give bit-identical value
-    sequences. verts is the caller's `vertex_set(red.Xwork)` for a convex
-    objective, whose maximizer takes it, and is not kept for a concave one.
+    sequences. verts, the caller's `vertex_set(red.Xwork)` for a convex
+    objective or the working box itself for a concave one, picks the maximizer.
 
     It also picks how `block` settles a block of ranks. exact_ranks is the
     most ranks of a block that one stacked pass evaluates whole: for a
@@ -242,14 +249,14 @@ class _RankEvaluator:
     coordinate range `lower`/`upper`.
     """
 
-    def __init__(self, red: ReducedInstance, klass: ObjectiveClass, verts: VertexSet | Box):
+    def __init__(self, red: ReducedInstance, verts: VertexSet | Box):
         self.red = red
         self.k = 0
         self.power = np.eye(red.A.shape[0])
-        self._verts = verts if klass is ObjectiveClass.CONVEX_PSD else None
+        self._verts = verts
         self.exact_ranks = 0
-        if isinstance(self._verts, np.ndarray):
-            self.exact_ranks = min(SCAN_BLOCK_MIN, EXACT_BLOCK_MAX_ROWS // len(self._verts))
+        if isinstance(verts, np.ndarray):
+            self.exact_ranks = min(SCAN_BLOCK_MIN, EXACT_BLOCK_MAX_ROWS // len(verts))
 
     def objectives(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The objectives y -> f(A^j y) of the next n ranks, j = k+1..k+n, as (n, d, d) and (n, d) stacks.
@@ -295,9 +302,9 @@ class _RankEvaluator:
 
     def maximize(self, form: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
         """The maximum of a rank objective (Q, q) over the working set, and a maximizing point."""
-        if self._verts is not None:
-            return maximize_convex_vertices(form, self._verts)
-        return maximize_concave_qp(form, self.red.Xwork)
+        if isinstance(self._verts, Box):
+            return maximize_concave_qp(form, self._verts)
+        return maximize_convex_vertices(form, self._verts)
 
 
 def solve(inst: ProblemInstance) -> SolveReport:
@@ -327,13 +334,15 @@ def solve(inst: ProblemInstance) -> SolveReport:
             return SolveReport(
                 SolveStatus.FAILED, nu_opt=None, x_opt=None, k_opt=None, k_pos=None, iterations=inst.N + 1
             )
-        # b_tilde itself, not original(0.0, zeros): 0.0 + (-0.0) is +0.0, which would flip a sign bit of x_opt
-        return SolveReport(SolveStatus.K_DIAG, red.offset, red.b_tilde.copy(), k_opt=0, k_pos=None, iterations=0)
+        # original refuses an offset that is not finite; the point is b_tilde itself, not its
+        # 0 + b_tilde: 0.0 + (-0.0) is +0.0, which would flip a sign bit of x_opt
+        nu_opt, _ = red.original(0.0, red.b_tilde)
+        return SolveReport(SolveStatus.K_DIAG, nu_opt, red.b_tilde.copy(), k_opt=0, k_pos=None, iterations=0)
 
     # one vertex set per convex solve, for every per-rank maximization and the envelope's m_i; a
     # concave solve's box gives the m_i from its bounds, so it meets no corner cap
     verts = red.Xwork if concave else vertex_set(red.Xwork)
-    ev = _RankEvaluator(red, klass, verts)
+    ev = _RankEvaluator(red, verts)
 
     # the incumbent starts at 0 and the stopping rank at the scan cap N; every strict improvement
     # sets K = K(nu_k) and appends (rank, K) to K_trace, so its first rank is k_pos and its last k_opt.
@@ -363,6 +372,8 @@ def solve(inst: ProblemInstance) -> SolveReport:
             if screen[i] <= nu_opt:
                 continue
             nu_k, y_k = evaluate(i)
+            if not math.isfinite(nu_k):
+                raise ValueError(f"rank {k + i + 1} has the maximum {nu_k}, which is not finite")
             if nu_opt < nu_k:
                 if sd is None:
                     sd = build_spectral_data(dec, red.Qmat, red.qvec_reduced, verts)

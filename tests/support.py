@@ -297,10 +297,10 @@ def rank_maxima(inst, kmax: int):
     from these in their last bits.
 
     Nothing is factorized, so A may be any matrix. What `solve` refuses is
-    refused here first, with its messages: a non-finite reduced linear part or
-    rank objective, an objective neither convex nor strictly concave, the zero
-    objective, and a strictly concave one over a vertex list. A concave box
-    builds no corners.
+    refused here first, with its messages: a non-finite reduced linear part,
+    rank objective or rank maximum, an objective neither convex nor strictly
+    concave, the zero objective, and a strictly concave one over a vertex
+    list. A concave box builds no corners.
     """
     red = reduce_affine(inst)
     if not np.isfinite(red.qvec_reduced).all():
@@ -315,10 +315,13 @@ def rank_maxima(inst, kmax: int):
     V = vertices(red.Xwork) if klass is ObjectiveClass.CONVEX_PSD else None
 
     def maxima():
-        for f in rank_objectives(inst, kmax):
+        for k, f in enumerate(rank_objectives(inst, kmax)):
             if not all(np.isfinite(a).all() for a in f):
                 raise ValueError("objective data must be finite")
-            yield maximize_convex_vertices(f, V) if V is not None else maximize_concave_qp(f, red.Xwork)
+            nu, y = maximize_convex_vertices(f, V) if V is not None else maximize_concave_qp(f, red.Xwork)
+            if not np.isfinite(nu):
+                raise ValueError(f"rank {k} has the maximum {nu}, which is not finite")
+            yield nu, y
 
     return red, maxima()
 
@@ -397,7 +400,7 @@ def rank_evaluator(f, A) -> _RankEvaluator:
     d = len(q)
     inst = ProblemInstance(A=A, b=np.zeros(d), Qmat=Q, qvec=q, Xin=Box(-np.ones(d), np.ones(d)))
     red = reduce_affine(inst)
-    return _RankEvaluator(red, ObjectiveClass.CONVEX_PSD, vertex_set(red.Xwork))
+    return _RankEvaluator(red, vertex_set(red.Xwork))
 
 
 def stepped_objective(ev: _RankEvaluator, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -144,11 +144,9 @@ def _mixed_specs(seed: int) -> list[BenchSpec]:
     specs = []
     for dim in (2, 3, 4, 5):
         for system in (SystemKind.LINEAR, SystemKind.AFFINE):
-            specs.append(BenchSpec(dim, system, ObjectiveKind.CXH, "box", None, 1, seed + dim, 100))
-            specs.append(
-                BenchSpec(dim, system, ObjectiveKind.CXNH, "vertices", 10, 1, seed + 10 + dim, 100)
-            )
-            specs.append(BenchSpec(dim, system, ObjectiveKind.CANH, "box", None, 1, seed + 20 + dim, 100))
+            specs.append(BenchSpec(dim, system, ObjectiveKind.CXH, None, 1, seed + dim, 100))
+            specs.append(BenchSpec(dim, system, ObjectiveKind.CXNH, 10, 1, seed + 10 + dim, 100))
+            specs.append(BenchSpec(dim, system, ObjectiveKind.CANH, None, 1, seed + 20 + dim, 100))
     return specs
 
 
@@ -190,7 +188,6 @@ def test_criterion_09_benchmark_shape():
             dim=2,
             system_kind=SystemKind.LINEAR,
             objective_kind=ObjectiveKind.CXH,
-            set_kind="box",
             vertex_count=None,
             instance_count=100,
             seed=20260809,
@@ -204,12 +201,12 @@ def test_criterion_09_benchmark_shape():
 def test_criterion_10_affine_consistency():
     with criterion(10, "50 affine instances match direct trajectory simulation"):
         specs = [
-            BenchSpec(dim, SystemKind.AFFINE, obj, set_kind, count, 1, 1000 + dim, 100)
+            BenchSpec(dim, SystemKind.AFFINE, obj, count, 1, 1000 + dim, 100)
             for dim in (2, 3, 4)
-            for obj, set_kind, count in (
-                (ObjectiveKind.CXH, "box", None),
-                (ObjectiveKind.CXNH, "box", None),
-                (ObjectiveKind.CXNH, "vertices", 8),
+            for obj, count in (
+                (ObjectiveKind.CXH, None),
+                (ObjectiveKind.CXNH, None),
+                (ObjectiveKind.CXNH, 8),
             )
         ]
         checked = 0

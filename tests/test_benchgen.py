@@ -21,13 +21,11 @@ from reachmax.cli import aggregate_row
 from support import answer_key
 
 
-def spec_of(objective=ObjectiveKind.CXH, system=SystemKind.LINEAR, dim=2, set_kind="box",
-            count=None, instances=10, seed=7, N=100):
+def spec_of(objective=ObjectiveKind.CXH, system=SystemKind.LINEAR, dim=2, count=None, instances=10, seed=7, N=100):
     return BenchSpec(
         dim=dim,
         system_kind=system,
         objective_kind=objective,
-        set_kind=set_kind,
         vertex_count=count,
         instance_count=instances,
         seed=seed,
@@ -38,16 +36,15 @@ def spec_of(objective=ObjectiveKind.CXH, system=SystemKind.LINEAR, dim=2, set_ki
 class TestBenchSpec:
     def test_concave_requires_box(self):
         with pytest.raises(ValueError):
-            spec_of(objective=ObjectiveKind.CAH, set_kind="vertices", count=8)
+            spec_of(objective=ObjectiveKind.CAH, count=8)
 
     @pytest.mark.parametrize(
         "change, message",
         [
             ({"dim": 0}, "dim must be positive"),
-            ({"set_kind": "cube"}, "unknown set kind 'cube'"),
-            ({"objective": ObjectiveKind.CANH, "set_kind": "vertices", "count": 8},
-             "concave objectives require box initial sets"),
-            ({"set_kind": "vertices", "count": 0}, "vertex sets need a positive vertex count"),
+            ({"count": -3}, "vertex sets need a positive vertex count"),
+            ({"objective": ObjectiveKind.CANH, "count": 8}, "concave objectives require box initial sets"),
+            ({"count": 0}, "vertex sets need a positive vertex count"),
             ({"instances": 0}, "instance_count must be positive"),
             ({"N": 0}, "N must be positive"),
         ],
@@ -55,10 +52,6 @@ class TestBenchSpec:
     def test_refusals(self, change, message):
         with pytest.raises(ValueError, match=message):
             spec_of(**change)
-
-    def test_vertices_need_count(self):
-        with pytest.raises(ValueError):
-            spec_of(set_kind="vertices", count=None)
 
 
 class TestRandomInstance:
@@ -107,7 +100,7 @@ class TestRandomInstance:
 
     def test_set_kinds(self):
         assert isinstance(random_instance(spec_of(), 0).Xin, Box)
-        inst = random_instance(spec_of(set_kind="vertices", count=17), 0)
+        inst = random_instance(spec_of(count=17), 0)
         assert isinstance(inst.Xin, VRep)
         assert inst.Xin.points.shape == (17, 2)
 

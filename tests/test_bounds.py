@@ -1,6 +1,7 @@
 """Envelope data, early-exit test, the stopping rank, and the per-mode rank bound."""
 
 import collections
+import functools
 
 import numpy as np
 import pytest
@@ -206,14 +207,14 @@ def mixed_instances():
 
     Fewer concave instances: each of their ranks is an interior-point QP.
     """
-    for kind, set_kind, count, per_spec in (
-        (ObjectiveKind.CXH, "box", None, 3),
-        (ObjectiveKind.CXNH, "vertices", 8, 3),
-        (ObjectiveKind.CANH, "box", None, 1),
+    for kind, count, per_spec in (
+        (ObjectiveKind.CXH, None, 3),
+        (ObjectiveKind.CXNH, 8, 3),
+        (ObjectiveKind.CANH, None, 1),
     ):
         for system in SystemKind:
             for dim in (1, 2, 3, 4):
-                spec = BenchSpec(dim, system, kind, set_kind, count, 1, 90 + dim, 100)
+                spec = BenchSpec(dim, system, kind, count, 1, 90 + dim, 100)
                 for index in range(per_spec):
                     yield random_instance(spec, index)
 
@@ -392,14 +393,13 @@ class TestBoxBound:
     def test_stacked_rank_objectives_agree_with_one_matrix_at_a_time(self):
         eps = np.finfo(float).eps
         stacks = 0
-        for kind, set_kind, dim in (
-            (ObjectiveKind.CXNH, "box", 3),
-            (ObjectiveKind.CXH, "vertices", 5),
-            (ObjectiveKind.CANH, "box", 4),
-            (ObjectiveKind.CXNH, "box", 6),
+        for kind, count, dim in (
+            (ObjectiveKind.CXNH, None, 3),
+            (ObjectiveKind.CXH, 12, 5),
+            (ObjectiveKind.CANH, None, 4),
+            (ObjectiveKind.CXNH, None, 6),
         ):
-            count = 12 if set_kind == "vertices" else None
-            spec = BenchSpec(dim, SystemKind.AFFINE, kind, set_kind, count, 1, 900 + dim, 100)
+            spec = BenchSpec(dim, SystemKind.AFFINE, kind, count, 1, 900 + dim, 100)
             for index in range(3):
                 inst = random_instance(spec, index)
                 objectives = list(rank_objectives(inst, 40))
@@ -510,6 +510,76 @@ class TestEnvelopeOracle:
                 assert abs(sd.lmax_abs - L) <= 4 * d * eps * norm_u**2 * np.linalg.norm(Q, 2)
                 assert abs(dec.rho - rho) <= 4 * d * cond * eps * np.linalg.norm(A, 2)
         assert min(conds) < 10.0 and max(conds) > 1e6
+
+
+def mp_rank_bounds(A, Q, q, X, ranks):
+    """P_k at each rank in 60 digits, from mpmath.eig's own eigenbasis of A, over the rows x of X.
+
+    P_k does not depend on how the eigenvectors are scaled: scaling column i
+    of U by s_i scales (U^-1 x)_i by 1/s_i, G_ij by conj(s_i) s_j and e_i by
+    conj(s_i), and leaves every term of P_k as it was.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        lam, U = mpmath.eig(mpmath.matrix(A.tolist()))
+        d = len(lam)
+        Y = U**-1 * mpmath.matrix(X.T.tolist())
+        m = [max(abs(Y[i, j]) ** 2 for j in range(X.shape[0])) for i in range(d)]
+        G = U.H * mpmath.matrix(Q.tolist()) * U
+        e = U.H * mpmath.matrix(q.tolist())
+        bounds = []
+        for k in ranks:
+            a = [abs(lam[i]) ** k * mpmath.sqrt(m[i]) for i in range(d)]
+            P = sum(abs(G[i, j]) * a[i] * a[j] for i in range(d) for j in range(d) if i != j)
+            for i in range(d):
+                g, c = mpmath.re(G[i, i]), abs(e[i])
+                t = a[i] if g >= 0 else min(a[i], c / (-2 * g))
+                P += g * t * t + c * t
+            bounds.append(float(P))
+        return bounds
+
+
+@functools.cache
+def rank_bound_draws():
+    """(cond(U), float P_k, 60-digit P_k) for 42 draws at the ranks 0, 1, 3 and 10.
+
+    cond(U) runs from 1 to about 3e6 and d from 2 to 6; Q alternates
+    between convex and strictly concave, q is random, and the working set
+    is a random box.
+    """
+    draws = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for n, target in enumerate(np.logspace(0.0, 6.5, 14)):
+            d = int(rng.integers(2, 7))
+            A = conditioned_matrix(rng, d, target)
+            dec = eig_decompose(A)
+            F = rng.normal(size=(d, d))
+            Q = F.T @ F if n % 2 == 0 else -(F.T @ F) - 1e-3 * np.eye(d)
+            q = rng.normal(size=d)
+            lower = rng.uniform(-2.0, 1.0, size=d)
+            X = vertices(Box(lower, lower + rng.uniform(0.1, 3.0, size=d)))
+            sd = build_spectral_data(dec, Q, q, X)
+            cond = float(np.linalg.cond(dec.U))
+            ranks = (0, 1, 3, 10)
+            draws.extend((cond, float(rank_bound(sd, k)), P) for k, P in zip(ranks, mp_rank_bounds(A, Q, q, X, ranks)))
+    return draws
+
+
+class TestRankBoundOracle:
+    @pytest.mark.parametrize(
+        "conditioned",
+        [
+            pytest.param(False, id="cond-below-1e3"),
+            pytest.param(True, id="cond-from-1e3", marks=pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 13: past cond(U) 1e3 the rounding of P_k outgrows TOL_RANK_BOUND")),
+        ],
+    )
+    def test_the_margin_covers_a_60_digit_evaluation(self, conditioned):
+        """(1 + TOL_RANK_BOUND) P_k, the value the solver compares with its incumbent, is at least the exact P_k."""
+        pairs = [(P, ref) for cond, P, ref in rank_bound_draws() if (cond >= 1e3) == conditioned]
+        assert len(pairs) >= 80
+        assert [(P, ref) for P, ref in pairs if (1.0 + TOL_RANK_BOUND) * P < ref] == []
 
 
 class TestCornerTableEnvelope:

@@ -122,8 +122,17 @@ class TestSolveCommand:
     def test_pretty_output_default(self, tmp_path, capsys):
         path = write_json(tmp_path / "osc.json", oscillator_doc())
         assert main(["solve", path]) == 0
-        out = capsys.readouterr().out
-        assert "status" in out and "KDiag" in out
+        assert capsys.readouterr().out == (
+            "status      KDiag\nnu_opt      2.0\nk_opt       0\nx_opt       [-1.0, -1.0]\nk_pos       0\n"
+            "K_trace     [(0, 111)]\niterations  112\n"
+        )
+
+    def test_no_flag_names_the_default_output(self, tmp_path, capsys):
+        path = write_json(tmp_path / "osc.json", oscillator_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--pretty"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pretty" in capsys.readouterr().err
 
     def test_vertices_initial_set(self, tmp_path, capsys):
         doc = oscillator_doc()
@@ -441,7 +450,7 @@ class TestBenchCommand:
         [
             # the boxes that hold 0 end in the degenerate KDiag, the others Failed: neither has a K_trace
             BenchSpec(2, SystemKind.LINEAR, ObjectiveKind.CAH, instance_count=10, seed=6),
-            BenchSpec(2, SystemKind.AFFINE, ObjectiveKind.CXNH, "vertices", 5, instance_count=8, seed=3),
+            BenchSpec(2, SystemKind.AFFINE, ObjectiveKind.CXNH, 5, instance_count=8, seed=3),
             # a 23-cube has 2^23 corners, above the vertex cap: every solve is refused
             BenchSpec(23, SystemKind.LINEAR, ObjectiveKind.CXH, instance_count=2),
         ],
@@ -449,7 +458,7 @@ class TestBenchCommand:
     )
     def test_aggregate_row_matches_direct_solves(self, tmp_path, capsys, spec):
         out = tmp_path / "agg.csv"
-        set_flag = "box" if spec.set_kind == "box" else f"vertices:{spec.vertex_count}"
+        set_flag = "box" if spec.vertex_count is None else f"vertices:{spec.vertex_count}"
         assert main([
             "bench", "--dim", str(spec.dim), "--kind", spec.system_kind.value,
             "--objective", spec.objective_kind.value, "--set", set_flag,
@@ -480,7 +489,7 @@ class TestBenchCommand:
         assert {k: v for k, v in agg.items() if k not in ("avg_time_s", "avg_mem_mib")} == {
             "obj_type": spec.objective_kind.name,
             "dim": str(spec.dim),
-            "vertex_count": str(2**spec.dim if spec.set_kind == "box" else spec.vertex_count),
+            "vertex_count": str(2**spec.dim if spec.vertex_count is None else spec.vertex_count),
             "status_c_k_f": "/".join(
                 str(statuses.count(s)) for s in (SolveStatus.COROLLARY_ONE, SolveStatus.K_DIAG, SolveStatus.FAILED)
             ),

@@ -10,7 +10,7 @@ import pytest
 import reachmax
 from reachmax import Box, ProblemInstance, SolveStatus, VRep, geometry, seqlab, solve
 from reachmax import solver as solver_module
-from reachmax.qpcore import ObjectiveClass, maximize_convex_vertices
+from reachmax.qpcore import maximize_convex_vertices
 from reachmax.bounds import TOL_RANK_BOUND, box_bound, rank_bound
 from reachmax.seqlab import FiniteC0Sequence
 from reachmax.solver import _RankEvaluator, reduce_affine
@@ -56,7 +56,7 @@ def osc_instance(Q, q=(0.0, 0.0), N=100):
 def convex_evaluator(inst):
     """The solver's rank evaluator for an instance with a convex objective."""
     red = reduce_affine(inst)
-    return _RankEvaluator(red, ObjectiveClass.CONVEX_PSD, geometry.vertex_set(red.Xwork))
+    return _RankEvaluator(red, geometry.vertex_set(red.Xwork))
 
 
 DECAYING_1D = ProblemInstance(
@@ -161,8 +161,8 @@ class TestShiftConditioningDecision:
 
         affine_box = ProblemInstance(A=OSC_A, b=[0.05, 0.02], Qmat=np.eye(2), qvec=[0.5, -0.25], Xin=osc_box())
         specs = [
-            BenchSpec(4, SystemKind.AFFINE, ObjectiveKind.CXNH, "vertices", 20, 3, 7),
-            BenchSpec(3, SystemKind.AFFINE, ObjectiveKind.CANH, "box", None, 3, 8),
+            BenchSpec(4, SystemKind.AFFINE, ObjectiveKind.CXNH, 20, 3, 7),
+            BenchSpec(3, SystemKind.AFFINE, ObjectiveKind.CANH, None, 3, 8),
         ]
         instances = [OSC_VERTEX_LIST, affine_box] + [
             random_instance(spec, index) for spec, index in itertools.product(specs, range(3))
@@ -272,8 +272,7 @@ class TestRankEvaluator:
             for _ in range(3):
                 inst = self.instance_on(rng, Xin, concave)
                 red = reduce_affine(inst)
-                klass = ObjectiveClass.STRICTLY_CONCAVE_ND if concave else ObjectiveClass.CONVEX_PSD
-                ev = _RankEvaluator(red, klass, geometry.vertex_set(red.Xwork))
+                ev = _RankEvaluator(red, red.Xwork if concave else geometry.vertex_set(red.Xwork))
                 assert ev.exact_ranks < n
                 assert isinstance(ev._verts, geometry.BoxCorners) == (Xin.dim == 11)
                 screen, evaluate = ev.block(n)
@@ -755,7 +754,7 @@ class TestMaximizerCalls:
         # ranks 1 and 2 are settled by their box bounds, rank 3 then beats nu_0; the 4 corners would
         # otherwise take the exact block pass, which screens no rank
         monkeypatch.setattr(solver_module, "EXACT_BLOCK_MAX_ROWS", 0)
-        inst = random_instance(BenchSpec(2, SystemKind.AFFINE, ObjectiveKind.CXH, "box", None, 1, 608, 100), 0)
+        inst = random_instance(BenchSpec(2, SystemKind.AFFINE, ObjectiveKind.CXH, None, 1, 608, 100), 0)
         rep = solve(inst)
         assert (rep.status, rep.k_opt, rep.K_trace) == (SolveStatus.K_DIAG, 3, [(0, 7), (3, 6)])
         assert (len(calls), rep.iterations) == (2, 7)
@@ -785,7 +784,7 @@ class TestCornerTableSolves:
             (ObjectiveKind.CANH, SystemKind.AFFINE, 1),
         ):
             for dim in (T, T + 1):
-                spec = BenchSpec(dim, system, kind, "box", None, 1, 700 + dim, 100)
+                spec = BenchSpec(dim, system, kind, None, 1, 700 + dim, 100)
                 for index in range(count):
                     inst = random_instance(spec, index)
                     rep, ref = solve(inst), self.solve_on_rows(inst, monkeypatch)
@@ -1132,7 +1131,7 @@ class TestRankBoundScreen:
     def test_reports_without_the_box_screen_are_bit_identical(self, monkeypatch):
         specs = mixed_benchspecs(seed=707)
         instances = [random_instance(spec, index) for spec, index in itertools.product(specs, range(2))]
-        kinds = {(spec.objective_kind, spec.set_kind) for spec in specs}
+        kinds = {(spec.objective_kind, spec.vertex_count is None) for spec in specs}
         assert len(kinds) == 3  # a convex box, a vertex list and a concave box
         calls = collections.Counter()
         original = solver_module._RankEvaluator.maximize
@@ -1177,13 +1176,13 @@ class TestExactBlocks:
     @staticmethod
     def tiny_instances():
         """Convex instances on boxes with d <= 4 and on lists of 1 to 16 points, at N = 20."""
-        for dim, kind, system, (set_kind, points) in itertools.product(
+        for dim, kind, system, points in itertools.product(
             (1, 2, 3, 4),
             (ObjectiveKind.CXH, ObjectiveKind.CXNH),
             (SystemKind.LINEAR, SystemKind.AFFINE),
-            (("box", None), ("vertices", 1), ("vertices", 5), ("vertices", 16)),
+            (None, 1, 5, 16),
         ):
-            spec = BenchSpec(dim, system, kind, set_kind, points, 1, 900 + dim, 20)
+            spec = BenchSpec(dim, system, kind, points, 1, 900 + dim, 20)
             for index in range(3):
                 yield random_instance(spec, index)
 
@@ -1340,6 +1339,44 @@ class TestTinyWorkingSets:
         assert k == 1
 
 
+def overflow_instance(b: float, lower: float, upper: float, curvature: float = 1.0) -> ProblemInstance:
+    """x -> x/2 + (b, b) in the plane, f(x) = curvature ||x||^2, over the box [lower, upper]^2: all data finite."""
+    return ProblemInstance(A=0.5 * np.eye(2), b=np.full(2, b), Qmat=curvature * np.eye(2), qvec=np.zeros(2),
+                           Xin=Box(np.full(2, lower), np.full(2, upper)))
+
+
+class TestOverflow:
+    """Finite data whose values overflow end in a named error, not in a report of inf or in a wrong cause.
+
+    numpy's overflow warnings are silenced, as they would fail the test before the solver's own checks.
+    """
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            # every rank-0 value is inf: the parent reported CorollaryOne with nu_opt inf
+            ((1e155, 2.5e155, 3.5e155), ValueError, "rank 0 has the maximum inf, which is not finite"),
+            # the reduced problem is finite, but the offset b~^T Q b~ overflows: the parent reported KDiag inf
+            ((1e155, 1.99999e155, 2.00001e155), ValueError, r"optimal value .* \+ offset inf is not finite"),
+            # the initial set is the fixed point alone, answered by the degenerate screen with the offset
+            ((1e155, 2e155, 2e155), ValueError, r"optimal value 0.0 \+ offset inf is not finite"),
+            # the parent built the envelope from the inf rank-0 value and called its nan zero
+            ((0.0, 1e155, 2e155), ValueError, "rank 0 has the maximum inf, which is not finite"),
+            # finite values, but M overflows: the envelope L M + ||e|| sqrt(M) is 1e-300 inf + 0 inf, nan
+            ((0.0, 1e155, 2e155, 1e-300), AssumptionViolated, r"decay envelope nan is not finite: .* M = inf,"),
+        ],
+        ids=["rank-value", "offset", "offset-single-point", "rank-value-linear", "envelope"],
+    )
+    def test_is_a_named_error(self, args, error, message):
+        inst = overflow_instance(*args)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
+            solve(inst)
+        if error is ValueError:
+            # the oracle refuses what solve refuses, with its message
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
+                brute_force(inst, 5)
+
+
 def scaled(inst: ProblemInstance, s: int, t: int) -> ProblemInstance:
     """inst under x -> 2^s x and f -> 2^t f: Q 2^(t - 2s), q 2^(t - s), b and the initial set 2^s, all exact."""
     X = inst.Xin
@@ -1354,10 +1391,15 @@ class TestScaleInvariance:
     SPECS = [
         BenchSpec(dim=3, system_kind=SystemKind.AFFINE, objective_kind=ObjectiveKind.CXNH, instance_count=30,
                   seed=1, N=20),
-        BenchSpec(dim=6, system_kind=SystemKind.AFFINE, objective_kind=ObjectiveKind.CXNH, set_kind="vertices",
-                  vertex_count=50, instance_count=30, seed=1, N=20),
+        BenchSpec(dim=6, system_kind=SystemKind.AFFINE, objective_kind=ObjectiveKind.CXNH, vertex_count=50,
+                  instance_count=30, seed=1, N=20),
         BenchSpec(dim=4, system_kind=SystemKind.LINEAR, objective_kind=ObjectiveKind.CXH, instance_count=20,
                   seed=2, N=100),
+        # boxes past geometry.CORNER_TABLE_MIN_DIM: BoxCorners tables and the zonogon walk's mode maxima
+        BenchSpec(dim=12, system_kind=SystemKind.LINEAR, objective_kind=ObjectiveKind.CXH, instance_count=10,
+                  seed=3, N=100),
+        BenchSpec(dim=12, system_kind=SystemKind.AFFINE, objective_kind=ObjectiveKind.CXNH, instance_count=10,
+                  seed=3, N=100),
     ]
 
     # a Corollary-1 exit, a long vertex-list scan (k_pos = 88) and a linear objective, beside the random draws
@@ -1489,11 +1531,9 @@ def mixed_benchspecs(seed, N=100):
     specs = []
     for dim in (2, 3, 4, 5):
         for system in (SystemKind.LINEAR, SystemKind.AFFINE):
-            specs.append(BenchSpec(dim, system, ObjectiveKind.CXH, "box", None, 1, seed + dim, N))
-            specs.append(
-                BenchSpec(dim, system, ObjectiveKind.CXNH, "vertices", 12, 1, seed + 10 + dim, N)
-            )
-            specs.append(BenchSpec(dim, system, ObjectiveKind.CANH, "box", None, 1, seed + 20 + dim, N))
+            specs.append(BenchSpec(dim, system, ObjectiveKind.CXH, None, 1, seed + dim, N))
+            specs.append(BenchSpec(dim, system, ObjectiveKind.CXNH, 12, 1, seed + 10 + dim, N))
+            specs.append(BenchSpec(dim, system, ObjectiveKind.CANH, None, 1, seed + 20 + dim, N))
     return specs
 
 
@@ -1544,7 +1584,7 @@ class TestSolveAgainstOracles:
     def test_failed_status_is_sound(self):
         found = 0
         for index in range(60):
-            spec = BenchSpec(2, SystemKind.LINEAR, ObjectiveKind.CANH, "box", None, 1, 888, 40)
+            spec = BenchSpec(2, SystemKind.LINEAR, ObjectiveKind.CANH, None, 1, 888, 40)
             inst = random_instance(spec, index)
             rep = solve(inst)
             if rep.status is not SolveStatus.FAILED:
